@@ -23,9 +23,6 @@ def apply_perm(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def all_perms(n: int) -> list[tuple[int, ...]]:
-    return list(permutations(range(n)))
-
 def mask_stabilizer(mask: int, n: int) -> list[tuple[int, ...]]:
     """All permutations of range(n) mapping ``mask`` onto itself (setwise)."""
     inside = [b for b in range(n) if mask >> b & 1]
@@ -59,16 +56,3 @@ def canonical_masks(masks: tuple[int, ...] | list[int], n: int) -> tuple[int, ..
             best = img
     return tuple(m for _, m in best)
 
-
-def are_isomorphic(masks_a, masks_b, n: int) -> bool:
-    """Families related by a relabeling of [n] (exact, small n only)."""
-    a = _family_key(list(masks_a))
-    masks_b = list(masks_b)
-    if len(a) != len(masks_b):
-        return False
-    if a == _family_key(masks_b):
-        return True
-    for perm in permutations(range(n)):
-        if _family_key([apply_perm(perm, m) for m in masks_b]) == a:
-            return True
-    return False

@@ -26,6 +26,7 @@ from .search import (
     DEFAULT_BUDGET_SECS,
     SearchResult,
     _Budget,
+    _build_uniform_window_state,
     _candidate_masks,
     _canonicalize,
     _solve_state,
@@ -187,7 +188,6 @@ class _CancellativeState:
         self.idx_of = {m: i for i, m in enumerate(self.masks)}
         self.by_card = {l: list(range(len(self.masks)))}
         self.card_list_desc = [l]
-        self.min_card = l
         self.status = [0] * len(self.masks)
         self.chosen_masks: list[int] = []
         self.diffs: dict[int, int] = {}
@@ -284,7 +284,6 @@ def max_cancellative(
     l: int,
     budget_nodes: int = DEFAULT_BUDGET_NODES,
     budget_secs: float = DEFAULT_BUDGET_SECS,
-    threads: int = 1,
     use_symmetry: bool = True,
 ) -> SearchResult:
     """Exact maximum size of a cancellative l-graph on [n] (l in {2, 3});
@@ -297,17 +296,16 @@ def max_cancellative(
     budget = _Budget(budget_nodes, budget_secs)
     if l == 2:
         # triangle-free == cancellative for graphs: cap 2 edges per 3-window
-        spec, args = "tracelab.search:_build_uniform_window_state", (n, 2, 3, 2)
+        build, args = _build_uniform_window_state, (n, 2, 3, 2)
     else:
-        spec, args = "tracelab.cancellative_turan:_build_cancellative_state", (n, l)
+        build, args = _build_cancellative_state, (n, l)
     got, sel, comp = _solve_state(
-        spec,
+        build,
         args,
         best0=-1,
         exclude_first_cards=frozenset(),
         budget=budget,
         use_symmetry=use_symmetry,
-        threads=threads,
     )
     witness = SetFamily.from_masks(n, _canonicalize(sel or [], n))
     if len(witness) != max(got, 0) or not is_cancellative(witness, l).ok:
@@ -320,7 +318,6 @@ def ex3(
     pattern: Pattern,
     budget_nodes: int = DEFAULT_BUDGET_NODES,
     budget_secs: float = DEFAULT_BUDGET_SECS,
-    threads: int = 1,
     use_symmetry: bool = True,
 ) -> SearchResult:
     """Exact Turán number: most triples on [n] with every 4-window
@@ -332,13 +329,12 @@ def ex3(
     budget = _Budget(budget_nodes, budget_secs)
     limit = pattern.window_limit(3)
     got, sel, comp = _solve_state(
-        "tracelab.search:_build_uniform_window_state",
+        _build_uniform_window_state,
         (n, 3, 4, limit),
         best0=-1,
         exclude_first_cards=frozenset(),
         budget=budget,
         use_symmetry=use_symmetry,
-        threads=threads,
     )
     witness = SetFamily.from_masks(n, _canonicalize(sel or [], n))
     if len(witness) != max(got, 0) or not pattern_free(witness, 3, pattern):

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -71,7 +70,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _manifest(argv, inputs: dict[str, str], budgets: dict, wall_ms: float, seed, result_obj) -> dict:
+def _manifest(argv, inputs: dict[str, str], budgets: dict, wall_ms: float, result_obj) -> dict:
     # digest the stable result content; wall-clock readings stay out of it
     stable = {k: v for k, v in result_obj.items() if k not in ("elapsed_ms", "manifest")}
     body = json.dumps(stable, separators=(",", ":"), sort_keys=True).encode()
@@ -81,7 +80,6 @@ def _manifest(argv, inputs: dict[str, str], budgets: dict, wall_ms: float, seed,
         "version": __version__,
         "budgets": budgets,
         "wall_ms": round(wall_ms, 3),
-        "seed": seed,
         "result_digest": _sha256(body),
     }
 
@@ -115,11 +113,7 @@ def _write_family(fam: SetFamily, path: str) -> None:
 
 
 def _budget_kwargs(ns) -> dict:
-    return {
-        "budget_nodes": ns.budget_nodes,
-        "budget_secs": ns.budget_secs,
-        "threads": ns.threads,
-    }
+    return {"budget_nodes": ns.budget_nodes, "budget_secs": ns.budget_secs}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +194,7 @@ def _run_search_query(q: ArrowQuery, ns, argv, inputs=None) -> int:
     obj = res.to_json_obj()
     obj["query"] = q.to_json_obj()
     budgets = {"nodes": q.budget_nodes, "secs": q.budget_secs}
-    obj["manifest"] = _manifest(argv, inputs or {}, budgets, wall, ns.seed, obj)
+    obj["manifest"] = _manifest(argv, inputs or {}, budgets, wall, obj)
     _emit(obj, ns.pretty)
     return 0 if res.proved_optimal else 3
 
@@ -270,7 +264,7 @@ def _cmd_verify_table(ns, argv) -> int:
     else:
         budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
         report = {"rows": lines}
-        report["manifest"] = _manifest(argv, {}, budgets, wall, ns.seed, report)
+        report["manifest"] = _manifest(argv, {}, budgets, wall, report)
         _emit(report, ns.pretty)
     return 1 if any_fail else 0
 
@@ -347,7 +341,7 @@ def _cmd_cancellative(ns, argv) -> int:
     obj["n"] = ns.n
     obj["l"] = ns.l
     budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
-    obj["manifest"] = _manifest(argv, {}, budgets, wall, ns.seed, obj)
+    obj["manifest"] = _manifest(argv, {}, budgets, wall, obj)
     _emit(obj, ns.pretty)
     return 0 if res.proved_optimal else 3
 
@@ -365,7 +359,7 @@ def _cmd_ex3(ns, argv) -> int:
     # exact values at these sizes are produced by this search, not quoted
     obj["computed_value"] = True
     budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
-    obj["manifest"] = _manifest(argv, {}, budgets, wall, ns.seed, obj)
+    obj["manifest"] = _manifest(argv, {}, budgets, wall, obj)
     _emit(obj, ns.pretty)
     return 0 if res.proved_optimal else 3
 
@@ -378,7 +372,7 @@ def _cmd_crosscheck(ns, argv) -> int:
     wall = (time.perf_counter() - t0) * 1000.0
     obj = {"n": ns.n, "c": ns.c, "identity_holds": verdict}
     budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
-    obj["manifest"] = _manifest(argv, {}, budgets, wall, ns.seed, obj)
+    obj["manifest"] = _manifest(argv, {}, budgets, wall, obj)
     _emit(obj, ns.pretty)
     if verdict is None:
         return 3
@@ -392,13 +386,6 @@ def _cmd_crosscheck(ns, argv) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", dest="budget_nodes", type=int, default=10**8)
     p.add_argument("--budget-secs", dest="budget_secs", type=float, default=300.0)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("TRACELAB_THREADS", "1")),
-        help="worker processes for branch-and-bound (default TRACELAB_THREADS or 1)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in run manifests")
     p.add_argument("--pretty", action="store_true", help="human tables instead of JSON lines")
     p.add_argument("--out", default=None, help="write the produced family to this file")
 

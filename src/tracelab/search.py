@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 from time import perf_counter
+from typing import Callable, Protocol
 
 from ._perm import CANON_CAP, apply_perm, canonical_masks, mask_stabilizer
 from .constructions import TildeFamily, hookarrow, tilde_to_json_obj
@@ -47,6 +48,14 @@ _STABILIZER_CAP = 50_000  # explicit stabilizer groups stay below this size
 DEFAULT_BUDGET_NODES = 10**8
 DEFAULT_BUDGET_SECS = 300.0
 
+# the keys ArrowQuery.to_json_obj emits, per mode
+_COMMON_KEYS = frozenset({"n", "a", "b", "mode", "budget_nodes", "budget_secs"})
+_QUERY_KEYS = {
+    MODE_DOWNSET: _COMMON_KEYS,
+    MODE_TILDE: _COMMON_KEYS | {"c"},
+    MODE_ANTICHAIN: _COMMON_KEYS | {"k"},
+}
+
 
 @dataclass(frozen=True)
 class ArrowQuery:
@@ -66,7 +75,6 @@ class ArrowQuery:
     k: int | None = None
     budget_nodes: int = DEFAULT_BUDGET_NODES
     budget_secs: float = DEFAULT_BUDGET_SECS
-    threads: int = 1
     use_symmetry: bool = True
 
     @classmethod
@@ -105,8 +113,6 @@ class ArrowQuery:
         else:
             if self.k is None or self.k < 0 or self.k + 1 > self.n:
                 raise FamilyError(f"antichain query needs 0 <= k <= n-1, got k={self.k}")
-        if self.threads < 1:
-            raise FamilyError("threads must be >= 1")
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -125,12 +131,20 @@ class ArrowQuery:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ArrowQuery":
+        """Inverse of :meth:`to_json_obj`.  Keys that method never emits for
+        the query's mode are rejected rather than silently ignored."""
+        if not isinstance(obj, dict):
+            raise FamilyError(f"query must be a JSON object, got {type(obj).__name__}")
+        mode = obj.get("mode", MODE_DOWNSET)
+        if not isinstance(mode, str) or mode not in _QUERY_KEYS:
+            raise FamilyError(f"unknown search mode {mode!r}")
+        unknown = sorted(set(obj) - _QUERY_KEYS[mode])
+        if unknown:
+            raise FamilyError(f"unknown query keys for mode {mode!r}: {unknown}")
         try:
-            mode = obj.get("mode", MODE_DOWNSET)
             kw = {
                 "budget_nodes": int(obj.get("budget_nodes", DEFAULT_BUDGET_NODES)),
                 "budget_secs": float(obj.get("budget_secs", DEFAULT_BUDGET_SECS)),
-                "threads": int(obj.get("threads", 1)),
             }
             n = int(obj["n"])
             if mode == MODE_TILDE:
@@ -196,10 +210,57 @@ class _Budget:
         ):
             raise _BudgetExhausted
 
-    def remaining_secs(self) -> float | None:
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline - perf_counter())
+
+# ---------------------------------------------------------------------------
+# the state protocol
+
+
+class _ConstraintState(Protocol):
+    """What the search engine reads from a constraint state.
+
+    Candidates are the indices ``0 .. len(masks)-1``; ``masks[i]`` is the
+    candidate's bitmask over ``nbits`` ground elements, ``cards[i]`` its
+    size, ``by_card[c]`` the candidates of size c in ascending mask order
+    and ``idx_of`` the inverse of ``masks``.  ``status[i]`` is 0 while
+    candidate i is undecided, 1 once it is in and 2 once it is out.  A
+    state with ``feasible_root`` false admits no family at all.
+
+    Every move has an exact inverse: ``undo_add_group(adds)`` restores the
+    state that ``try_add_group`` found when it returned ``adds``, and
+    ``unmark_out(i)`` undoes ``mark_out(i)``; the engine undoes moves in
+    reverse order.  ``try_add_group(i)`` puts i in together with whatever
+    else the constraint forces, or returns None and changes nothing when
+    i cannot be added in the current subtree.  ``pick_first()`` is the
+    next candidate to branch on, None when none is left.
+    ``bound_remaining()`` is never below the largest number of candidates
+    that can still be added (the subtree optimum).
+    ``all_in_candidates()`` returns the candidates that together give the
+    subtree optimum when taking all of them is feasible, and None when
+    there is no such shortcut.  With symmetry on, the engine assumes the
+    root state is invariant under every relabeling of the ground set.
+    """
+
+    nbits: int
+    masks: list[int]
+    cards: list[int]
+    by_card: dict[int, list[int]]
+    idx_of: dict[int, int]
+    status: list[int]
+    feasible_root: bool
+
+    def try_add_group(self, i: int) -> list[int] | None: ...
+
+    def undo_add_group(self, adds: list[int]) -> None: ...
+
+    def mark_out(self, i: int) -> None: ...
+
+    def unmark_out(self, i: int) -> None: ...
+
+    def pick_first(self) -> int | None: ...
+
+    def bound_remaining(self) -> int: ...
+
+    def all_in_candidates(self) -> list[int] | None: ...
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +305,6 @@ class _CapState:
         self.resid = sum(cap - c for c in self.cnt)
         cards_present = sorted(set(self.cards))
         self.card_list_desc = cards_present[::-1]
-        self.min_card = cards_present[0] if cards_present else 0
         self.by_card = {c: [] for c in cards_present}
         for i, c in enumerate(self.cards):
             self.by_card[c].append(i)
@@ -271,38 +331,17 @@ class _CapState:
     def _counted(self, i) -> bool:
         return self.status[i] == 0 and self.blocked[i] == 0 and self.dead[i] == 0
 
-    def _bump_blocked(self, i, delta) -> None:
-        was = self._counted(i)
-        self.blocked[i] += delta
-        now = self._counted(i)
-        if was and not now:
-            self.avail[self.cards[i]] -= 1
-            self.avail_total -= 1
-        elif now and not was:
-            self.avail[self.cards[i]] += 1
-            self.avail_total += 1
-
-    def _set_status(self, i, new) -> None:
-        was = self._counted(i)
-        self.status[i] = new
-        now = self._counted(i)
-        if was and not now:
-            self.avail[self.cards[i]] -= 1
-            self.avail_total -= 1
-        elif now and not was:
-            self.avail[self.cards[i]] += 1
-            self.avail_total += 1
-
-    def _bump_dead(self, i, delta) -> None:
-        was = self._counted(i)
-        self.dead[i] += delta
-        now = self._counted(i)
-        if was and not now:
-            self.avail[self.cards[i]] -= 1
-            self.avail_total -= 1
-        elif now and not was:
-            self.avail[self.cards[i]] += 1
-            self.avail_total += 1
+    def _put(self, arr, i, value) -> None:
+        """``arr[i] = value`` for ``arr`` one of status, blocked or dead,
+        keeping the counted-candidate totals in step.  ``_counted`` is
+        inlined: this runs several times per search node."""
+        status, blocked, dead = self.status, self.blocked, self.dead
+        was = status[i] == 0 and blocked[i] == 0 and dead[i] == 0
+        arr[i] = value
+        if was != (status[i] == 0 and blocked[i] == 0 and dead[i] == 0):
+            d = -1 if was else 1
+            self.avail[self.cards[i]] += d
+            self.avail_total += d
 
     # -- moves --------------------------------------------------------------
 
@@ -341,15 +380,16 @@ class _CapState:
             if cnt[w] + d > cap:
                 return None
         for j in adds:
-            self._set_status(j, 1)
+            self._put(self.status, j, 1)
         for w, d in delta.items():
             old = cnt[w]
             new = old + d
             cnt[w] = new
             self.resid -= d
             if new == cap and old < cap:
+                blocked = self.blocked
                 for j2 in self.window_cands[w]:
-                    self._bump_blocked(j2, 1)
+                    self._put(blocked, j2, blocked[j2] + 1)
         return adds
 
     def undo_add_group(self, adds) -> None:
@@ -365,20 +405,23 @@ class _CapState:
             cnt[w] = new
             self.resid += d
             if old == cap and new < cap:
+                blocked = self.blocked
                 for j2 in self.window_cands[w]:
-                    self._bump_blocked(j2, -1)
+                    self._put(blocked, j2, blocked[j2] - 1)
         for j in adds:
-            self._set_status(j, 0)
+            self._put(self.status, j, 0)
 
     def mark_out(self, i) -> None:
-        self._set_status(i, 2)
+        self._put(self.status, i, 2)
+        dead = self.dead
         for t in self.children[i]:
-            self._bump_dead(t, 1)
+            self._put(dead, t, dead[t] + 1)
 
     def unmark_out(self, i) -> None:
+        dead = self.dead
         for t in self.children[i]:
-            self._bump_dead(t, -1)
-        self._set_status(i, 0)
+            self._put(dead, t, dead[t] - 1)
+        self._put(self.status, i, 0)
 
     # -- queries ------------------------------------------------------------
 
@@ -449,12 +492,11 @@ class _Searcher:
 
     def __init__(
         self,
-        state,
+        state: _ConstraintState,
         budget: _Budget,
         best0: int = -1,
         exclude_first_cards=frozenset(),
         use_symmetry: bool = True,
-        frontier_depth: int | None = None,
     ):
         self.state = state
         self.budget = budget
@@ -463,36 +505,16 @@ class _Searcher:
         self.chosen: list[int] = []
         self.exclude_first_cards = frozenset(exclude_first_cards)
         self.use_symmetry = use_symmetry
-        self.frontier_depth = frontier_depth
-        self.frontier: list[list] = []
-        self.script: list = []
 
-    def run(self, replay=None) -> bool:
-        """Returns True when the subtree was fully explored."""
+    def run(self) -> bool:
+        """Returns True when the tree was fully explored."""
         if not self.state.feasible_root:
             return True
-        group = "FULL" if self.use_symmetry else None
-        trail = []
-        if replay:
-            group = None
-            for step, payload in replay:
-                if step == "i":
-                    adds = self.state.try_add_group(payload)
-                    if adds is None:
-                        raise RuntimeError("replay of a feasible prefix failed")
-                    self.chosen.extend(adds)
-                    trail.append(("i", adds))
-                else:
-                    for j in payload:
-                        self.state.mark_out(j)
-                    trail.append(("o", payload))
         try:
-            self._dfs(group, 0)
+            self._dfs("FULL" if self.use_symmetry else None)
             return True
         except _BudgetExhausted:
             return False
-        finally:
-            self._unwind(trail)
 
     def _unwind(self, trail) -> None:
         for step, payload in reversed(trail):
@@ -537,13 +559,10 @@ class _Searcher:
             perms = [p for p in group if apply_perm(p, mask) == mask]
         return perms if len(perms) > 1 else None
 
-    def _dfs(self, group, depth) -> None:
+    def _dfs(self, group) -> None:
         st = self.state
         budget = self.budget
         chosen = self.chosen
-        if self.frontier_depth is not None and depth >= self.frontier_depth:
-            self.frontier.append(list(self.script))
-            return
         trail = []
         try:
             while True:
@@ -567,9 +586,7 @@ class _Searcher:
                     outs = tuple(j for j in orb if st.status[j] == 0)
                     for j in outs:
                         st.mark_out(j)
-                    self.script.append(("o", outs))
-                    self._dfs(group, depth + 1)
-                    self.script.pop()
+                    self._dfs(group)
                     for j in reversed(outs):
                         st.unmark_out(j)
                     adds = st.try_add_group(e)
@@ -579,31 +596,28 @@ class _Searcher:
                         return
                     chosen.extend(adds)
                     trail.append(("i", adds))
-                    self.script.append(("i", e))
                     group = self._stabilize(group, e)
                 else:
                     adds = st.try_add_group(e)
                     if adds is not None:
                         chosen.extend(adds)
-                        self.script.append(("i", e))
-                        self._dfs(self._stabilize(group, e), depth + 1)
-                        self.script.pop()
+                        self._dfs(self._stabilize(group, e))
                         del chosen[-len(adds):]
                         st.undo_add_group(adds)
                     outs = tuple(j for j in orb if st.status[j] == 0)
                     for j in outs:
                         st.mark_out(j)
                     trail.append(("o", outs))
-                    self.script.append(("o", outs))
         finally:
-            # one script entry was pushed per tail decision on the trail
-            if trail:
-                del self.script[-len(trail):]
             self._unwind(trail)
 
 
 # ---------------------------------------------------------------------------
-# problem builders (module-level so worker processes can rebuild states)
+# problem builders
+#
+# Module-level functions, called through a module-global name at call
+# time, so that wrapping a name (bench/tracer.py does, to time state
+# builds) reaches every search that uses it.
 
 
 def _combo_masks(nbits: int, size: int) -> list[int]:
@@ -693,7 +707,6 @@ class _AntichainState:
         for i, c in enumerate(self.cards):
             self.by_card.setdefault(c, []).append(i)
         self.card_list_desc = sorted(self.by_card, reverse=True)
-        self.min_card = 0
         self.windows = _combo_masks(n, k + 1)
         self.cap = (1 << (k + 1)) - 1
         self.seen = [dict() for _ in self.windows]  # projection -> multiplicity
@@ -771,92 +784,30 @@ def _build_antichain_state(n: int, k: int) -> _AntichainState:
 
 
 # ---------------------------------------------------------------------------
-# sequential / parallel solving
+# solving
 
 
-def _resolve_builder(spec: str):
-    import importlib
-
-    mod_name, fn_name = spec.split(":")
-    return getattr(importlib.import_module(mod_name), fn_name)
-
-
-def _subtree_worker(spec, args, replay, best0, efc, node_limit, seconds):
-    state = _resolve_builder(spec)(*args)
-    budget = _Budget(node_limit, seconds)
+def _solve_state(
+    build: Callable[..., _ConstraintState],
+    args: tuple,
+    *,
+    best0,
+    exclude_first_cards,
+    budget,
+    use_symmetry,
+):
+    """Maximize over the state ``build(*args)``.  Returns (best, masks|None, completed)."""
+    state = build(*args)
     searcher = _Searcher(
-        state, budget, best0=best0, exclude_first_cards=frozenset(efc), use_symmetry=False
-    )
-    completed = searcher.run(replay=replay)
-    sel = None if searcher.best_sel is None else [state.masks[j] for j in searcher.best_sel]
-    return searcher.best, sel, budget.nodes, completed
-
-
-_FRONTIER_DEPTH = 3
-
-
-def _solve_state(spec, args, *, best0, exclude_first_cards, budget, use_symmetry, threads):
-    """Maximize over one constraint state.  Returns (best, masks|None, completed)."""
-    state = _resolve_builder(spec)(*args)
-    if not state.feasible_root:
-        return best0, None, True
-    if threads <= 1:
-        searcher = _Searcher(
-            state,
-            budget,
-            best0=best0,
-            exclude_first_cards=exclude_first_cards,
-            use_symmetry=use_symmetry,
-        )
-        completed = searcher.run()
-        sel = None if searcher.best_sel is None else [state.masks[j] for j in searcher.best_sel]
-        return searcher.best, sel, completed
-
-    collector = _Searcher(
         state,
         budget,
         best0=best0,
         exclude_first_cards=exclude_first_cards,
         use_symmetry=use_symmetry,
-        frontier_depth=_FRONTIER_DEPTH,
     )
-    top_done = collector.run()
-    best = collector.best
-    sel = None if collector.best_sel is None else [state.masks[j] for j in collector.best_sel]
-    if not top_done:
-        return best, sel, False
-    tasks = collector.frontier
-    if not tasks:
-        return best, sel, True
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    completed = True
-    efc = tuple(exclude_first_cards)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        pos = 0
-        while pos < len(tasks):
-            wave = tasks[pos : pos + threads]
-            pos += threads
-            secs = budget.remaining_secs()
-            if secs is not None and secs <= 0.0:
-                completed = False
-                break
-            share = max(1, budget.limit - budget.nodes)
-            futures = [
-                pool.submit(_subtree_worker, spec, args, task, best, efc, share, secs)
-                for task in wave
-            ]
-            for fut in futures:
-                b2, sel2, nodes2, comp2 = fut.result()
-                budget.nodes += nodes2
-                completed = completed and comp2
-                if b2 > best and sel2 is not None:
-                    best, sel = b2, sel2
-            if budget.nodes > budget.limit:
-                completed = False
-                break
-    return best, sel, completed
+    completed = searcher.run()
+    sel = None if searcher.best_sel is None else [state.masks[j] for j in searcher.best_sel]
+    return searcher.best, sel, completed
 
 
 def _canonicalize(masks, n: int) -> tuple[int, ...]:
@@ -891,13 +842,12 @@ def max_family(q: ArrowQuery) -> SearchResult:
         if cap_k <= best_total:
             continue
         got, sel, comp = _solve_state(
-            "tracelab.search:_build_downset_state",
+            _build_downset_state,
             (k, a, b),
             best0=best_total - 1 - k,
             exclude_first_cards=frozenset(c for c in range(3, a)),
             budget=budget,
             use_symmetry=q.use_symmetry,
-            threads=q.threads,
         )
         if sel is not None and 1 + k + len(sel) > best_total:
             best_total = 1 + k + len(sel)
@@ -921,13 +871,12 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
     budget = _Budget(q.budget_nodes, q.budget_secs)
     n, c = q.n, q.c
     got, sel, comp = _solve_state(
-        "tracelab.search:_build_tilde_state",
+        _build_tilde_state,
         (n, c),
         best0=-1,
         exclude_first_cards=frozenset((3,)),
         budget=budget,
         use_symmetry=q.use_symmetry,
-        threads=q.threads,
     )
     masks = _canonicalize(sel or [], n)
     g2 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 2])
@@ -950,13 +899,12 @@ def max_antichain(q: ArrowQuery) -> SearchResult:
     t0 = perf_counter()
     budget = _Budget(q.budget_nodes, q.budget_secs)
     got, sel, comp = _solve_state(
-        "tracelab.search:_build_antichain_state",
+        _build_antichain_state,
         (q.n, q.k),
         best0=-1,
         exclude_first_cards=frozenset(),
         budget=budget,
         use_symmetry=q.use_symmetry,
-        threads=1,
     )
     masks = _canonicalize(sel or [], q.n)
     witness = SetFamily.from_masks(q.n, masks)

@@ -21,8 +21,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_GROUND = 64
-# 2^n membership bitmap is only materialized up to here (2 MiB of bits).
-INDEX_CAP = 24
 # refuse to enumerate more k-subsets than this in a single trace scan
 _WINDOW_SCAN_CAP = 2_000_000
 
@@ -116,19 +114,7 @@ class SetFamily:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        if self.index is not None:
-            return bool(self.index >> mask & 1)
         return mask in self._member_set
-
-    @cached_property
-    def index(self) -> int | None:
-        """Membership bitmap over all 2^n masks; None when n > INDEX_CAP."""
-        if self.n > INDEX_CAP:
-            return None
-        idx = 0
-        for m in self.members:
-            idx |= 1 << m
-        return idx
 
     @cached_property
     def _member_set(self) -> frozenset[int]:

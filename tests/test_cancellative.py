@@ -193,6 +193,7 @@ class TestMaxCancellative:
 
     def test_witness_reverifies(self):
         res = max_cancellative(6, 3)
+        assert res.proved_optimal and res.optimum == 8
         assert is_cancellative(res.witness, 3).ok
         assert len(res.witness) == res.optimum
 
@@ -267,12 +268,11 @@ class TestCancellativeBruteforce:
 
 class TestParallelSearches:
     def test_cancellative_threads(self):
-        seq = max_cancellative(6, 3)
-        par = max_cancellative(6, 3, threads=2)
-        assert seq.optimum == par.optimum == 8
-        assert par.proved_optimal
-
-    def test_ex3_threads(self):
-        seq = ex3(5, Pattern.K_COMPLETE)
-        par = ex3(5, Pattern.K_COMPLETE, threads=2)
-        assert seq.optimum == par.optimum == 7
+        # the search is sequential only: the old parallel knob is refused and
+        # the sequential run still proves the optimum
+        res = max_cancellative(6, 3)
+        assert res.optimum == 8 and res.proved_optimal
+        with pytest.raises(TypeError):
+            max_cancellative(6, 3, threads=2)
+        with pytest.raises(TypeError):
+            ex3(5, Pattern.K_COMPLETE, threads=2)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tracelab import family_from_text, family_to_text
 from tracelab.cli import main
 
@@ -119,6 +121,25 @@ class TestSearch:
         obj = last_json(out)
         assert obj["optimum"] == 6
         assert str(qf) in obj["manifest"]["inputs"]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            [1, 2],
+            "x",
+            {"n": 5, "a": 3, "b": 7, "use_symmetry": False},
+            {"n": 5, "a": 3, "b": 7, "threads": 2},
+            {"n": 6, "mode": "tilde-complete", "c": 5, "k": 2},
+            {"n": 5, "mode": "bogus", "b": 7},
+        ],
+    )
+    def test_bad_query_file_exit_2(self, capsys, tmp_path, query):
+        # not an object, a key to_json_obj never emits, or an unknown mode
+        qf = tmp_path / "q.json"
+        qf.write_text(json.dumps(query))
+        code, out, err = run_cli(capsys, "search", "--query", str(qf))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_budget_exit_3(self, capsys):
         code, out, _ = run_cli(

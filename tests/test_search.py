@@ -5,15 +5,18 @@ import pytest
 
 from tracelab import (
     FamilyError,
+    Pattern,
     SetFamily,
     TildeFamily,
     arrows,
     crosscheck_mtilde,
     decide_arrow,
+    ex3,
     hookarrow,
     is_antichain,
     is_downset,
     max_antichain,
+    max_cancellative,
     max_family,
     max_tilde,
     mtilde_formula,
@@ -186,10 +189,21 @@ class TestDownsetSearch:
     def test_budget_exhaustion_unproved(self):
         res = max_family(ArrowQuery.downset(7, 4, 13, budget_nodes=40))
         assert not res.proved_optimal
-        assert res.nodes >= 40
+        assert 40 <= res.nodes <= 41
         # the witness is still a genuine feasible family
         assert is_downset(res.witness)
         assert not arrows(res.witness, 4, 13)
+        # every entry point honours the node budget: at most one node over
+        for budget, run in [
+            (30, lambda b: max_tilde(ArrowQuery.tilde(7, 5, budget_nodes=b))),
+            (30, lambda b: max_antichain(ArrowQuery.antichain(6, 2, budget_nodes=b))),
+            (30, lambda b: max_cancellative(8, 3, budget_nodes=b)),
+            (30, lambda b: max_cancellative(9, 2, budget_nodes=b)),
+            (30, lambda b: ex3(7, Pattern.K_COMPLETE, budget_nodes=b)),
+        ]:
+            res = run(budget)
+            assert not res.proved_optimal
+            assert res.nodes <= budget + 1
 
 
 class TestTildeSearch:
@@ -211,6 +225,7 @@ class TestTildeSearch:
 
     def test_witness_reverifies(self):
         res = max_tilde(ArrowQuery.tilde(6, 6))
+        assert res.proved_optimal and res.optimum + 1 == mtilde_formula(6, 6)
         assert res.witness.complete
         assert not hookarrow(res.witness, 6)
         assert len(res.witness) == res.optimum
@@ -222,10 +237,16 @@ class TestTildeSearch:
             assert on.optimum == off.optimum
 
     def test_threads_same_optimum(self):
-        seq = max_tilde(ArrowQuery.tilde(6, 6))
-        par = max_tilde(ArrowQuery.tilde(6, 6, threads=2))
-        assert seq.optimum == par.optimum
-        assert par.proved_optimal
+        # the search is sequential only: a `threads` setting is refused from
+        # Python and from a query file, and the optimum is still proved
+        res = max_tilde(ArrowQuery.tilde(6, 6))
+        assert res.proved_optimal
+        with pytest.raises(TypeError):
+            ArrowQuery.tilde(6, 6, threads=2)
+        obj = ArrowQuery.tilde(6, 6).to_json_obj()
+        obj["threads"] = 2
+        with pytest.raises(FamilyError):
+            ArrowQuery.from_json_obj(obj)
 
 
 class TestAntichainSearch:
@@ -314,12 +335,6 @@ class TestEngineStress:
         res = max_family(ArrowQuery.downset(5, 1, 2))
         assert res.optimum == 1 and res.witness.sets() == [()]
 
-    def test_downset_threads_match(self):
-        seq = max_family(ArrowQuery.downset(6, 3, 7))
-        par = max_family(ArrowQuery.downset(6, 3, 7, threads=2))
-        assert seq.optimum == par.optimum == 16
-        assert par.proved_optimal
-
 
 class TestHigherWindows:
     def test_quintuple_window_all_small_sizes(self):
@@ -376,7 +391,7 @@ def test_random_window_problems_match_bruteforce():
     import random
     from math import comb as _comb
 
-    from tracelab.search import _Budget, _solve_state
+    from tracelab.search import _Budget, _build_uniform_window_state, _solve_state
 
     rng = random.Random(99)
     done = 0
@@ -409,13 +424,12 @@ def test_random_window_problems_match_bruteforce():
                 best = len(chosen)
         for sym in (True, False):
             got, _sel, comp = _solve_state(
-                "tracelab.search:_build_uniform_window_state",
+                _build_uniform_window_state,
                 (n, card, win, cap),
                 best0=-1,
                 exclude_first_cards=frozenset(),
                 budget=_Budget(10**8, None),
                 use_symmetry=sym,
-                threads=1,
             )
             assert comp and got == best, (n, card, win, cap, sym)
 

@@ -72,15 +72,21 @@ class TestSetFamily:
             SetFamily(3, (1, 1))
 
     def test_membership_index(self):
-        fam = SetFamily.from_sets(4, [(1,), (2, 3)])
-        assert fam.index is not None
-        assert mask_of([1], 4) in fam
-        assert mask_of([2], 4) not in fam
+        for n in (4, 24):
+            fam = SetFamily.from_sets(n, [(1,), (2, 3), (n,)])
+            assert mask_of([1], n) in fam
+            assert mask_of([2, 3], n) in fam
+            assert mask_of([n], n) in fam
+            assert mask_of([2], n) not in fam
+            assert mask_of([1, n], n) not in fam
+            assert 0 not in fam
 
     def test_index_skipped_for_large_ground(self):
         fam = SetFamily.from_sets(30, [(1,), (29, 30)])
-        assert fam.index is None
         assert mask_of([29, 30], 30) in fam
+        assert mask_of([1], 30) in fam
+        assert mask_of([29], 30) not in fam
+        assert mask_of([1, 29, 30], 30) not in fam
 
 
 class TestTrace:
