@@ -1,16 +1,13 @@
-"""Relabeling utilities: permutation action on masks, stabilizers,
-canonical forms of families under the symmetric group.
+"""Relabeling utilities: the permutation action on masks and setwise
+stabilizers, used by the search engine's orbital branching.
 
-Used by the search engine for symmetry pruning and by witnesses for a
-deterministic, relabeling-stable normal form.  Everything here is exact
-brute force over permutations and therefore gated to small ground sets.
+``mask_stabilizer`` lists its group element by element, so callers gate
+it to small ground sets.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-
-CANON_CAP = 8  # canonical forms computed only up to this ground-set size
 
 
 def apply_perm(perm: tuple[int, ...], mask: int) -> int:
@@ -37,22 +34,3 @@ def mask_stabilizer(mask: int, n: int) -> list[tuple[int, ...]]:
                 perm[src] = dst
             out.append(tuple(perm))
     return out
-
-
-def _family_key(masks: list[int]) -> list[tuple[int, int]]:
-    return sorted((m.bit_count(), m) for m in masks)
-
-
-def canonical_masks(masks: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
-    """Lexicographically smallest relabeled image of a family, comparing
-    sorted (cardinality, mask) sequences.  Identity above CANON_CAP."""
-    masks = list(masks)
-    if n > CANON_CAP or not masks:
-        return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-    best = _family_key(masks)
-    for perm in permutations(range(n)):
-        img = _family_key([apply_perm(perm, m) for m in masks])
-        if img < best:
-            best = img
-    return tuple(m for _, m in best)
-

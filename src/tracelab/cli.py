@@ -8,8 +8,10 @@ parse error, 3 search budget exhausted before optimality was proved.
 
 Every search-backed command attaches a run manifest (command line,
 input digests, library version, budgets, wall time, result digest) to
-its result object; re-running with identical inputs reproduces the
-output bit for bit.
+its result object.  Re-running a search that finishes, or that stops on
+its node budget, with identical inputs reproduces the output bit for bit
+apart from the wall-clock fields; a search stopped by its time budget
+depends on the wall clock.
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ def _read_text(path: str) -> str:
         raise FamilyError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, data: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise FamilyError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_family(path: str) -> SetFamily:
     """Family file in either format; pair/triple JSON is lifted to the
     corresponding full family (empty set and singletons adjoined)."""
@@ -108,8 +118,7 @@ def _write_family(fam: SetFamily, path: str) -> None:
         data = json.dumps(family_to_json_obj(fam), separators=(",", ":")) + "\n"
     else:
         data = family_to_text(fam)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    _write_text(path, data)
 
 
 def _budget_kwargs(ns) -> dict:
@@ -150,8 +159,7 @@ def _cmd_construct(ns, argv) -> int:
         obj = {"kind": kind, "size": len(tilde), "formula": formula}
         payload = json.dumps(tilde_to_json_obj(tilde), separators=(",", ":")) + "\n"
         if ns.out:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            _write_text(ns.out, payload)
             obj["out"] = ns.out
         else:
             obj["family"] = tilde_to_json_obj(tilde)
@@ -226,7 +234,10 @@ def _cmd_search(ns, argv) -> int:
 
 
 def _cmd_verify_table(ns, argv) -> int:
-    rows = [int(tok) for tok in ns.rows.split(",") if tok]
+    try:
+        rows = [int(tok) for tok in ns.rows.split(",") if tok]
+    except ValueError as exc:
+        raise FamilyError(f"--rows must be comma-separated integers, got {ns.rows!r}") from exc
     allowed = {1, 2, 3, 5, 6, 7, 8}
     bad = [c for c in rows if c not in allowed]
     if bad:

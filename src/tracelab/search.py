@@ -16,7 +16,8 @@ node whose chosen and excluded candidates are stabilized by a
 permutation group G of the ground set, either a representative e goes
 in, or its entire G-orbit goes out.  Disabling symmetry changes node
 counts, never optima.  Returned witnesses are re-verified through the
-plain trace-counting path and canonicalized under relabeling.
+plain trace-counting path and listed in the canonical member order
+(by cardinality, then mask); they are not relabeled.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb, factorial
 from time import perf_counter
 from typing import Callable, Protocol
 
-from ._perm import CANON_CAP, apply_perm, canonical_masks, mask_stabilizer
+from ._perm import apply_perm, mask_stabilizer
 from .constructions import TildeFamily, hookarrow, tilde_to_json_obj
 from .setcore import (
     FamilyError,
@@ -314,6 +315,8 @@ class _CapState:
             c: min((len(self.cand_windows[i]) for i in idxs), default=0)
             for c, idxs in self.by_card.items()
         }
+        # (card, weight), lightest first: the greedy order of bound_remaining
+        self.by_weight = sorted(self.weight.items(), key=lambda cw: cw[1])
         self.avail = {c: 0 for c in cards_present}
         self.avail_total = 0
         if self.feasible_root:
@@ -328,13 +331,11 @@ class _CapState:
 
     # -- counted-candidate bookkeeping ------------------------------------
 
-    def _counted(self, i) -> bool:
-        return self.status[i] == 0 and self.blocked[i] == 0 and self.dead[i] == 0
-
     def _put(self, arr, i, value) -> None:
         """``arr[i] = value`` for ``arr`` one of status, blocked or dead,
-        keeping the counted-candidate totals in step.  ``_counted`` is
-        inlined: this runs several times per search node."""
+        keeping the counted-candidate totals in step.  A candidate is
+        counted while it is undecided, in no full window and has no
+        excluded prerequisite."""
         status, blocked, dead = self.status, self.blocked, self.dead
         was = status[i] == 0 and blocked[i] == 0 and dead[i] == 0
         arr[i] = value
@@ -381,15 +382,24 @@ class _CapState:
                 return None
         for j in adds:
             self._put(self.status, j, 1)
+        # _put inlined for the blocked counts: a window filling up blocks
+        # every candidate in it
+        status, blocked, dead = self.status, self.blocked, self.dead
+        avail, cards = self.avail, self.cards
+        lost = 0
         for w, d in delta.items():
             old = cnt[w]
             new = old + d
             cnt[w] = new
             self.resid -= d
             if new == cap and old < cap:
-                blocked = self.blocked
                 for j2 in self.window_cands[w]:
-                    self._put(blocked, j2, blocked[j2] + 1)
+                    b = blocked[j2]
+                    blocked[j2] = b + 1
+                    if not (b or status[j2] or dead[j2]):
+                        avail[cards[j2]] -= 1
+                        lost += 1
+        self.avail_total -= lost
         return adds
 
     def undo_add_group(self, adds) -> None:
@@ -399,15 +409,22 @@ class _CapState:
                 delta[w] = delta.get(w, 0) + 1
         cap = self.cap
         cnt = self.cnt
+        status, blocked, dead = self.status, self.blocked, self.dead
+        avail, cards = self.avail, self.cards
+        gained = 0
         for w, d in delta.items():
             old = cnt[w]
             new = old - d
             cnt[w] = new
             self.resid += d
             if old == cap and new < cap:
-                blocked = self.blocked
                 for j2 in self.window_cands[w]:
-                    self._put(blocked, j2, blocked[j2] - 1)
+                    b = blocked[j2] - 1
+                    blocked[j2] = b
+                    if not (b or status[j2] or dead[j2]):
+                        avail[cards[j2]] += 1
+                        gained += 1
+        self.avail_total += gained
         for j in adds:
             self._put(self.status, j, 0)
 
@@ -427,10 +444,11 @@ class _CapState:
 
     def pick_first(self) -> int | None:
         """Highest-cardinality counted candidate, smallest mask first."""
+        status, blocked, dead = self.status, self.blocked, self.dead
         for c in self.card_list_desc:
             if self.avail[c]:
                 for i in self.by_card[c]:
-                    if self._counted(i):
+                    if not (status[i] or blocked[i] or dead[i]):
                         return i
         return None
 
@@ -438,11 +456,11 @@ class _CapState:
         """Upper bound on how many more candidates can still be chosen."""
         budget = self.resid
         total = 0
-        for c in sorted(self.avail, key=lambda cc: self.weight[cc]):
-            n_avail = self.avail[c]
+        avail = self.avail
+        for c, w in self.by_weight:
+            n_avail = avail[c]
             if not n_avail:
                 continue
-            w = self.weight[c]
             take = n_avail if w == 0 else min(n_avail, budget // w)
             total += take
             budget -= take * w
@@ -452,29 +470,34 @@ class _CapState:
 
     def all_in_candidates(self) -> list[int] | None:
         """If every counted candidate has its prerequisites chosen and all
-        of them fit together, the subtree optimum is 'take them all'."""
+        of them fit together, the subtree optimum is 'take them all'.
+
+        One pass, giving up at the first candidate with a missing
+        prerequisite or the first window it would overfill."""
+        status, blocked, dead = self.status, self.blocked, self.dead
+        prereq, cand_windows = self.prereq, self.cand_windows
+        cnt, cap = self.cnt, self.cap
+        room: dict[int, int] = {}  # window -> slots still free for the counted
         counted = []
-        status = self.status
         for c in self.card_list_desc:
-            if not self.avail[c]:
+            left = self.avail[c]  # counted candidates of size c not yet met
+            if not left:
                 continue
             for i in self.by_card[c]:
-                if self._counted(i):
-                    for p in self.prereq[i]:
-                        if status[p] != 1:
-                            return None
-                    counted.append(i)
-        if not counted:
-            return []
-        delta: dict[int, int] = {}
-        for j in counted:
-            for w in self.cand_windows[j]:
-                delta[w] = delta.get(w, 0) + 1
-        cnt = self.cnt
-        cap = self.cap
-        for w, d in delta.items():
-            if cnt[w] + d > cap:
-                return None
+                if status[i] or blocked[i] or dead[i]:
+                    continue
+                for p in prereq[i]:
+                    if status[p] != 1:
+                        return None
+                for w in cand_windows[i]:
+                    r = room.get(w, cap - cnt[w]) - 1
+                    if r < 0:
+                        return None
+                    room[w] = r
+                counted.append(i)
+                left -= 1
+                if not left:
+                    break
         return counted
 
 
@@ -811,8 +834,7 @@ def _solve_state(
 
 
 def _canonicalize(masks, n: int) -> tuple[int, ...]:
-    if n <= CANON_CAP:
-        return canonical_masks(masks, n)
+    """Witness masks in the canonical member order; no relabeling."""
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 

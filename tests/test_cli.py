@@ -60,6 +60,16 @@ class TestConstruct:
         fam = family_from_text(first)
         assert family_to_text(fam) == first
 
+    @pytest.mark.parametrize(
+        "args", [("partite", "--n", "6", "--l", "2"), ("special6",)], ids=["partite", "special6"]
+    )
+    def test_out_into_missing_dir_exit_2(self, capsys, tmp_path, args):
+        out_file = tmp_path / "no_such_dir" / "f.json"
+        code, out, err = run_cli(capsys, "construct", *args, "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert out == "" and not out_file.exists()
+
 
 class TestCheck:
     def test_no_arrow_exit_0(self, capsys, tmp_path):
@@ -186,6 +196,12 @@ class TestVerifyTable:
         code, _, _ = run_cli(capsys, "verify-table", "--rows", "4,9")
         assert code == 2
 
+    def test_non_integer_rows_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify-table", "--rows", "1,x")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
 
 class TestTransformCommands:
     def test_reduce(self, capsys, tmp_path):
@@ -202,6 +218,17 @@ class TestTransformCommands:
         code, out, _ = run_cli(capsys, "symmetrize", str(f), "--x", "1", "--y", "2", "--profitable")
         assert code == 0
         assert last_json(out)["new_size"] == 6
+
+    @pytest.mark.parametrize(
+        "cmd", [("reduce",), ("symmetrize", "--x", "1", "--y", "2")], ids=["reduce", "symmetrize"]
+    )
+    def test_out_into_missing_dir_exit_2(self, capsys, tmp_path, cmd):
+        f = tmp_path / "fam.txt"
+        f.write_text("n=3\n-\n1\n2\n1,2\n")
+        out_file = tmp_path / "no_such_dir" / "out.txt"
+        code, _, err = run_cli(capsys, cmd[0], str(f), *cmd[1:], "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: cannot write")
 
     def test_partition(self, capsys, tmp_path):
         f = tmp_path / "fam.json"

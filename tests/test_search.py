@@ -442,3 +442,118 @@ def test_search_is_deterministic():
     c = max_family(ArrowQuery.downset(6, 3, 7))
     d = max_family(ArrowQuery.downset(6, 3, 7))
     assert c.to_json_obj()["witness"] == d.to_json_obj()["witness"]
+
+
+# (optimum, proved_optimal, nodes) with symmetry on and off.  The DFS is
+# deterministic, so a change that claims not to alter the search must
+# leave every triple exactly as it is.
+_NODE_PINS = {
+    "downset-6-4-13": (lambda s: max_family(ArrowQuery.downset(6, 4, 13, use_symmetry=s)),
+                       (27, True, 111), (27, True, 5542)),
+    "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
+                      (16, True, 31), (16, True, 649)),
+    "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
+                  (12, True, 49), (12, True, 1578)),
+    "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
+                  (16, True, 26), (16, True, 1569)),
+    "antichain-5-2": (lambda s: max_antichain(ArrowQuery.antichain(5, 2, use_symmetry=s)),
+                      (10, True, 95), (10, True, 497)),
+    "antichain-5-1": (lambda s: max_antichain(ArrowQuery.antichain(5, 1, use_symmetry=s)),
+                      (5, True, 79), (5, True, 1375)),
+    "cancellative-2-7": (lambda s: max_cancellative(7, 2, use_symmetry=s),
+                         (12, True, 95), (12, True, 7159)),
+    "cancellative-3-6": (lambda s: max_cancellative(6, 3, use_symmetry=s),
+                         (8, True, 43), (8, True, 1203)),
+    "ex3-k4-6": (lambda s: ex3(6, Pattern.K_COMPLETE, use_symmetry=s),
+                 (14, True, 793), (14, True, 7683)),
+    "ex3-k4minus-6": (lambda s: ex3(6, Pattern.K_MINUS, use_symmetry=s),
+                      (10, True, 147), (10, True, 225)),
+}
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+@pytest.mark.parametrize("name", sorted(_NODE_PINS))
+def test_node_counts_pinned(name, sym):
+    run, with_sym, without_sym = _NODE_PINS[name]
+    res = run(sym)
+    assert (res.optimum, res.proved_optimal, res.nodes) == (with_sym if sym else without_sym)
+
+
+def _brute_all_in(st):
+    """Reference for ``_CapState.all_in_candidates`` from the primary state
+    (status, window counts, prerequisites) alone."""
+    def fits(i):
+        m = st.masks[i]
+        return all(st.cnt[wi] < st.cap for wi, w in enumerate(st.windows) if m & w == m)
+
+    counted = [
+        i
+        for i in range(len(st.masks))
+        if st.status[i] == 0 and fits(i) and all(st.status[p] != 2 for p in st.prereq[i])
+    ]
+    counted.sort(key=lambda i: (-st.cards[i], i))
+    if any(st.status[p] != 1 for i in counted for p in st.prereq[i]):
+        return None, counted
+    for wi, w in enumerate(st.windows):
+        inside = sum(1 for i in counted if st.masks[i] & w == st.masks[i])
+        if st.cnt[wi] + inside > st.cap:
+            return None, counted
+    return counted, counted
+
+
+def _undo(st, move):
+    kind, payload = move
+    if kind == "in":
+        st.undo_add_group(payload)
+    else:
+        st.unmark_out(payload)
+
+
+def test_all_in_matches_bruteforce_on_random_states():
+    import random
+
+    from tracelab.search import (
+        _build_downset_state,
+        _build_tilde_state,
+        _build_uniform_window_state,
+    )
+
+    builds = [
+        (_build_tilde_state, (5, 5)),
+        (_build_tilde_state, (5, 8)),
+        (_build_tilde_state, (6, 7)),
+        (_build_downset_state, (5, 4, 13)),
+        (_build_downset_state, (6, 4, 12)),
+        (_build_downset_state, (5, 3, 7)),
+        (_build_uniform_window_state, (6, 3, 4, 3)),
+        (_build_uniform_window_state, (6, 2, 3, 2)),
+        (_build_uniform_window_state, (5, 3, 4, 2)),
+    ]
+    rng = random.Random(2024)
+    outcomes = {"none": 0, "empty": 0, "all": 0}
+    for build, args in builds:
+        st = build(*args)
+        start = (list(st.status), list(st.cnt), dict(st.avail), st.avail_total, st.resid)
+        for _walk in range(4):
+            moves = []
+            for _ in range(60):
+                want, counted = _brute_all_in(st)
+                assert st.all_in_candidates() == want, (build.__name__, args, moves)
+                assert st.avail_total == len(counted)
+                outcomes["none" if want is None else "all" if want else "empty"] += 1
+                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
+                r = rng.random()
+                if moves and (not open_ or r < 0.2):
+                    _undo(st, moves.pop())
+                elif r < 0.65:
+                    adds = st.try_add_group(rng.choice(open_))
+                    if adds is not None:
+                        moves.append(("in", adds))
+                else:
+                    i = rng.choice(open_)
+                    st.mark_out(i)
+                    moves.append(("out", i))
+            for move in reversed(moves):
+                _undo(st, move)
+            assert (st.status, st.cnt, st.avail, st.avail_total, st.resid) == start
+    assert all(outcomes.values()), outcomes
