@@ -271,9 +271,6 @@ class _CancellativeState:
             if self.status[i] == 0 and self._addable_mask(self.masks[i], self.pair_subsets[i])
         )
 
-    def all_in_candidates(self):
-        return None
-
 
 def _build_cancellative_state(n: int, l: int) -> _CancellativeState:
     return _CancellativeState(n, l)
@@ -339,13 +336,6 @@ def ex3(
     witness = SetFamily.from_masks(n, _canonicalize(sel or [], n))
     if len(witness) != max(got, 0) or not pattern_free(witness, 3, pattern):
         raise RuntimeError("witness failed independent re-verification")
-    # independent window recount, bypassing the search bookkeeping
-    for combo in combinations(range(n), 4):
-        w = 0
-        for b in combo:
-            w |= 1 << b
-        if sum(1 for m in witness.members if m & w == m) > limit:
-            raise RuntimeError("witness failed independent re-verification")
     return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
 
 

@@ -38,7 +38,14 @@ from .constructions import (
     tilde_to_json_obj,
     turan_graph,
 )
-from .search import ArrowQuery, crosscheck_mtilde, max_tilde, run_query
+from .search import (
+    DEFAULT_BUDGET_NODES,
+    DEFAULT_BUDGET_SECS,
+    ArrowQuery,
+    crosscheck_mtilde,
+    max_tilde,
+    run_query,
+)
 from .setcore import (
     FamilyError,
     SetFamily,
@@ -121,8 +128,16 @@ def _write_family(fam: SetFamily, path: str) -> None:
     _write_text(path, data)
 
 
-def _budget_kwargs(ns) -> dict:
-    return {"budget_nodes": ns.budget_nodes, "budget_secs": ns.budget_secs}
+def _budget_kwargs(ns, nodes=DEFAULT_BUDGET_NODES, secs=DEFAULT_BUDGET_SECS) -> dict:
+    """Search budgets: a budget flag that was given overrides the base."""
+    return {
+        "budget_nodes": nodes if ns.budget_nodes is None else ns.budget_nodes,
+        "budget_secs": secs if ns.budget_secs is None else ns.budget_secs,
+    }
+
+
+def _manifest_budgets(kw: dict) -> dict:
+    return {"nodes": kw["budget_nodes"], "secs": kw["budget_secs"]}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +229,7 @@ def _cmd_search(ns, argv) -> int:
             q = ArrowQuery.from_json_obj(json.loads(text))
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise FamilyError(f"bad query JSON in {ns.query}: {exc}") from exc
-        q = dataclasses.replace(q, **_budget_kwargs(ns))
+        q = dataclasses.replace(q, **_budget_kwargs(ns, q.budget_nodes, q.budget_secs))
         inputs = {ns.query: _sha256(text.encode())}
         return _run_search_query(q, ns, argv, inputs)
     mode = ns.mode or "downset"
@@ -242,12 +257,13 @@ def _cmd_verify_table(ns, argv) -> int:
     bad = [c for c in rows if c not in allowed]
     if bad:
         raise FamilyError(f"rows must be within {sorted(allowed)}, got {bad}")
+    budget_kw = _budget_kwargs(ns)
     t0 = time.perf_counter()
     any_fail = False
     lines = []
     for c in rows:
         for n in range(ns.n_min, ns.n_max + 1):
-            res = max_tilde(ArrowQuery.tilde(n, c, **_budget_kwargs(ns)))
+            res = max_tilde(ArrowQuery.tilde(n, c, **budget_kw))
             searched = res.optimum + 1
             entry = {"c": c, "n": n, "searched": searched, "proved": res.proved_optimal}
             formula = mtilde_formula(c, n)
@@ -273,9 +289,8 @@ def _cmd_verify_table(ns, argv) -> int:
             fm = "-" if e["formula"] is None else e["formula"]
             print(f"{e['c']:>3} {e['n']:>3} {fm:>8} {e['searched']:>9} {e['status']}")
     else:
-        budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
         report = {"rows": lines}
-        report["manifest"] = _manifest(argv, {}, budgets, wall, report)
+        report["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, report)
         _emit(report, ns.pretty)
     return 1 if any_fail else 0
 
@@ -345,14 +360,14 @@ def _cmd_cancellative(ns, argv) -> int:
         return 0
     if ns.n is None or ns.l is None:
         raise FamilyError("cancellative search needs --n and --l")
+    budget_kw = _budget_kwargs(ns)
     t0 = time.perf_counter()
-    res = max_cancellative(ns.n, ns.l, **_budget_kwargs(ns))
+    res = max_cancellative(ns.n, ns.l, **budget_kw)
     wall = (time.perf_counter() - t0) * 1000.0
     obj = res.to_json_obj()
     obj["n"] = ns.n
     obj["l"] = ns.l
-    budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
-    obj["manifest"] = _manifest(argv, {}, budgets, wall, obj)
+    obj["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, obj)
     _emit(obj, ns.pretty)
     return 0 if res.proved_optimal else 3
 
@@ -361,16 +376,16 @@ def _cmd_ex3(ns, argv) -> int:
     pattern = Pattern(ns.pattern)
     if ns.n is None:
         raise FamilyError("ex3 needs --n")
+    budget_kw = _budget_kwargs(ns)
     t0 = time.perf_counter()
-    res = ex3(ns.n, pattern, **_budget_kwargs(ns))
+    res = ex3(ns.n, pattern, **budget_kw)
     wall = (time.perf_counter() - t0) * 1000.0
     obj = res.to_json_obj()
     obj["n"] = ns.n
     obj["pattern"] = pattern.value
     # exact values at these sizes are produced by this search, not quoted
     obj["computed_value"] = True
-    budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
-    obj["manifest"] = _manifest(argv, {}, budgets, wall, obj)
+    obj["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, obj)
     _emit(obj, ns.pretty)
     return 0 if res.proved_optimal else 3
 
@@ -378,12 +393,12 @@ def _cmd_ex3(ns, argv) -> int:
 def _cmd_crosscheck(ns, argv) -> int:
     if ns.n is None or ns.c is None:
         raise FamilyError("crosscheck needs --n and --c")
+    budget_kw = _budget_kwargs(ns)
     t0 = time.perf_counter()
-    verdict = crosscheck_mtilde(ns.n, ns.c, **_budget_kwargs(ns))
+    verdict = crosscheck_mtilde(ns.n, ns.c, **budget_kw)
     wall = (time.perf_counter() - t0) * 1000.0
     obj = {"n": ns.n, "c": ns.c, "identity_holds": verdict}
-    budgets = {"nodes": ns.budget_nodes, "secs": ns.budget_secs}
-    obj["manifest"] = _manifest(argv, {}, budgets, wall, obj)
+    obj["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, obj)
     _emit(obj, ns.pretty)
     if verdict is None:
         return 3
@@ -394,11 +409,13 @@ def _cmd_crosscheck(ns, argv) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", dest="budget_nodes", type=int, default=10**8)
-    p.add_argument("--budget-secs", dest="budget_secs", type=float, default=300.0)
-    p.add_argument("--pretty", action="store_true", help="human tables instead of JSON lines")
-    p.add_argument("--out", default=None, help="write the produced family to this file")
+def _add_budgets(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget-nodes", type=int, help=f"node budget (default {DEFAULT_BUDGET_NODES})")
+    p.add_argument("--budget-secs", type=float, help=f"time budget (default {DEFAULT_BUDGET_SECS})")
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="write the produced family to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,37 +428,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--input", help="family file for downclosure")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("check", help="trace maximum and arrow test for a family file")
     p.add_argument("family")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    _add_common(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("search", help="certified extremal search")
-    p.add_argument("--query", help="query JSON file (overrides flags)")
+    p.add_argument(
+        "--query", help="query JSON file, in place of the query flags; budget flags override its budgets"
+    )
     p.add_argument("--mode", choices=["downset", "full-downset", "tilde", "tilde-complete", "antichain"])
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
     p.add_argument("--k", type=int)
-    _add_common(p)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify-table", help="closed-form values vs searched optima")
     p.add_argument("--rows", default="1,2,3,5,6,7")
     p.add_argument("--n-min", dest="n_min", type=int, default=5)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    _add_common(p)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_verify_table)
 
     p = sub.add_parser("reduce", help="down-shift compression to a down-set")
     p.add_argument("family")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("symmetrize", help="copy the x-side of a down-set over its y-side")
@@ -449,33 +467,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int)
     p.add_argument("--y", type=int)
     p.add_argument("--profitable", action="store_true", help="orient roles so the family never shrinks")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_symmetrize)
 
     p = sub.add_parser("partition", help="link-equality classes and pattern family")
     p.add_argument("family")
-    _add_common(p)
     p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("cancellative", help="cancellative predicate or extremal search")
     p.add_argument("--check", help="family file: test the predicate instead of searching")
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
-    _add_common(p)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_cancellative)
 
     p = sub.add_parser("ex3", help="exact Turán number for a 4-vertex triple pattern")
     p.add_argument("--n", type=int)
     p.add_argument("--pattern", choices=[pat.value for pat in Pattern], default="k4")
-    _add_common(p)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_ex3)
 
     p = sub.add_parser("crosscheck", help="pair/triple vs full-family optimum identity")
     p.add_argument("--n", type=int)
     p.add_argument("--c", type=int)
-    _add_common(p)
+    _add_budgets(p)
     p.set_defaults(fn=_cmd_crosscheck)
 
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true", help="human tables instead of JSON lines")
     return ap
 
 

@@ -234,10 +234,9 @@ class _ConstraintState(Protocol):
     i cannot be added in the current subtree.  ``pick_first()`` is the
     next candidate to branch on, None when none is left.
     ``bound_remaining()`` is never below the largest number of candidates
-    that can still be added (the subtree optimum).
-    ``all_in_candidates()`` returns the candidates that together give the
-    subtree optimum when taking all of them is feasible, and None when
-    there is no such shortcut.  With symmetry on, the engine assumes the
+    that can still be added (the subtree optimum).  The engine closes a
+    node by this bound, by ``pick_first()`` returning None, or by
+    exploring its children.  With symmetry on, the engine assumes the
     root state is invariant under every relabeling of the ground set.
     """
 
@@ -261,8 +260,6 @@ class _ConstraintState(Protocol):
 
     def bound_remaining(self) -> int: ...
 
-    def all_in_candidates(self) -> list[int] | None: ...
-
 
 # ---------------------------------------------------------------------------
 # window-capacity constraint state
@@ -275,6 +272,12 @@ class _CapState:
     containing it.  ``prereqs`` encode shadow closure (a set may only be
     chosen once its one-smaller subsets are in); choosing a candidate
     auto-adds missing prerequisites.  All mutations have exact inverses.
+
+    ``avail[c]`` is the number of counted candidates of size c (see
+    ``_put``) and ``resid`` the total free room over all windows.
+    ``pick_first`` branches on the counted candidates and
+    ``bound_remaining`` packs them into ``resid``, lightest window weight
+    first.
     """
 
     def __init__(self, nbits, masks, windows, cap, init_counts, prereqs):
@@ -318,7 +321,6 @@ class _CapState:
         # (card, weight), lightest first: the greedy order of bound_remaining
         self.by_weight = sorted(self.weight.items(), key=lambda cw: cw[1])
         self.avail = {c: 0 for c in cards_present}
-        self.avail_total = 0
         if self.feasible_root:
             for wi, cval in enumerate(self.cnt):
                 if cval == cap:
@@ -327,22 +329,18 @@ class _CapState:
             for i in range(m):
                 if self.blocked[i] == 0:
                     self.avail[self.cards[i]] += 1
-                    self.avail_total += 1
 
     # -- counted-candidate bookkeeping ------------------------------------
 
     def _put(self, arr, i, value) -> None:
         """``arr[i] = value`` for ``arr`` one of status, blocked or dead,
-        keeping the counted-candidate totals in step.  A candidate is
-        counted while it is undecided, in no full window and has no
-        excluded prerequisite."""
+        keeping ``avail`` in step.  A candidate is counted while it is
+        undecided, in no full window and has no excluded prerequisite."""
         status, blocked, dead = self.status, self.blocked, self.dead
         was = status[i] == 0 and blocked[i] == 0 and dead[i] == 0
         arr[i] = value
         if was != (status[i] == 0 and blocked[i] == 0 and dead[i] == 0):
-            d = -1 if was else 1
-            self.avail[self.cards[i]] += d
-            self.avail_total += d
+            self.avail[self.cards[i]] += -1 if was else 1
 
     # -- moves --------------------------------------------------------------
 
@@ -386,7 +384,6 @@ class _CapState:
         # every candidate in it
         status, blocked, dead = self.status, self.blocked, self.dead
         avail, cards = self.avail, self.cards
-        lost = 0
         for w, d in delta.items():
             old = cnt[w]
             new = old + d
@@ -398,8 +395,6 @@ class _CapState:
                     blocked[j2] = b + 1
                     if not (b or status[j2] or dead[j2]):
                         avail[cards[j2]] -= 1
-                        lost += 1
-        self.avail_total -= lost
         return adds
 
     def undo_add_group(self, adds) -> None:
@@ -411,7 +406,6 @@ class _CapState:
         cnt = self.cnt
         status, blocked, dead = self.status, self.blocked, self.dead
         avail, cards = self.avail, self.cards
-        gained = 0
         for w, d in delta.items():
             old = cnt[w]
             new = old - d
@@ -423,8 +417,6 @@ class _CapState:
                     blocked[j2] = b
                     if not (b or status[j2] or dead[j2]):
                         avail[cards[j2]] += 1
-                        gained += 1
-        self.avail_total += gained
         for j in adds:
             self._put(self.status, j, 0)
 
@@ -467,38 +459,6 @@ class _CapState:
             if budget <= 0:
                 break
         return total
-
-    def all_in_candidates(self) -> list[int] | None:
-        """If every counted candidate has its prerequisites chosen and all
-        of them fit together, the subtree optimum is 'take them all'.
-
-        One pass, giving up at the first candidate with a missing
-        prerequisite or the first window it would overfill."""
-        status, blocked, dead = self.status, self.blocked, self.dead
-        prereq, cand_windows = self.prereq, self.cand_windows
-        cnt, cap = self.cnt, self.cap
-        room: dict[int, int] = {}  # window -> slots still free for the counted
-        counted = []
-        for c in self.card_list_desc:
-            left = self.avail[c]  # counted candidates of size c not yet met
-            if not left:
-                continue
-            for i in self.by_card[c]:
-                if status[i] or blocked[i] or dead[i]:
-                    continue
-                for p in prereq[i]:
-                    if status[p] != 1:
-                        return None
-                for w in cand_windows[i]:
-                    r = room.get(w, cap - cnt[w]) - 1
-                    if r < 0:
-                        return None
-                    room[w] = r
-                counted.append(i)
-                left -= 1
-                if not left:
-                    break
-        return counted
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +555,6 @@ class _Searcher:
                     self.best = cur
                     self.best_sel = list(chosen)
                 if cur + st.bound_remaining() <= self.best:
-                    return
-                allin = st.all_in_candidates()
-                if allin is not None:
-                    if cur + len(allin) > self.best:
-                        self.best = cur + len(allin)
-                        self.best_sel = chosen + allin
                     return
                 e, orb = self._pick(group)
                 if e is None:
@@ -797,9 +751,6 @@ class _AntichainState:
 
     def bound_remaining(self) -> int:
         return sum(1 for i in range(len(self.masks)) if self.status[i] == 0 and self._addable(i))
-
-    def all_in_candidates(self):
-        return None
 
 
 def _build_antichain_state(n: int, k: int) -> _AntichainState:

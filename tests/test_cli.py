@@ -158,6 +158,19 @@ class TestSearch:
         assert code == 3
         assert last_json(out)["proved_optimal"] is False
 
+    def test_query_file_budgets_hold(self, capsys, tmp_path):
+        # a query file's budgets apply unless a budget flag is given
+        qf = tmp_path / "q.json"
+        qf.write_text(json.dumps({"n": 7, "a": 4, "b": 13, "budget_nodes": 30}))
+        code, out, _ = run_cli(capsys, "search", "--query", str(qf))
+        obj = last_json(out)
+        assert code == 3 and obj["proved_optimal"] is False
+        assert obj["manifest"]["budgets"]["nodes"] == 30 and obj["nodes"] <= 31
+        code, out, _ = run_cli(capsys, "search", "--query", str(qf), "--budget-nodes", "20")
+        obj = last_json(out)
+        assert code == 3
+        assert obj["manifest"]["budgets"]["nodes"] == 20 and obj["nodes"] <= 21
+
     def test_manifest_reproducible(self, capsys):
         _, out1, _ = run_cli(capsys, "search", "--n", "5", "--a", "3", "--b", "7")
         _, out2, _ = run_cli(capsys, "search", "--n", "5", "--a", "3", "--b", "7")
@@ -265,6 +278,26 @@ class TestCancellativeCommands:
         code, out, _ = run_cli(capsys, "crosscheck", "--n", "5", "--c", "2")
         assert code == 0
         assert last_json(out)["identity_holds"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--n", "4", "--a", "3", "--b", "7", "--out", "w.json"],
+        ["check", "F", "--a", "4", "--b", "13", "--budget-nodes", "5"],
+        ["partition", "F", "--out", "x"],
+    ],
+    ids=["search-out", "check-budget", "partition-out"],
+)
+def test_unread_flag_rejected(capsys, tmp_path, monkeypatch, args):
+    # each subcommand accepts only the flags it reads
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("n=4\n-\n1\n2\n1,2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
 
 
 class TestEntryPoint:
