@@ -193,7 +193,6 @@ class _CancellativeState:
         self.diffs: dict[int, int] = {}
         self.cov2: dict[int, int] = {}
         self.pair_subsets = [self._two_subsets(m) for m in self.masks]
-        self.feasible_root = True
 
     @staticmethod
     def _two_subsets(m: int) -> tuple[int, ...]:
@@ -299,7 +298,6 @@ def max_cancellative(
     got, sel, comp = _solve_state(
         build,
         args,
-        best0=-1,
         exclude_first_cards=frozenset(),
         budget=budget,
         use_symmetry=use_symmetry,
@@ -328,7 +326,6 @@ def ex3(
     got, sel, comp = _solve_state(
         _build_uniform_window_state,
         (n, 3, 4, limit),
-        best0=-1,
         exclude_first_cards=frozenset(),
         budget=budget,
         use_symmetry=use_symmetry,

@@ -192,6 +192,8 @@ def _cmd_construct(ns, argv) -> int:
 
 
 def _cmd_check(ns, argv) -> int:
+    if ns.b < 1:
+        raise FamilyError(f"trace target b={ns.b} must be >= 1")
     fam = _load_family(ns.family)
     res = max_trace_over_ksets(fam, ns.a)
     arrow = res.max >= ns.b

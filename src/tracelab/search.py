@@ -4,7 +4,8 @@ Three query modes share one branch-and-bound engine:
 
 * ``full-downset``: largest down-set on [n] (members of size < a) such
   that no a-set carries a trace of size >= b.  One less than the least
-  size forcing such a trace.
+  size forcing such a trace.  One search over the sets of size 1..a-1;
+  the empty set is always in.
 * ``tilde-complete``: largest complete pair/triple family such that no
   4-set carries >= c members across the two levels.
 * ``antichain``: largest antichain with no (k+1)-set shattered
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import factorial, isfinite
 from time import perf_counter
 from typing import Callable, Protocol
 
@@ -196,6 +197,12 @@ class _Budget:
     __slots__ = ("limit", "deadline", "nodes")
 
     def __init__(self, node_limit: int, seconds: float | None):
+        """``seconds`` None means no deadline; any other value must be a
+        finite number >= 0, and ``node_limit`` an int >= 0."""
+        if not isinstance(node_limit, int) or node_limit < 0:
+            raise FamilyError(f"budget_nodes must be an integer >= 0, got {node_limit!r}")
+        if seconds is not None and not (isfinite(seconds) and seconds >= 0):
+            raise FamilyError(f"budget_secs must be a finite number >= 0, got {seconds!r}")
         self.limit = node_limit
         self.deadline = None if seconds is None else perf_counter() + seconds
         self.nodes = 0
@@ -217,14 +224,15 @@ class _Budget:
 
 
 class _ConstraintState(Protocol):
-    """What the search engine reads from a constraint state.
+    """What the search engine reads from a constraint state.  Every
+    query builds one state and runs one search over it.
 
     Candidates are the indices ``0 .. len(masks)-1``; ``masks[i]`` is the
     candidate's bitmask over ``nbits`` ground elements, ``cards[i]`` its
     size, ``by_card[c]`` the candidates of size c in ascending mask order
     and ``idx_of`` the inverse of ``masks``.  ``status[i]`` is 0 while
-    candidate i is undecided, 1 once it is in and 2 once it is out.  A
-    state with ``feasible_root`` false admits no family at all.
+    candidate i is undecided, 1 once it is in and 2 once it is out.  The
+    empty selection is feasible, so every state admits a family.
 
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
@@ -246,7 +254,6 @@ class _ConstraintState(Protocol):
     by_card: dict[int, list[int]]
     idx_of: dict[int, int]
     status: list[int]
-    feasible_root: bool
 
     def try_add_group(self, i: int) -> list[int] | None: ...
 
@@ -280,13 +287,13 @@ class _CapState:
     first.
     """
 
-    def __init__(self, nbits, masks, windows, cap, init_counts, prereqs):
+    def __init__(self, nbits, masks, windows, cap, prereqs):
         self.nbits = nbits
         self.masks = list(masks)
         self.cards = [m.bit_count() for m in self.masks]
         self.windows = list(windows)
         self.cap = cap
-        self.cnt = list(init_counts)
+        self.cnt = [0] * len(self.windows)
         self.idx_of = {m: i for i, m in enumerate(self.masks)}
         self.cand_windows = [[] for _ in self.masks]
         self.window_cands = [[] for _ in self.windows]
@@ -305,8 +312,7 @@ class _CapState:
         self.status = [0] * m   # 0 undecided, 1 in, 2 out
         self.blocked = [0] * m  # number of cap-full windows containing it
         self.dead = [0] * m     # number of excluded prerequisites
-        self.feasible_root = all(c <= cap for c in self.cnt)
-        self.resid = sum(cap - c for c in self.cnt)
+        self.resid = cap * len(self.windows)
         cards_present = sorted(set(self.cards))
         self.card_list_desc = cards_present[::-1]
         self.by_card = {c: [] for c in cards_present}
@@ -321,14 +327,13 @@ class _CapState:
         # (card, weight), lightest first: the greedy order of bound_remaining
         self.by_weight = sorted(self.weight.items(), key=lambda cw: cw[1])
         self.avail = {c: 0 for c in cards_present}
-        if self.feasible_root:
-            for wi, cval in enumerate(self.cnt):
-                if cval == cap:
-                    for ci in self.window_cands[wi]:
-                        self.blocked[ci] += 1
-            for i in range(m):
-                if self.blocked[i] == 0:
-                    self.avail[self.cards[i]] += 1
+        if cap == 0:  # every window starts full
+            for row in self.window_cands:
+                for ci in row:
+                    self.blocked[ci] += 1
+        for i in range(m):
+            if self.blocked[i] == 0:
+                self.avail[self.cards[i]] += 1
 
     # -- counted-candidate bookkeeping ------------------------------------
 
@@ -369,15 +374,15 @@ class _CapState:
         adds = self._closure(i)
         if adds is None:
             return None
+        cap = self.cap
+        cnt = self.cnt
         delta: dict[int, int] = {}
         for j in adds:
             for w in self.cand_windows[j]:
-                delta[w] = delta.get(w, 0) + 1
-        cap = self.cap
-        cnt = self.cnt
-        for w, d in delta.items():
-            if cnt[w] + d > cap:
-                return None
+                d = delta.get(w, 0) + 1
+                if cnt[w] + d > cap:
+                    return None
+                delta[w] = d
         for j in adds:
             self._put(self.status, j, 1)
         # _put inlined for the blocked counts: a window filling up blocks
@@ -477,13 +482,12 @@ class _Searcher:
         self,
         state: _ConstraintState,
         budget: _Budget,
-        best0: int = -1,
         exclude_first_cards=frozenset(),
         use_symmetry: bool = True,
     ):
         self.state = state
         self.budget = budget
-        self.best = best0
+        self.best = -1
         self.best_sel: list[int] | None = None
         self.chosen: list[int] = []
         self.exclude_first_cards = frozenset(exclude_first_cards)
@@ -491,8 +495,6 @@ class _Searcher:
 
     def run(self) -> bool:
         """Returns True when the tree was fully explored."""
-        if not self.state.feasible_root:
-            return True
         try:
             self._dfs("FULL" if self.use_symmetry else None)
             return True
@@ -633,38 +635,23 @@ def _shadow_prereqs(masks: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _build_downset_state(k: int, a: int, b: int) -> _CapState:
-    """Subtree state once the singleton level is fixed to a k-prefix.
-
-    Ground set shrinks to [k]; every a-window of it already holds the
-    empty set plus its own singletons, so candidates (sizes 2..a-1) may
-    occupy at most b - 2 - min(k, a) further slots per window.
-    """
-    cap = b - 2
-    if k >= a:
-        windows = _combo_masks(k, a)
-        init = [a] * len(windows)
-    elif k >= 1:
-        windows = [(1 << k) - 1]
-        init = [k]
-    else:
-        windows, init = [], []
-    cards = [c for c in range(2, a) if c <= k]
-    masks = _candidate_masks(k, cards) if k else []
-    return _CapState(max(k, 1), masks, windows, cap, init, _shadow_prereqs(masks))
+def _build_downset_state(n: int, a: int, b: int) -> _CapState:
+    """Down-sets on [n] with members of size 1..a-1.  The empty set is
+    implied and sits in every a-window, so each window holds at most
+    b - 2 candidates."""
+    masks = _candidate_masks(n, range(1, a))
+    return _CapState(n, masks, _combo_masks(n, a), b - 2, _shadow_prereqs(masks))
 
 
 def _build_tilde_state(n: int, c: int) -> _CapState:
     masks = _candidate_masks(n, [2, 3])
-    windows = _combo_masks(n, 4)
-    return _CapState(n, masks, windows, c - 1, [0] * len(windows), _shadow_prereqs(masks))
+    return _CapState(n, masks, _combo_masks(n, 4), c - 1, _shadow_prereqs(masks))
 
 
 def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _CapState:
     """card-sets under 'at most cap inside any win-window' (no closure)."""
     masks = _candidate_masks(n, [card])
-    windows = _combo_masks(n, win)
-    return _CapState(n, masks, windows, cap, [0] * len(windows), [()] * len(masks))
+    return _CapState(n, masks, _combo_masks(n, win), cap, _shadow_prereqs(masks))
 
 
 class _AntichainState:
@@ -698,7 +685,6 @@ class _AntichainState:
                     comp[j] |= 1 << i
         self.comp = comp
         self.chosen_bits = 0
-        self.feasible_root = True
 
     def _addable(self, i: int) -> bool:
         if self.status[i] != 0 or self.comp[i] & self.chosen_bits:
@@ -765,7 +751,6 @@ def _solve_state(
     build: Callable[..., _ConstraintState],
     args: tuple,
     *,
-    best0,
     exclude_first_cards,
     budget,
     use_symmetry,
@@ -775,7 +760,6 @@ def _solve_state(
     searcher = _Searcher(
         state,
         budget,
-        best0=best0,
         exclude_first_cards=exclude_first_cards,
         use_symmetry=use_symmetry,
     )
@@ -799,7 +783,11 @@ def max_family(q: ArrowQuery) -> SearchResult:
 
     The down-set restriction is lossless: compression turns any family
     avoiding the trace level into a down-set of the same size, and a
-    member of size >= a would already fill a full a-window.
+    member of size >= a would already fill a full a-window.  One search
+    over the sets of size 1..a-1 decides the singletons with the rest;
+    the empty set is added to its witness.  Earlier versions ran one
+    search per number of singletons, so node counts differ from theirs,
+    and for some queries so do the witness and ``result_digest``.
     """
     q.validate()
     if q.mode != MODE_DOWNSET:
@@ -807,31 +795,17 @@ def max_family(q: ArrowQuery) -> SearchResult:
     t0 = perf_counter()
     budget = _Budget(q.budget_nodes, q.budget_secs)
     n, a, b = q.n, q.a, q.b
-    best_total = 1
-    best_masks: list[int] = [0]
-    proved = True
-    for k in range(n, -1, -1):
-        cap_k = 1 + k + sum(comb(k, c) for c in range(2, a))
-        if cap_k <= best_total:
-            continue
-        got, sel, comp = _solve_state(
-            _build_downset_state,
-            (k, a, b),
-            best0=best_total - 1 - k,
-            exclude_first_cards=frozenset(c for c in range(3, a)),
-            budget=budget,
-            use_symmetry=q.use_symmetry,
-        )
-        if sel is not None and 1 + k + len(sel) > best_total:
-            best_total = 1 + k + len(sel)
-            best_masks = [0] + [1 << j for j in range(k)] + sel
-        if not comp:
-            proved = False
-            break
-    witness = SetFamily.from_masks(n, _canonicalize(best_masks, n))
-    if len(witness) != best_total or not is_downset(witness) or arrows(witness, a, b):
+    got, sel, comp = _solve_state(
+        _build_downset_state,
+        (n, a, b),
+        exclude_first_cards=frozenset(),
+        budget=budget,
+        use_symmetry=q.use_symmetry,
+    )
+    witness = SetFamily.from_masks(n, _canonicalize([0, *(sel or [])], n))
+    if len(witness) != 1 + max(got, 0) or not is_downset(witness) or arrows(witness, a, b):
         raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(best_total, witness, proved, budget.nodes, perf_counter() - t0)
+    return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
 
 
 def max_tilde(q: ArrowQuery) -> SearchResult:
@@ -846,7 +820,6 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
     got, sel, comp = _solve_state(
         _build_tilde_state,
         (n, c),
-        best0=-1,
         exclude_first_cards=frozenset((3,)),
         budget=budget,
         use_symmetry=q.use_symmetry,
@@ -874,7 +847,6 @@ def max_antichain(q: ArrowQuery) -> SearchResult:
     got, sel, comp = _solve_state(
         _build_antichain_state,
         (q.n, q.k),
-        best0=-1,
         exclude_first_cards=frozenset(),
         budget=budget,
         use_symmetry=q.use_symmetry,

@@ -104,6 +104,14 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(f), "--a", "3", "--b", "7")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("b", ["0", "-3"])
+    def test_trace_target_below_1_exit_2(self, capsys, tmp_path, b):
+        f = tmp_path / "f.txt"
+        f.write_text("n=3\n-\n1\n")
+        code, out, err = run_cli(capsys, "check", str(f), "--a", "2", "--b", b)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSearch:
     def test_downset_search(self, capsys):
@@ -157,6 +165,31 @@ class TestSearch:
         )
         assert code == 3
         assert last_json(out)["proved_optimal"] is False
+
+    @pytest.mark.parametrize(
+        "flags, query",
+        [
+            (["--budget-nodes", "-5"], None),
+            (["--budget-secs", "-1"], None),
+            (["--budget-secs", "inf"], None),
+            (["--budget-secs", "nan"], None),
+            ([], {"budget_secs": "nan"}),
+            ([], {"budget_secs": "inf"}),
+            ([], {"budget_nodes": -1}),
+        ],
+    )
+    def test_bad_budget_exit_2(self, capsys, tmp_path, flags, query):
+        # budgets must be finite and >= 0, from a flag or a query file
+        args = ["search", *flags]
+        if query is None:
+            args += ["--n", "5", "--a", "4", "--b", "13"]
+        else:
+            qf = tmp_path / "q.json"
+            qf.write_text(json.dumps({"n": 5, "a": 4, "b": 13, **query}))
+            args += ["--query", str(qf)]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
     def test_query_file_budgets_hold(self, capsys, tmp_path):
         # a query file's budgets apply unless a budget flag is given

@@ -429,12 +429,32 @@ def test_random_window_problems_match_bruteforce():
             got, _sel, comp = _solve_state(
                 _build_uniform_window_state,
                 (n, card, win, cap),
-                best0=-1,
                 exclude_first_cards=frozenset(),
                 budget=_Budget(10**8, None),
                 use_symmetry=sym,
             )
             assert comp and got == best, (n, card, win, cap, sym)
+
+
+def test_downset_query_is_one_search(monkeypatch):
+    # one state build per query: no per-prefix subproblems
+    calls = []
+    real = search_mod._build_downset_state
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search_mod, "_build_downset_state", counting)
+    res = max_family(ArrowQuery.downset(6, 4, 13))
+    assert (res.optimum, res.proved_optimal) == (27, True)
+    assert calls == [(6, 4, 13)]
+
+
+def test_zero_node_budget_keeps_empty_set_witness():
+    res = max_family(ArrowQuery.downset(5, 3, 7, budget_nodes=0))
+    assert (res.optimum, res.proved_optimal) == (1, False)
+    assert res.witness.members == (0,)
 
 
 def test_search_is_deterministic():
@@ -472,7 +492,7 @@ def test_failed_reverification_raises(monkeypatch, module, checker, fake, run):
 # leave every triple exactly as it is.
 _NODE_PINS = {
     "downset-6-4-13": (lambda s: max_family(ArrowQuery.downset(6, 4, 13, use_symmetry=s)),
-                       (27, True, 203), (27, True, 5634)),
+                       (27, True, 106), (27, True, 4332)),
     "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
                       (16, True, 43), (16, True, 661)),
     "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
@@ -576,7 +596,7 @@ def test_all_in_matches_bruteforce_on_random_states():
         (_build_tilde_state, (4, 6)),
         (_build_tilde_state, (5, 5)),
         (_build_downset_state, (4, 4, 12)),
-        (_build_downset_state, (5, 4, 13)),
+        (_build_downset_state, (5, 3, 5)),
         (_build_downset_state, (5, 3, 7)),
         (_build_downset_state, (5, 3, 6)),
         (_build_uniform_window_state, (6, 2, 3, 2)),
