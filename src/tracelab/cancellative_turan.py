@@ -26,8 +26,10 @@ from .search import (
     DEFAULT_BUDGET_SECS,
     SearchResult,
     _Budget,
+    _CountedState,
     _build_uniform_window_state,
     _candidate_masks,
+    _combo_masks,
     _canonicalize,
     _solve_state,
 )
@@ -171,104 +173,91 @@ def arrow_vs_pattern(fam: SetFamily, k: int, pattern: Pattern) -> ArrowPatternVe
 # extremal searches
 
 
-class _CancellativeState:
+class _CancellativeState(_CountedState):
     """Incremental cancellative feasibility for l >= 3.
 
     Bookkeeping: ``diffs`` counts symmetric differences of chosen pairs
     meeting in l-1 points (future edges must avoid covering them) and
     ``cov2`` counts 2-subsets covered by chosen edges (new co-(l-1)
     pairs must not have their difference already covered).
+    ``blocked[i]`` counts the 2-subsets of i in ``diffs`` plus the chosen
+    partners of i (edges meeting it in l-1 points) whose difference with
+    i is in ``cov2``.
     """
 
     def __init__(self, n: int, l: int):
-        self.nbits = n
-        self.l = l
-        self.masks = _candidate_masks(n, [l])
-        self.cards = [l] * len(self.masks)
-        self.idx_of = {m: i for i, m in enumerate(self.masks)}
-        self.by_card = {l: list(range(len(self.masks)))}
-        self.card_list_desc = [l]
-        self.status = [0] * len(self.masks)
-        self.chosen_masks: list[int] = []
+        super().__init__(n, _candidate_masks(n, [l]))
         self.diffs: dict[int, int] = {}
         self.cov2: dict[int, int] = {}
-        self.pair_subsets = [self._two_subsets(m) for m in self.masks]
-
-    @staticmethod
-    def _two_subsets(m: int) -> tuple[int, ...]:
-        bits = []
-        b = m
-        while b:
-            low = b & -b
-            bits.append(low)
-            b ^= low
-        return tuple(x | y for i, x in enumerate(bits) for y in bits[i + 1 :])
-
-    def _addable_mask(self, e: int, subs) -> bool:
-        diffs = self.diffs
-        for d in subs:
-            if d in diffs:
-                return False
-        lm1 = self.l - 1
-        cov2 = self.cov2
-        for f in self.chosen_masks:
-            if (e & f).bit_count() == lm1 and (e ^ f) in cov2:
-                return False
-        return True
+        # pair_subsets[i]: the 2-subsets of candidate i; with_pair[d]: the
+        # candidates containing the pair d
+        self.with_pair = {d: [] for d in _combo_masks(n, 2)}
+        self.pair_subsets = [[] for _ in self.masks]
+        for d, row in self.with_pair.items():
+            for i, m in enumerate(self.masks):
+                if d & m == d:
+                    row.append(i)
+                    self.pair_subsets[i].append(d)
+        # partners[i]: the candidates meeting i in l-1 points;
+        # pair_partners[d]: the (candidate, partner) pairs differing in d
+        self.partners = [[] for _ in self.masks]
+        # (keyed by every pair: at n = l there are no partners at all)
+        self.pair_partners = {d: [] for d in self.with_pair}
+        for i, e in enumerate(self.masks):
+            for j, f in enumerate(self.masks):
+                if (e & f).bit_count() == l - 1:
+                    self.partners[i].append(j)
+                    self.pair_partners[e ^ f].append((i, j))
 
     def try_add_group(self, i: int):
-        e = self.masks[i]
-        subs = self.pair_subsets[i]
-        if self.status[i] != 0 or not self._addable_mask(e, subs):
+        if self.status[i] or self.blocked[i]:
             return None
-        lm1 = self.l - 1
-        for f in self.chosen_masks:
-            if (e & f).bit_count() == lm1:
-                d = e ^ f
-                self.diffs[d] = self.diffs.get(d, 0) + 1
-        for d in subs:
-            self.cov2[d] = self.cov2.get(d, 0) + 1
-        self.chosen_masks.append(e)
-        self.status[i] = 1
+        e = self.masks[i]
+        status, masks, diffs, cov2 = self.status, self.masks, self.diffs, self.cov2
+        for j in self.partners[i]:
+            if status[j] == 1:
+                d = e ^ masks[j]
+                diffs[d] = diffs.get(d, 0) + 1
+                if diffs[d] == 1:
+                    for g in self.with_pair[d]:
+                        self._block(g)
+        for d in self.pair_subsets[i]:
+            cov2[d] = cov2.get(d, 0) + 1
+            if cov2[d] == 1:
+                for g, f in self.pair_partners[d]:
+                    if status[f] == 1:
+                        self._block(g)
+        self._set_status(i, 1)
+        for g in self.partners[i]:
+            if e ^ masks[g] in cov2:
+                self._block(g)
         return [i]
 
     def undo_add_group(self, adds) -> None:
         (i,) = adds
         e = self.masks[i]
-        self.status[i] = 0
-        self.chosen_masks.pop()
+        status, masks, diffs, cov2 = self.status, self.masks, self.diffs, self.cov2
+        for g in self.partners[i]:
+            if e ^ masks[g] in cov2:
+                self._unblock(g)
+        self._set_status(i, 0)
         for d in self.pair_subsets[i]:
-            if self.cov2[d] == 1:
-                del self.cov2[d]
+            if cov2[d] == 1:
+                del cov2[d]
+                for g, f in self.pair_partners[d]:
+                    if status[f] == 1:
+                        self._unblock(g)
             else:
-                self.cov2[d] -= 1
-        lm1 = self.l - 1
-        for f in self.chosen_masks:
-            if (e & f).bit_count() == lm1:
-                d = e ^ f
-                if self.diffs[d] == 1:
-                    del self.diffs[d]
+                cov2[d] -= 1
+        for j in self.partners[i]:
+            if status[j] == 1:
+                d = e ^ masks[j]
+                if diffs[d] == 1:
+                    del diffs[d]
+                    for g in self.with_pair[d]:
+                        self._unblock(g)
                 else:
-                    self.diffs[d] -= 1
-
-    def mark_out(self, i: int) -> None:
-        self.status[i] = 2
-
-    def unmark_out(self, i: int) -> None:
-        self.status[i] = 0
-
-    def pick_first(self):
-        for i in range(len(self.masks)):
-            if self.status[i] == 0 and self._addable_mask(self.masks[i], self.pair_subsets[i]):
-                return i
-        return None
-
-    def bound_remaining(self) -> int:
-        return sum(
-            1
-            for i in range(len(self.masks))
-            if self.status[i] == 0 and self._addable_mask(self.masks[i], self.pair_subsets[i])
-        )
+                    diffs[d] -= 1
 
 
 def _build_cancellative_state(n: int, l: int) -> _CancellativeState:

@@ -11,8 +11,12 @@ Three query modes share one branch-and-bound engine:
 * ``antichain``: largest antichain with no (k+1)-set shattered
   (trace of size 2^(k+1)).
 
-The engine branches on candidate sets with incremental per-window
-membership counts.  Symmetry is exploited by orbital branching: at a
+The engine branches on candidate sets.  Every constraint state keeps an
+exact per-candidate count of what blocks the candidate in the current
+subtree, so the candidates still addable are counted, per size, as moves
+are made and undone.  The bound for antichain and cancellative states
+is the number of counted candidates; window-cap states pack them into
+the free window room.  Symmetry is exploited by orbital branching: at a
 node whose chosen and excluded candidates are stabilized by a
 permutation group G of the ground set, either a representative e goes
 in, or its entire G-orbit goes out.  Disabling symmetry changes node
@@ -25,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, isfinite
+from math import factorial, inf, isfinite
 from time import perf_counter
-from typing import Callable, Protocol
+from typing import Callable
 
 from ._perm import apply_perm, mask_stabilizer
 from .constructions import TildeFamily, hookarrow, tilde_to_json_obj
@@ -89,7 +93,10 @@ class ArrowQuery:
 
     @classmethod
     def antichain(cls, n: int, k: int, **kw) -> "ArrowQuery":
-        return cls(n=n, a=k + 1, b=1 << (k + 1), mode=MODE_ANTICHAIN, k=k, **kw)
+        # b only where validate() passes: 1 << (k+1) fails for k < -1 and
+        # exhausts memory for a huge k
+        b = 1 << (k + 1) if 0 <= k < n <= _SEARCH_GROUND_CAP else None
+        return cls(n=n, a=k + 1, b=b, mode=MODE_ANTICHAIN, k=k, **kw)
 
     def validate(self) -> None:
         if self.mode not in (MODE_DOWNSET, MODE_TILDE, MODE_ANTICHAIN):
@@ -134,7 +141,10 @@ class ArrowQuery:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ArrowQuery":
         """Inverse of :meth:`to_json_obj`.  Keys that method never emits for
-        the query's mode are rejected rather than silently ignored."""
+        the query's mode are rejected rather than silently ignored, and so
+        are values it would not emit: numbers other than JSON integers
+        (``budget_secs`` may be any JSON number), and in tilde and antichain
+        mode an ``a`` or ``b`` other than the one the mode implies."""
         if not isinstance(obj, dict):
             raise FamilyError(f"query must be a JSON object, got {type(obj).__name__}")
         mode = obj.get("mode", MODE_DOWNSET)
@@ -143,22 +153,35 @@ class ArrowQuery:
         unknown = sorted(set(obj) - _QUERY_KEYS[mode])
         if unknown:
             raise FamilyError(f"unknown query keys for mode {mode!r}: {unknown}")
+
+        def get(key, default=None, kinds=(int,)):
+            if key not in obj and default is None:
+                raise FamilyError(f"query for mode {mode!r} needs the key {key!r}")
+            val = obj.get(key, default)
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                kind = "a number" if float in kinds else "an integer"
+                raise FamilyError(f"query key {key!r} must be {kind}, got {val!r}")
+            return val
+
         try:
-            kw = {
-                "budget_nodes": int(obj.get("budget_nodes", DEFAULT_BUDGET_NODES)),
-                "budget_secs": float(obj.get("budget_secs", DEFAULT_BUDGET_SECS)),
-            }
-            n = int(obj["n"])
-            if mode == MODE_TILDE:
-                c = obj.get("c", obj.get("b"))
-                return cls.tilde(n, int(c), **kw)
-            if mode == MODE_ANTICHAIN:
-                return cls.antichain(n, int(obj["k"]), **kw)
-            return cls.downset(n, int(obj.get("a", 4)), int(obj["b"]), **kw)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, FamilyError):
-                raise
-            raise FamilyError(f"bad query object {obj!r}: {exc}") from exc
+            secs = float(get("budget_secs", DEFAULT_BUDGET_SECS, (int, float)))
+        except OverflowError:  # a JSON integer beyond the float range
+            secs = inf
+        kw = {"budget_nodes": get("budget_nodes", DEFAULT_BUDGET_NODES), "budget_secs": secs}
+        n = get("n")
+        if mode == MODE_DOWNSET:
+            return cls.downset(n, get("a", 4), get("b"), **kw)
+        if mode == MODE_TILDE:
+            q = cls.tilde(n, get("c"), **kw)
+        else:
+            q = cls.antichain(n, get("k"), **kw)
+        emitted = q.to_json_obj()
+        for key in ("a", "b"):
+            if key in obj and (type(obj[key]), obj[key]) != (type(emitted[key]), emitted[key]):
+                raise FamilyError(
+                    f"query key {key!r} is {emitted[key]!r} in mode {mode!r}, got {obj[key]!r}"
+                )
+        return q
 
 
 @dataclass
@@ -220,59 +243,105 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# the state protocol
+# the state contract and its counted-candidate core
 
 
-class _ConstraintState(Protocol):
-    """What the search engine reads from a constraint state.  Every
-    query builds one state and runs one search over it.
+class _CountedState:
+    """What the search engine reads from a constraint state, and the
+    bookkeeping every state shares.  Every query builds one state and
+    runs one search over it.
 
-    Candidates are the indices ``0 .. len(masks)-1``; ``masks[i]`` is the
-    candidate's bitmask over ``nbits`` ground elements, ``cards[i]`` its
-    size, ``by_card[c]`` the candidates of size c in ascending mask order
-    and ``idx_of`` the inverse of ``masks``.  ``status[i]`` is 0 while
-    candidate i is undecided, 1 once it is in and 2 once it is out.  The
-    empty selection is feasible, so every state admits a family.
+    Candidates are the indices ``0 .. len(masks)-1``, in the canonical
+    member order; ``masks[i]`` is the candidate's bitmask over ``nbits``
+    ground elements, ``cards[i]`` its size, ``by_card[c]`` the candidates
+    of size c in ascending mask order and ``idx_of`` the inverse of
+    ``masks``.  ``status[i]`` is 0 while candidate i is undecided, 1 once
+    it is in and 2 once it is out.  The empty selection is feasible, so
+    every state admits a family.
+
+    ``blocked[i]`` counts the reasons, in the current subtree, why i
+    cannot be added; a subclass keeps it exact through ``_block`` and
+    ``_unblock``.  A candidate is *counted* while it is undecided and
+    unblocked, and ``avail[c]`` is the number of counted candidates of
+    size c.  ``pick_first()`` is the highest-cardinality counted
+    candidate, smallest mask first, or None when none is left.
+    ``bound_remaining()`` is never below the largest number of
+    candidates that can still be added (the subtree optimum); by default
+    it is the number of counted candidates.
 
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
     ``unmark_out(i)`` undoes ``mark_out(i)``; the engine undoes moves in
     reverse order.  ``try_add_group(i)`` puts i in together with whatever
     else the constraint forces, or returns None and changes nothing when
-    i cannot be added in the current subtree.  ``pick_first()`` is the
-    next candidate to branch on, None when none is left.
-    ``bound_remaining()`` is never below the largest number of candidates
-    that can still be added (the subtree optimum).  The engine closes a
-    node by this bound, by ``pick_first()`` returning None, or by
-    exploring its children.  With symmetry on, the engine assumes the
-    root state is invariant under every relabeling of the ground set.
+    i cannot be added in the current subtree.  The engine closes a node
+    by the bound, by ``pick_first()`` returning None, or by exploring its
+    children.  With symmetry on, the engine assumes the root state is
+    invariant under every relabeling of the ground set.
     """
 
-    nbits: int
-    masks: list[int]
-    cards: list[int]
-    by_card: dict[int, list[int]]
-    idx_of: dict[int, int]
-    status: list[int]
+    def __init__(self, nbits: int, masks: list[int]):
+        self.nbits = nbits
+        self.masks = list(masks)
+        self.cards = [m.bit_count() for m in self.masks]
+        self.idx_of = {m: i for i, m in enumerate(self.masks)}
+        self.by_card: dict[int, list[int]] = {}
+        for i, c in enumerate(self.cards):
+            self.by_card.setdefault(c, []).append(i)
+        self.card_list_desc = sorted(self.by_card, reverse=True)
+        self.status = [0] * len(self.masks)   # 0 undecided, 1 in, 2 out
+        self.blocked = [0] * len(self.masks)
+        self.avail = {c: len(idxs) for c, idxs in self.by_card.items()}
 
-    def try_add_group(self, i: int) -> list[int] | None: ...
+    # -- counted-candidate bookkeeping ------------------------------------
 
-    def undo_add_group(self, adds: list[int]) -> None: ...
+    def _set_status(self, i: int, value: int) -> None:
+        was = self.status[i] == 0 and self.blocked[i] == 0
+        self.status[i] = value
+        if was != (value == 0 and self.blocked[i] == 0):
+            self.avail[self.cards[i]] += -1 if was else 1
 
-    def mark_out(self, i: int) -> None: ...
+    def _block(self, i: int) -> None:
+        b = self.blocked[i]
+        self.blocked[i] = b + 1
+        if not (b or self.status[i]):
+            self.avail[self.cards[i]] -= 1
 
-    def unmark_out(self, i: int) -> None: ...
+    def _unblock(self, i: int) -> None:
+        b = self.blocked[i] - 1
+        self.blocked[i] = b
+        if not (b or self.status[i]):
+            self.avail[self.cards[i]] += 1
 
-    def pick_first(self) -> int | None: ...
+    # -- moves (try_add_group and undo_add_group are the subclass's) ---------
 
-    def bound_remaining(self) -> int: ...
+    def mark_out(self, i: int) -> None:
+        self._set_status(i, 2)
+
+    def unmark_out(self, i: int) -> None:
+        self._set_status(i, 0)
+
+    # -- queries ------------------------------------------------------------
+
+    def pick_first(self) -> int | None:
+        """Highest-cardinality counted candidate, smallest mask first."""
+        status, blocked = self.status, self.blocked
+        for c in self.card_list_desc:
+            if self.avail[c]:
+                for i in self.by_card[c]:
+                    if not (status[i] or blocked[i]):
+                        return i
+        return None
+
+    def bound_remaining(self) -> int:
+        return sum(self.avail.values())
 
 
 # ---------------------------------------------------------------------------
 # window-capacity constraint state
 
 
-class _CapState:
+class _CapState(_CountedState):
     """Candidate sets under per-window membership caps.
 
     Windows are fixed masks; a candidate contributes to every window
@@ -280,21 +349,17 @@ class _CapState:
     chosen once its one-smaller subsets are in); choosing a candidate
     auto-adds missing prerequisites.  All mutations have exact inverses.
 
-    ``avail[c]`` is the number of counted candidates of size c (see
-    ``_put``) and ``resid`` the total free room over all windows.
-    ``pick_first`` branches on the counted candidates and
-    ``bound_remaining`` packs them into ``resid``, lightest window weight
-    first.
+    ``blocked[i]`` counts the full windows containing i plus its excluded
+    prerequisites, and ``resid`` is the total free room over all windows.
+    ``bound_remaining`` packs the counted candidates into ``resid``,
+    lightest window weight first.
     """
 
     def __init__(self, nbits, masks, windows, cap, prereqs):
-        self.nbits = nbits
-        self.masks = list(masks)
-        self.cards = [m.bit_count() for m in self.masks]
+        super().__init__(nbits, masks)
         self.windows = list(windows)
         self.cap = cap
         self.cnt = [0] * len(self.windows)
-        self.idx_of = {m: i for i, m in enumerate(self.masks)}
         self.cand_windows = [[] for _ in self.masks]
         self.window_cands = [[] for _ in self.windows]
         for wi, w in enumerate(self.windows):
@@ -308,16 +373,7 @@ class _CapState:
         for ci, ps in enumerate(self.prereq):
             for p in ps:
                 self.children[p].append(ci)
-        m = len(self.masks)
-        self.status = [0] * m   # 0 undecided, 1 in, 2 out
-        self.blocked = [0] * m  # number of cap-full windows containing it
-        self.dead = [0] * m     # number of excluded prerequisites
         self.resid = cap * len(self.windows)
-        cards_present = sorted(set(self.cards))
-        self.card_list_desc = cards_present[::-1]
-        self.by_card = {c: [] for c in cards_present}
-        for i, c in enumerate(self.cards):
-            self.by_card[c].append(i)
         # window weight per cardinality: minimum over candidates (uniform in
         # practice); used for the aggregate-capacity bound
         self.weight = {
@@ -326,26 +382,10 @@ class _CapState:
         }
         # (card, weight), lightest first: the greedy order of bound_remaining
         self.by_weight = sorted(self.weight.items(), key=lambda cw: cw[1])
-        self.avail = {c: 0 for c in cards_present}
         if cap == 0:  # every window starts full
             for row in self.window_cands:
                 for ci in row:
-                    self.blocked[ci] += 1
-        for i in range(m):
-            if self.blocked[i] == 0:
-                self.avail[self.cards[i]] += 1
-
-    # -- counted-candidate bookkeeping ------------------------------------
-
-    def _put(self, arr, i, value) -> None:
-        """``arr[i] = value`` for ``arr`` one of status, blocked or dead,
-        keeping ``avail`` in step.  A candidate is counted while it is
-        undecided, in no full window and has no excluded prerequisite."""
-        status, blocked, dead = self.status, self.blocked, self.dead
-        was = status[i] == 0 and blocked[i] == 0 and dead[i] == 0
-        arr[i] = value
-        if was != (status[i] == 0 and blocked[i] == 0 and dead[i] == 0):
-            self.avail[self.cards[i]] += -1 if was else 1
+                    self._block(ci)
 
     # -- moves --------------------------------------------------------------
 
@@ -384,10 +424,9 @@ class _CapState:
                     return None
                 delta[w] = d
         for j in adds:
-            self._put(self.status, j, 1)
-        # _put inlined for the blocked counts: a window filling up blocks
-        # every candidate in it
-        status, blocked, dead = self.status, self.blocked, self.dead
+            self._set_status(j, 1)
+        # _block inlined: a window filling up blocks every candidate in it
+        status, blocked = self.status, self.blocked
         avail, cards = self.avail, self.cards
         for w, d in delta.items():
             old = cnt[w]
@@ -398,7 +437,7 @@ class _CapState:
                 for j2 in self.window_cands[w]:
                     b = blocked[j2]
                     blocked[j2] = b + 1
-                    if not (b or status[j2] or dead[j2]):
+                    if not (b or status[j2]):
                         avail[cards[j2]] -= 1
         return adds
 
@@ -409,7 +448,7 @@ class _CapState:
                 delta[w] = delta.get(w, 0) + 1
         cap = self.cap
         cnt = self.cnt
-        status, blocked, dead = self.status, self.blocked, self.dead
+        status, blocked = self.status, self.blocked
         avail, cards = self.avail, self.cards
         for w, d in delta.items():
             old = cnt[w]
@@ -420,34 +459,22 @@ class _CapState:
                 for j2 in self.window_cands[w]:
                     b = blocked[j2] - 1
                     blocked[j2] = b
-                    if not (b or status[j2] or dead[j2]):
+                    if not (b or status[j2]):
                         avail[cards[j2]] += 1
         for j in adds:
-            self._put(self.status, j, 0)
+            self._set_status(j, 0)
 
     def mark_out(self, i) -> None:
-        self._put(self.status, i, 2)
-        dead = self.dead
+        self._set_status(i, 2)
         for t in self.children[i]:
-            self._put(dead, t, dead[t] + 1)
+            self._block(t)
 
     def unmark_out(self, i) -> None:
-        dead = self.dead
         for t in self.children[i]:
-            self._put(dead, t, dead[t] - 1)
-        self._put(self.status, i, 0)
+            self._unblock(t)
+        self._set_status(i, 0)
 
     # -- queries ------------------------------------------------------------
-
-    def pick_first(self) -> int | None:
-        """Highest-cardinality counted candidate, smallest mask first."""
-        status, blocked, dead = self.status, self.blocked, self.dead
-        for c in self.card_list_desc:
-            if self.avail[c]:
-                for i in self.by_card[c]:
-                    if not (status[i] or blocked[i] or dead[i]):
-                        return i
-        return None
 
     def bound_remaining(self) -> int:
         """Upper bound on how many more candidates can still be chosen."""
@@ -480,7 +507,7 @@ class _Searcher:
 
     def __init__(
         self,
-        state: _ConstraintState,
+        state: _CountedState,
         budget: _Budget,
         exclude_first_cards=frozenset(),
         use_symmetry: bool = True,
@@ -654,89 +681,72 @@ def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _CapSt
     return _CapState(n, masks, _combo_masks(n, win), cap, _shadow_prereqs(masks))
 
 
-class _AntichainState:
+class _AntichainState(_CountedState):
     """Antichains under a distinct-projection ceiling per (k+1)-window.
 
     Candidates are all subsets of [n].  Adding F is allowed when F is
     incomparable with everything chosen and no window would see its
-    2^(k+1)-th distinct projection.
+    2^(k+1)-th distinct projection.  ``blocked[i]`` counts the chosen
+    sets comparable with i plus the full windows (showing 2^(k+1)-1
+    distinct projections) whose one missing projection is i's.
     """
 
     def __init__(self, n: int, k: int):
-        self.nbits = n
-        self.masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-        self.cards = [m.bit_count() for m in self.masks]
-        self.idx_of = {m: i for i, m in enumerate(self.masks)}
-        self.by_card = {}
-        for i, c in enumerate(self.cards):
-            self.by_card.setdefault(c, []).append(i)
-        self.card_list_desc = sorted(self.by_card, reverse=True)
+        super().__init__(n, sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
         self.windows = _combo_masks(n, k + 1)
         self.cap = (1 << (k + 1)) - 1
         self.seen = [dict() for _ in self.windows]  # projection -> multiplicity
-        self.status = [0] * len(self.masks)
-        # bitmask over candidate indices of strictly comparable candidates
-        comp = [0] * len(self.masks)
-        for i, mi in enumerate(self.masks):
-            for j in range(i + 1, len(self.masks)):
-                mj = self.masks[j]
-                if mi != mj and (mi & mj == mi or mi & mj == mj):
-                    comp[i] |= 1 << j
-                    comp[j] |= 1 << i
-        self.comp = comp
-        self.chosen_bits = 0
+        # by_proj[w][p]: the candidates whose trace on window w is p
+        self.by_proj = [{} for _ in self.windows]
+        for wi, w in enumerate(self.windows):
+            for i, m in enumerate(self.masks):
+                self.by_proj[wi].setdefault(m & w, []).append(i)
+        # the strictly comparable candidates of each candidate
+        self.comp = [
+            [j for j, mj in enumerate(self.masks) if mi != mj and mi & mj in (mi, mj)]
+            for mi in self.masks
+        ]
 
-    def _addable(self, i: int) -> bool:
-        if self.status[i] != 0 or self.comp[i] & self.chosen_bits:
-            return False
+    def _missing(self, wi: int) -> int:
+        """The one projection a full window has not seen."""
+        seen = self.seen[wi]
+        return next(p for p in self.by_proj[wi] if p not in seen)
+
+    def try_add_group(self, i: int):
+        if self.status[i] or self.blocked[i]:
+            return None
+        self._set_status(i, 1)
+        for j in self.comp[i]:
+            self._block(j)
         m = self.masks[i]
         cap = self.cap
         for wi, w in enumerate(self.windows):
-            seen = self.seen[wi]
-            if (m & w) not in seen and len(seen) >= cap:
-                return False
-        return True
-
-    def try_add_group(self, i: int):
-        if not self._addable(i):
-            return None
-        m = self.masks[i]
-        for wi, w in enumerate(self.windows):
             p = m & w
             seen = self.seen[wi]
-            seen[p] = seen.get(p, 0) + 1
-        self.status[i] = 1
-        self.chosen_bits |= 1 << i
+            mult = seen.get(p, 0)
+            seen[p] = mult + 1
+            if not mult and len(seen) == cap:
+                for j in self.by_proj[wi][self._missing(wi)]:
+                    self._block(j)
         return [i]
 
     def undo_add_group(self, adds) -> None:
         (i,) = adds
         m = self.masks[i]
+        cap = self.cap
         for wi, w in enumerate(self.windows):
             p = m & w
             seen = self.seen[wi]
             if seen[p] == 1:
+                if len(seen) == cap:
+                    for j in self.by_proj[wi][self._missing(wi)]:
+                        self._unblock(j)
                 del seen[p]
             else:
                 seen[p] -= 1
-        self.status[i] = 0
-        self.chosen_bits &= ~(1 << i)
-
-    def mark_out(self, i: int) -> None:
-        self.status[i] = 2
-
-    def unmark_out(self, i: int) -> None:
-        self.status[i] = 0
-
-    def pick_first(self):
-        for c in self.card_list_desc:
-            for i in self.by_card[c]:
-                if self.status[i] == 0 and self._addable(i):
-                    return i
-        return None
-
-    def bound_remaining(self) -> int:
-        return sum(1 for i in range(len(self.masks)) if self.status[i] == 0 and self._addable(i))
+        for j in self.comp[i]:
+            self._unblock(j)
+        self._set_status(i, 0)
 
 
 def _build_antichain_state(n: int, k: int) -> _AntichainState:
@@ -748,7 +758,7 @@ def _build_antichain_state(n: int, k: int) -> _AntichainState:
 
 
 def _solve_state(
-    build: Callable[..., _ConstraintState],
+    build: Callable[..., _CountedState],
     args: tuple,
     *,
     exclude_first_cards,

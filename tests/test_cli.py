@@ -149,13 +149,67 @@ class TestSearch:
             {"n": 5, "a": 3, "b": 7, "threads": 2},
             {"n": 6, "mode": "tilde-complete", "c": 5, "k": 2},
             {"n": 5, "mode": "bogus", "b": 7},
+            {"mode": "antichain", "n": 5, "k": 2, "a": 9, "b": 1},
+            {"mode": "antichain", "n": 5, "k": 2, "b": 1},
+            {"mode": "antichain", "n": 5, "k": 2, "a": 3, "b": 8.0},
+            {"mode": "tilde-complete", "n": 6, "b": 7},
+            {"mode": "tilde-complete", "n": 6, "c": 7, "a": 3},
+            {"mode": "tilde-complete", "n": 6, "c": 7, "b": 7},
         ],
     )
     def test_bad_query_file_exit_2(self, capsys, tmp_path, query):
-        # not an object, a key to_json_obj never emits, or an unknown mode
+        # not an object, a key to_json_obj never emits, an unknown mode, or
+        # an a/b that the mode would ignore
         qf = tmp_path / "q.json"
         qf.write_text(json.dumps(query))
         code, out, err = run_cli(capsys, "search", "--query", str(qf))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 6.9),
+            ("n", "6"),
+            ("a", 4.0),
+            ("b", True),
+            ("budget_nodes", 10.7),
+            ("budget_nodes", "10"),
+            ("budget_secs", "5"),
+            ("budget_secs", False),
+            ("n", None),
+        ],
+    )
+    def test_non_integer_query_value_exit_2(self, capsys, tmp_path, key, value):
+        # no coercion: integers must be JSON integers, budget_secs a JSON number
+        qf = tmp_path / "q.json"
+        qf.write_text(json.dumps({"n": 6, "a": 4, "b": 13, key: value}))
+        code, out, err = run_cli(capsys, "search", "--query", str(qf))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"mode": "tilde-complete", "n": 6, "c": 7},
+            {"mode": "antichain", "n": 4, "k": 2},
+            {"n": 4, "a": 3, "b": 7},
+        ],
+        ids=["tilde", "antichain", "downset"],
+    )
+    def test_emitted_query_file_accepted(self, capsys, tmp_path, query):
+        # the query object a search prints runs again as a query file
+        qf = tmp_path / "q.json"
+        qf.write_text(json.dumps(query))
+        code, out, _ = run_cli(capsys, "search", "--query", str(qf))
+        first = last_json(out)
+        qf.write_text(json.dumps(first["query"]))
+        code2, out2, _ = run_cli(capsys, "search", "--query", str(qf))
+        assert code == code2 == 0
+        assert last_json(out2)["optimum"] == first["optimum"]
+
+    def test_negative_k_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--mode", "antichain", "--n", "5", "--k", "-3")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -176,6 +230,7 @@ class TestSearch:
             ([], {"budget_secs": "nan"}),
             ([], {"budget_secs": "inf"}),
             ([], {"budget_nodes": -1}),
+            ([], {"budget_secs": 10**400}),
         ],
     )
     def test_bad_budget_exit_2(self, capsys, tmp_path, flags, query):

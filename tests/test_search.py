@@ -1,4 +1,5 @@
 import json
+from copy import deepcopy
 from itertools import combinations
 
 import pytest
@@ -637,3 +638,116 @@ def test_all_in_matches_bruteforce_on_random_states():
                 _undo(st, move)
             assert (st.status, st.cnt, st.avail, st.resid) == start
     assert tight, "no walk reached a state where the bound is exact"
+
+
+# Reference addability for the antichain and cancellative states, from the
+# chosen masks alone (the per-candidate re-test the states used to run at
+# every node).
+
+
+def _antichain_addable(st, chosen, i):
+    m = st.masks[i]
+    if any(m != f and m & f in (m, f) for f in chosen):
+        return False
+    for w in st.windows:
+        seen = {f & w for f in chosen}
+        if (m & w) not in seen and len(seen) >= st.cap:
+            return False
+    return True
+
+
+def _cancellative_addable(st, chosen, i):
+    e = st.masks[i]
+    lm1 = e.bit_count() - 1
+    diffs = {f ^ g for f, g in combinations(chosen, 2) if (f & g).bit_count() == lm1}
+    cov2 = {d for f in chosen for d in _pairs(f)}
+    if any(d in diffs for d in _pairs(e)):
+        return False
+    return not any((e & f).bit_count() == lm1 and (e ^ f) in cov2 for f in chosen)
+
+
+def _pairs(m):
+    bits = [1 << b for b in range(m.bit_length()) if m >> b & 1]
+    return [x | y for x, y in combinations(bits, 2)]
+
+
+def _addable_set(st, addable):
+    chosen = [st.masks[j] for j in range(len(st.masks)) if st.status[j] == 1]
+    return [i for i in range(len(st.masks)) if st.status[i] == 0 and addable(st, chosen, i)]
+
+
+def _brute_counted_max(st, addable):
+    """Most undecided candidates addable together, by exhaustive growth in
+    index order (both constraints are hereditary), pruned by a count bound."""
+    undecided = [i for i in range(len(st.masks)) if st.status[i] == 0]
+    chosen = [st.masks[j] for j in range(len(st.masks)) if st.status[j] == 1]
+    best = 0
+
+    def grow(pos, taken):
+        nonlocal best
+        best = max(best, taken)
+        for k in range(pos, len(undecided)):
+            if taken + len(undecided) - k <= best:
+                return
+            i = undecided[k]
+            if addable(st, chosen, i):
+                chosen.append(st.masks[i])
+                grow(k + 1, taken + 1)
+                chosen.pop()
+
+    grow(0, 0)
+    return best
+
+
+def _counted_snapshot(st):
+    extra = st.seen if hasattr(st, "seen") else (st.diffs, st.cov2)
+    return deepcopy((st.status, st.blocked, st.avail, extra))
+
+
+def test_counted_states_match_bruteforce_on_random_states():
+    # The antichain and cancellative states keep a per-candidate blocked
+    # count instead of re-testing addability.  Along seeded add/out/undo
+    # walks, the counted candidates must be exactly the addable ones, the
+    # bound must cover the subtree optimum, and undo must restore the state.
+    import random
+
+    from tracelab.cancellative_turan import _build_cancellative_state
+    from tracelab.search import _build_antichain_state
+
+    builds = [(_build_antichain_state, (n, k), _antichain_addable)
+              for n in (3, 4) for k in range(n)]
+    builds += [(_build_cancellative_state, (n, 3), _cancellative_addable) for n in range(3, 7)]
+    rng = random.Random(606)
+    for build, args, addable in builds:
+        st = build(*args)
+        start = _counted_snapshot(st)
+        for _walk in range(3):
+            moves = []
+            for _ in range(40):
+                where = (build.__name__, args, moves)
+                ref = _addable_set(st, addable)
+                counted = [i for i in range(len(st.masks)) if not (st.status[i] or st.blocked[i])]
+                assert counted == ref, where
+                assert st.avail == {
+                    c: sum(1 for i in ref if st.cards[i] == c) for c in st.avail
+                }, where
+                first = max(ref, key=lambda i: (st.cards[i], -i), default=None)
+                assert st.pick_first() == first, where
+                assert st.bound_remaining() >= _brute_counted_max(st, addable), where
+                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
+                r = rng.random()
+                if moves and (not open_ or r < 0.25):
+                    _undo(st, moves.pop())
+                elif open_ and r < 0.75:
+                    i = rng.choice(open_)
+                    adds = st.try_add_group(i)
+                    assert (adds is not None) == (i in ref), where
+                    if adds is not None:
+                        moves.append(("in", adds))
+                elif open_:
+                    i = rng.choice(open_)
+                    st.mark_out(i)
+                    moves.append(("out", i))
+            for move in reversed(moves):
+                _undo(st, move)
+            assert _counted_snapshot(st) == start, (build.__name__, args)
