@@ -353,6 +353,13 @@ class _CapState(_CountedState):
     prerequisites, and ``resid`` is the total free room over all windows.
     ``bound_remaining`` packs the counted candidates into ``resid``,
     lightest window weight first.
+
+    Window counts ``cnt`` are raised in place as an add walks its windows;
+    at the first window that would pass ``cap`` every increment made so
+    far is rolled back and the add fails with nothing changed.  An undo
+    lowers the same windows and unblocks the candidates of each window
+    whose count leaves ``cap``: exactly the windows the add filled, since
+    a window already at ``cap`` cannot take an add.
     """
 
     def __init__(self, nbits, masks, windows, cap, prereqs):
@@ -368,6 +375,7 @@ class _CapState(_CountedState):
                 if m & w == m:
                     self.cand_windows[ci].append(wi)
                     row.append(ci)
+        self.n_windows = [len(ws) for ws in self.cand_windows]
         self.prereq = [tuple(p) for p in prereqs]
         self.children = [[] for _ in self.masks]
         for ci, ps in enumerate(self.prereq):
@@ -377,7 +385,7 @@ class _CapState(_CountedState):
         # window weight per cardinality: minimum over candidates (uniform in
         # practice); used for the aggregate-capacity bound
         self.weight = {
-            c: min((len(self.cand_windows[i]) for i in idxs), default=0)
+            c: min((self.n_windows[i] for i in idxs), default=0)
             for c, idxs in self.by_card.items()
         }
         # (card, weight), lightest first: the greedy order of bound_remaining
@@ -411,58 +419,74 @@ class _CapState(_CountedState):
     def try_add_group(self, i) -> list[int] | None:
         """Choose candidate i together with missing prerequisites; None if
         jointly infeasible (then it stays infeasible in this subtree)."""
-        adds = self._closure(i)
-        if adds is None:
+        status = self.status
+        if status[i]:
             return None
-        cap = self.cap
-        cnt = self.cnt
-        delta: dict[int, int] = {}
-        for j in adds:
-            for w in self.cand_windows[j]:
-                d = delta.get(w, 0) + 1
-                if cnt[w] + d > cap:
+        adds = [i]
+        for p in self.prereq[i]:
+            if status[p] != 1:
+                adds = self._closure(i)
+                if adds is None:
                     return None
-                delta[w] = d
+                break
+        cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
+        filled = []
         for j in adds:
-            self._set_status(j, 1)
-        # _block inlined: a window filling up blocks every candidate in it
-        status, blocked = self.status, self.blocked
-        avail, cards = self.avail, self.cards
-        for w, d in delta.items():
-            old = cnt[w]
-            new = old + d
-            cnt[w] = new
-            self.resid -= d
-            if new == cap and old < cap:
-                for j2 in self.window_cands[w]:
-                    b = blocked[j2]
-                    blocked[j2] = b + 1
-                    if not (b or status[j2]):
-                        avail[cards[j2]] -= 1
+            for w in cand_windows[j]:
+                c = cnt[w]
+                if c >= cap:
+                    self._roll_back(adds, j, w)
+                    return None
+                c += 1
+                cnt[w] = c
+                if c == cap:
+                    filled.append(w)
+        # _set_status(j, 1) and _block inlined
+        blocked, avail, cards = self.blocked, self.avail, self.cards
+        n_windows = self.n_windows
+        for j in adds:
+            status[j] = 1
+            if not blocked[j]:
+                avail[cards[j]] -= 1
+            self.resid -= n_windows[j]
+        window_cands = self.window_cands
+        for w in filled:
+            for j2 in window_cands[w]:
+                b = blocked[j2]
+                blocked[j2] = b + 1
+                if not (b or status[j2]):
+                    avail[cards[j2]] -= 1
         return adds
 
-    def undo_add_group(self, adds) -> None:
-        delta: dict[int, int] = {}
+    def _roll_back(self, adds, stop_j, stop_w) -> None:
+        """Lower the windows ``try_add_group`` raised for ``adds`` before it
+        reached window ``stop_w`` of candidate ``stop_j``."""
+        cnt = self.cnt
         for j in adds:
             for w in self.cand_windows[j]:
-                delta[w] = delta.get(w, 0) + 1
-        cap = self.cap
-        cnt = self.cnt
-        status, blocked = self.status, self.blocked
-        avail, cards = self.avail, self.cards
-        for w, d in delta.items():
-            old = cnt[w]
-            new = old - d
-            cnt[w] = new
-            self.resid += d
-            if old == cap and new < cap:
-                for j2 in self.window_cands[w]:
-                    b = blocked[j2] - 1
-                    blocked[j2] = b
-                    if not (b or status[j2]):
-                        avail[cards[j2]] += 1
+                if j == stop_j and w == stop_w:
+                    return
+                cnt[w] -= 1
+
+    def undo_add_group(self, adds) -> None:
+        cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
+        status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
+        n_windows, window_cands = self.n_windows, self.window_cands
+        # _set_status(j, 0) and _unblock inlined
         for j in adds:
-            self._set_status(j, 0)
+            status[j] = 0
+            if not blocked[j]:
+                avail[cards[j]] += 1
+            self.resid += n_windows[j]
+            for w in cand_windows[j]:
+                c = cnt[w]
+                if c == cap:
+                    for j2 in window_cands[w]:
+                        b = blocked[j2] - 1
+                        blocked[j2] = b
+                        if not (b or status[j2]):
+                            avail[cards[j2]] += 1
+                cnt[w] = c - 1
 
     def mark_out(self, i) -> None:
         self._set_status(i, 2)
@@ -503,6 +527,13 @@ class _Searcher:
     ``exclude_first_cards``: at candidates of these cardinalities the
     orbit-exclusion child is explored before inclusion (finds strong
     incumbents made of lower levels early).
+
+    A node is opened (``_open``: ticked, recorded if it is a new
+    incumbent, and bounded) by its parent right after the move that
+    makes it, and a ``_dfs`` frame is entered only for a node the bound
+    leaves open.  Nodes are ticked in the same order as when each frame
+    ticked itself, so node counts, the point where a budget stops and
+    the incumbent it leaves are unchanged by this.
     """
 
     def __init__(
@@ -523,10 +554,21 @@ class _Searcher:
     def run(self) -> bool:
         """Returns True when the tree was fully explored."""
         try:
-            self._dfs("FULL" if self.use_symmetry else None)
+            if self._open():
+                self._dfs("FULL" if self.use_symmetry else None)
             return True
         except _BudgetExhausted:
             return False
+
+    def _open(self) -> bool:
+        """Tick the node the state stands at, record it when it is a new
+        incumbent, and tell whether its bound leaves it open."""
+        self.budget.tick()
+        cur = len(self.chosen)
+        if cur > self.best:
+            self.best = cur
+            self.best_sel = list(self.chosen)
+        return cur + self.state.bound_remaining() > self.best
 
     def _unwind(self, trail) -> None:
         for step, payload in reversed(trail):
@@ -542,8 +584,6 @@ class _Searcher:
         e = st.pick_first()
         if e is None:
             return None, ()
-        if group is None:
-            return e, (e,)
         if group == "FULL":
             card = st.cards[e]
             orb = [j for j in st.by_card[card] if st.status[j] == 0]
@@ -572,27 +612,25 @@ class _Searcher:
         return perms if len(perms) > 1 else None
 
     def _dfs(self, group) -> None:
+        """Explore an open node; its parent has already opened it."""
         st = self.state
-        budget = self.budget
         chosen = self.chosen
         trail = []
         try:
             while True:
-                budget.tick()
-                cur = len(chosen)
-                if cur > self.best:
-                    self.best = cur
-                    self.best_sel = list(chosen)
-                if cur + st.bound_remaining() <= self.best:
-                    return
-                e, orb = self._pick(group)
+                if group is None:
+                    e = st.pick_first()
+                    orb = (e,)
+                else:
+                    e, orb = self._pick(group)
                 if e is None:
                     return
                 if st.cards[e] in self.exclude_first_cards:
                     outs = tuple(j for j in orb if st.status[j] == 0)
                     for j in outs:
                         st.mark_out(j)
-                    self._dfs(group)
+                    if self._open():
+                        self._dfs(group)
                     for j in reversed(outs):
                         st.unmark_out(j)
                     adds = st.try_add_group(e)
@@ -607,13 +645,17 @@ class _Searcher:
                     adds = st.try_add_group(e)
                     if adds is not None:
                         chosen.extend(adds)
-                        self._dfs(self._stabilize(group, e))
+                        if self._open():
+                            self._dfs(self._stabilize(group, e))
                         del chosen[-len(adds):]
                         st.undo_add_group(adds)
                     outs = tuple(j for j in orb if st.status[j] == 0)
                     for j in outs:
                         st.mark_out(j)
                     trail.append(("o", outs))
+                # the state stands at the last child, made in place: open it
+                if not self._open():
+                    return
         finally:
             self._unwind(trail)
 

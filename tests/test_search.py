@@ -1,3 +1,4 @@
+import hashlib
 import json
 from copy import deepcopy
 from itertools import combinations
@@ -523,6 +524,63 @@ def test_node_counts_pinned(name, sym):
     assert (res.optimum, res.proved_optimal, res.nodes) == (with_sym if sym else without_sym)
 
 
+def _witness_sha256(witness):
+    if isinstance(witness, TildeFamily):
+        masks = [*witness.g2.members, *witness.g3.members]
+    else:
+        masks = list(witness.members)
+    return hashlib.sha256(repr(masks).encode()).hexdigest()
+
+
+# Runs stopped by budget_nodes: (optimum, proved_optimal, nodes, sha256 of
+# the witness masks) with symmetry on and off.  Where the budget stops the
+# search, and which incumbent it leaves, depends on the order in which
+# nodes are ticked and incumbents recorded, so these pin that order.
+_BUDGET_STOP_PINS = {
+    ("tilde-9-5", 3000): (
+        lambda s, b: max_tilde(ArrowQuery.tilde(9, 5, use_symmetry=s, budget_nodes=b)),
+        (18, False, 3001, "cd48c763b6a8544f781343c9ad3c29e62c65f5575bd152aad8bf663d9063527b"),
+        (17, False, 3001, "2e4ff3767e8252f1708d3ee210eae3a7ea5d477e6a3115c98f37b3a84dde461f"),
+    ),
+    ("downset-8-4-13", 3000): (
+        lambda s, b: max_family(ArrowQuery.downset(8, 4, 13, use_symmetry=s, budget_nodes=b)),
+        (48, False, 3001, "b853df5c74f41c71ffffbc3e264b9552cf7a1dd1c2d5d1470c72b3a8a0b32611"),
+        (45, False, 3001, "76309765f147b19d7df0b0ff8bf797c7c5df15ea205d329b309be4bf1b2b2112"),
+    ),
+    ("ex3-k4-7", 3000): (
+        lambda s, b: ex3(7, Pattern.K_COMPLETE, use_symmetry=s, budget_nodes=b),
+        (23, False, 3001, "508e06b5032d13fb61cabaa06fe38df6a6364ed2704bbcd1c645339336f48d74"),
+        (23, False, 3001, "508e06b5032d13fb61cabaa06fe38df6a6364ed2704bbcd1c645339336f48d74"),
+    ),
+    ("trianglefree-10", 3000): (
+        lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
+        (25, False, 3001, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
+        (25, False, 3001, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
+    ),
+    ("tilde-6-7", 0): (
+        lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
+        (0, False, 1, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (0, False, 1, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ),
+    ("tilde-6-7", 1): (
+        lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
+        (0, False, 2, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (0, False, 2, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ),
+}
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+@pytest.mark.parametrize(
+    "key", sorted(_BUDGET_STOP_PINS), ids=lambda k: f"{k[0]}-budget{k[1]}"
+)
+def test_budget_stopped_runs_pinned(key, sym):
+    run, with_sym, without_sym = _BUDGET_STOP_PINS[key]
+    res = run(sym, key[1])
+    got = (res.optimum, res.proved_optimal, res.nodes, _witness_sha256(res.witness))
+    assert got == (with_sym if sym else without_sym)
+
+
 def _brute_counted(st):
     """Candidates of a ``_CapState`` that ``avail`` should count, from the
     primary state (status, window counts, prerequisites) alone: undecided,
@@ -638,6 +696,75 @@ def test_all_in_matches_bruteforce_on_random_states():
                 _undo(st, move)
             assert (st.status, st.cnt, st.avail, st.resid) == start
     assert tight, "no walk reached a state where the bound is exact"
+
+
+def _cap_snapshot(st):
+    return deepcopy((st.status, st.blocked, st.cnt, st.avail, st.resid))
+
+
+def _brute_blocked(st):
+    """``blocked`` recounted from the primary state: the full windows that
+    contain each candidate plus its excluded prerequisites."""
+    return [
+        sum(1 for wi, w in enumerate(st.windows) if m & w == m and st.cnt[wi] >= st.cap)
+        + sum(1 for p in st.prereq[i] if st.status[p] == 2)
+        for i, m in enumerate(st.masks)
+    ]
+
+
+def test_cap_state_failed_add_changes_nothing():
+    # _CapState raises window counts in place while an add walks its
+    # closure, so a window that overflows on a later member must roll back
+    # every increment the earlier members made.  Seeded add/out/undo walks
+    # on down-set and tilde states, where closures hold several members.
+    import random
+
+    from tracelab.search import _build_downset_state, _build_tilde_state
+
+    builds = [
+        (_build_downset_state, (5, 3, 5)),
+        (_build_downset_state, (5, 4, 8)),
+        (_build_downset_state, (6, 3, 6)),
+        (_build_tilde_state, (5, 4)),
+        (_build_tilde_state, (6, 6)),
+    ]
+    rng = random.Random(707)
+    late_overflows = 0  # failed adds whose first member fits on its own
+    for build, args in builds:
+        st = build(*args)
+        start = _cap_snapshot(st)
+        for _walk in range(6):
+            moves = []
+            for _ in range(50):
+                where = (build.__name__, args, moves)
+                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
+                r = rng.random()
+                if moves and (not open_ or r < 0.2):
+                    _undo(st, moves.pop())
+                elif r < 0.8:
+                    i = rng.choice(open_)
+                    closure = st._closure(i)
+                    before = _cap_snapshot(st)
+                    adds = st.try_add_group(i)
+                    if adds is None:
+                        assert _cap_snapshot(st) == before, where
+                        late_overflows += (
+                            closure is not None
+                            and len(closure) >= 2
+                            and all(st.cnt[w] < st.cap for w in st.cand_windows[i])
+                        )
+                    else:
+                        assert sorted(adds) == sorted(closure), where
+                        assert st.blocked == _brute_blocked(st), where
+                        moves.append(("in", adds))
+                else:
+                    i = rng.choice(open_)
+                    st.mark_out(i)
+                    moves.append(("out", i))
+            for move in reversed(moves):
+                _undo(st, move)
+            assert _cap_snapshot(st) == start, (build.__name__, args)
+    assert late_overflows, "no add overflowed on a closure member after the first"
 
 
 # Reference addability for the antichain and cancellative states, from the
