@@ -16,21 +16,16 @@ family size forcing a 4-window trace of 2^4 - 1 resp. 2^4 - 2.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
 from math import comb
-from time import perf_counter
 from typing import NamedTuple
 
 from .search import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECS,
     SearchResult,
-    _Budget,
     _CountedState,
     _build_uniform_window_state,
     _candidate_masks,
-    _combo_masks,
-    _canonicalize,
     _solve_state,
 )
 from .setcore import (
@@ -39,6 +34,7 @@ from .setcore import (
     arrows,
     elements_of,
     is_downset,
+    kset_masks,
     level,
     trace_size,
 )
@@ -139,10 +135,7 @@ def pattern_free(h: SetFamily, k: int, pattern: Pattern) -> bool:
         return len(h) <= pattern.window_limit(k)
     limit = pattern.window_limit(k)
     ms = h.members
-    for combo in combinations(range(h.n), k + 1):
-        w = 0
-        for b in combo:
-            w |= 1 << b
+    for w in kset_masks(h.n, k + 1):
         if sum(1 for m in ms if m & w == m) > limit:
             return False
     return True
@@ -191,7 +184,7 @@ class _CancellativeState(_CountedState):
         self.cov2: dict[int, int] = {}
         # pair_subsets[i]: the 2-subsets of candidate i; with_pair[d]: the
         # candidates containing the pair d
-        self.with_pair = {d: [] for d in _combo_masks(n, 2)}
+        self.with_pair = {d: [] for d in kset_masks(n, 2)}
         self.pair_subsets = [[] for _ in self.masks]
         for d, row in self.with_pair.items():
             for i, m in enumerate(self.masks):
@@ -277,24 +270,20 @@ def max_cancellative(
         raise FamilyError(f"cancellative search supports l in {{2, 3}}, got l={l}")
     if not l <= n <= 12:
         raise FamilyError(f"need l <= n <= 12, got n={n}")
-    t0 = perf_counter()
-    budget = _Budget(budget_nodes, budget_secs)
     if l == 2:
         # triangle-free == cancellative for graphs: cap 2 edges per 3-window
         build, args = _build_uniform_window_state, (n, 2, 3, 2)
     else:
         build, args = _build_cancellative_state, (n, l)
-    got, sel, comp = _solve_state(
+    return _solve_state(
         build,
         args,
-        exclude_first_cards=frozenset(),
-        budget=budget,
+        witness=SetFamily.from_masks,
+        recheck=lambda w: is_cancellative(w, l).ok,
+        budget_nodes=budget_nodes,
+        budget_secs=budget_secs,
         use_symmetry=use_symmetry,
     )
-    witness = SetFamily.from_masks(n, _canonicalize(sel or [], n))
-    if len(witness) != max(got, 0) or not is_cancellative(witness, l).ok:
-        raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
 
 
 def ex3(
@@ -309,20 +298,15 @@ def ex3(
     computed data, not published constants."""
     if not 4 <= n <= 12:
         raise FamilyError(f"need 4 <= n <= 12, got n={n}")
-    t0 = perf_counter()
-    budget = _Budget(budget_nodes, budget_secs)
-    limit = pattern.window_limit(3)
-    got, sel, comp = _solve_state(
+    return _solve_state(
         _build_uniform_window_state,
-        (n, 3, 4, limit),
-        exclude_first_cards=frozenset(),
-        budget=budget,
+        (n, 3, 4, pattern.window_limit(3)),
+        witness=SetFamily.from_masks,
+        recheck=lambda w: pattern_free(w, 3, pattern),
+        budget_nodes=budget_nodes,
+        budget_secs=budget_secs,
         use_symmetry=use_symmetry,
     )
-    witness = SetFamily.from_masks(n, _canonicalize(sel or [], n))
-    if len(witness) != max(got, 0) or not pattern_free(witness, 3, pattern):
-        raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
 
 
 def forcing_size_from_turan(n: int, k: int, pattern: Pattern, **search_kw) -> int:

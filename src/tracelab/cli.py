@@ -79,7 +79,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _manifest(argv, inputs: dict[str, str], budgets: dict, wall_ms: float, result_obj) -> dict:
+def _manifest(
+    argv, inputs: dict[str, str], wall_ms: float, result_obj, *, budget_nodes, budget_secs
+) -> dict:
     # digest the stable result content; wall-clock readings stay out of it
     stable = {k: v for k, v in result_obj.items() if k not in ("elapsed_ms", "manifest")}
     body = json.dumps(stable, separators=(",", ":"), sort_keys=True).encode()
@@ -87,7 +89,7 @@ def _manifest(argv, inputs: dict[str, str], budgets: dict, wall_ms: float, resul
         "command": " ".join(argv),
         "inputs": inputs,
         "version": __version__,
-        "budgets": budgets,
+        "budgets": {"nodes": budget_nodes, "secs": budget_secs},
         "wall_ms": round(wall_ms, 3),
         "result_digest": _sha256(body),
     }
@@ -134,10 +136,6 @@ def _budget_kwargs(ns, nodes=DEFAULT_BUDGET_NODES, secs=DEFAULT_BUDGET_SECS) -> 
         "budget_nodes": nodes if ns.budget_nodes is None else ns.budget_nodes,
         "budget_secs": secs if ns.budget_secs is None else ns.budget_secs,
     }
-
-
-def _manifest_budgets(kw: dict) -> dict:
-    return {"nodes": kw["budget_nodes"], "secs": kw["budget_secs"]}
 
 
 # ---------------------------------------------------------------------------
@@ -212,42 +210,46 @@ def _cmd_check(ns, argv) -> int:
     return 1 if arrow else 0
 
 
-def _run_search_query(q: ArrowQuery, ns, argv, inputs=None) -> int:
+def _emit_search(ns, argv, run, budget_kw: dict, extra: dict, inputs=None) -> int:
+    """Time ``run()``, print its result with the command's own keys and
+    the manifest, and exit 0 when the optimum is proved, else 3."""
     t0 = time.perf_counter()
-    res = run_query(q)
+    res = run()
     wall = (time.perf_counter() - t0) * 1000.0
     obj = res.to_json_obj()
-    obj["query"] = q.to_json_obj()
-    budgets = {"nodes": q.budget_nodes, "secs": q.budget_secs}
-    obj["manifest"] = _manifest(argv, inputs or {}, budgets, wall, obj)
+    obj.update(extra)
+    obj["manifest"] = _manifest(argv, inputs or {}, wall, obj, **budget_kw)
     _emit(obj, ns.pretty)
     return 0 if res.proved_optimal else 3
 
 
 def _cmd_search(ns, argv) -> int:
+    mode = ns.mode or "downset"
+    budget_kw = _budget_kwargs(ns)
+    inputs = None
     if ns.query:
         text = _read_text(ns.query)
         try:
             q = ArrowQuery.from_json_obj(json.loads(text))
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise FamilyError(f"bad query JSON in {ns.query}: {exc}") from exc
-        q = dataclasses.replace(q, **_budget_kwargs(ns, q.budget_nodes, q.budget_secs))
+        budget_kw = _budget_kwargs(ns, q.budget_nodes, q.budget_secs)
+        q = dataclasses.replace(q, **budget_kw)
         inputs = {ns.query: _sha256(text.encode())}
-        return _run_search_query(q, ns, argv, inputs)
-    mode = ns.mode or "downset"
-    if mode in ("tilde", "tilde-complete"):
+    elif mode in ("tilde", "tilde-complete"):
         if ns.n is None or ns.c is None:
             raise FamilyError("tilde search needs --n and --c")
-        q = ArrowQuery.tilde(ns.n, ns.c, **_budget_kwargs(ns))
+        q = ArrowQuery.tilde(ns.n, ns.c, **budget_kw)
     elif mode == "antichain":
         if ns.n is None or ns.k is None:
             raise FamilyError("antichain search needs --n and --k")
-        q = ArrowQuery.antichain(ns.n, ns.k, **_budget_kwargs(ns))
+        q = ArrowQuery.antichain(ns.n, ns.k, **budget_kw)
     else:
         if ns.n is None or ns.a is None or ns.b is None:
             raise FamilyError("down-set search needs --n, --a and --b")
-        q = ArrowQuery.downset(ns.n, ns.a, ns.b, **_budget_kwargs(ns))
-    return _run_search_query(q, ns, argv)
+        q = ArrowQuery.downset(ns.n, ns.a, ns.b, **budget_kw)
+    run = lambda: run_query(q)
+    return _emit_search(ns, argv, run, budget_kw, {"query": q.to_json_obj()}, inputs)
 
 
 def _cmd_verify_table(ns, argv) -> int:
@@ -292,7 +294,7 @@ def _cmd_verify_table(ns, argv) -> int:
             print(f"{e['c']:>3} {e['n']:>3} {fm:>8} {e['searched']:>9} {e['status']}")
     else:
         report = {"rows": lines}
-        report["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, report)
+        report["manifest"] = _manifest(argv, {}, wall, report, **budget_kw)
         _emit(report, ns.pretty)
     return 1 if any_fail else 0
 
@@ -363,15 +365,8 @@ def _cmd_cancellative(ns, argv) -> int:
     if ns.n is None or ns.l is None:
         raise FamilyError("cancellative search needs --n and --l")
     budget_kw = _budget_kwargs(ns)
-    t0 = time.perf_counter()
-    res = max_cancellative(ns.n, ns.l, **budget_kw)
-    wall = (time.perf_counter() - t0) * 1000.0
-    obj = res.to_json_obj()
-    obj["n"] = ns.n
-    obj["l"] = ns.l
-    obj["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, obj)
-    _emit(obj, ns.pretty)
-    return 0 if res.proved_optimal else 3
+    run = lambda: max_cancellative(ns.n, ns.l, **budget_kw)
+    return _emit_search(ns, argv, run, budget_kw, {"n": ns.n, "l": ns.l})
 
 
 def _cmd_ex3(ns, argv) -> int:
@@ -379,17 +374,10 @@ def _cmd_ex3(ns, argv) -> int:
     if ns.n is None:
         raise FamilyError("ex3 needs --n")
     budget_kw = _budget_kwargs(ns)
-    t0 = time.perf_counter()
-    res = ex3(ns.n, pattern, **budget_kw)
-    wall = (time.perf_counter() - t0) * 1000.0
-    obj = res.to_json_obj()
-    obj["n"] = ns.n
-    obj["pattern"] = pattern.value
+    run = lambda: ex3(ns.n, pattern, **budget_kw)
     # exact values at these sizes are produced by this search, not quoted
-    obj["computed_value"] = True
-    obj["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, obj)
-    _emit(obj, ns.pretty)
-    return 0 if res.proved_optimal else 3
+    extra = {"n": ns.n, "pattern": pattern.value, "computed_value": True}
+    return _emit_search(ns, argv, run, budget_kw, extra)
 
 
 def _cmd_crosscheck(ns, argv) -> int:
@@ -400,7 +388,7 @@ def _cmd_crosscheck(ns, argv) -> int:
     verdict = crosscheck_mtilde(ns.n, ns.c, **budget_kw)
     wall = (time.perf_counter() - t0) * 1000.0
     obj = {"n": ns.n, "c": ns.c, "identity_holds": verdict}
-    obj["manifest"] = _manifest(argv, {}, _manifest_budgets(budget_kw), wall, obj)
+    obj["manifest"] = _manifest(argv, {}, wall, obj, **budget_kw)
     _emit(obj, ns.pretty)
     if verdict is None:
         return 3

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from math import comb
 from typing import NamedTuple
 
@@ -23,7 +23,9 @@ from .setcore import (
     FamilyError,
     SetFamily,
     elements_of,
+    family_from_json_obj,
     is_downset,
+    kset_masks,
     shadow,
 )
 
@@ -191,10 +193,7 @@ def hook_count_max(tf: TildeFamily) -> HookMax:
     pairs = tf.g2.members
     triples = tf.g3.members
     best, best_y = 0, None
-    for combo in combinations(range(tf.n), 4):
-        y = 0
-        for b in combo:
-            y |= 1 << b
+    for y in kset_masks(tf.n, 4):
         cnt = sum(1 for m in pairs if m & y == m) + sum(1 for m in triples if m & y == m)
         if cnt > best or (cnt == best and (best_y is None or y < best_y)):
             best, best_y = cnt, y
@@ -242,13 +241,8 @@ def tilde_to_json_obj(tf: TildeFamily) -> dict:
 
 
 def tilde_from_json_obj(obj: dict) -> TildeFamily:
-    try:
-        n = int(obj["n"])
-        g2 = obj["g2"]
-        g3 = obj["g3"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FamilyError(f"bad pair/triple family JSON: {obj!r}") from exc
-    return TildeFamily(n, SetFamily.from_sets(n, g2), SetFamily.from_sets(n, g3))
+    g2 = family_from_json_obj(obj, "g2")
+    return TildeFamily(g2.n, g2, family_from_json_obj(obj, "g3"))
 
 
 def tilde_to_json(tf: TildeFamily) -> str:

@@ -1,6 +1,8 @@
 """Exact extremal search: largest family size under a trace ceiling.
 
-Three query modes share one branch-and-bound engine:
+Five searches share one branch-and-bound engine: the three query modes
+below, and the cancellative and ex3 searches of
+:mod:`tracelab.cancellative_turan`.
 
 * ``full-downset``: largest down-set on [n] (members of size < a) such
   that no a-set carries a trace of size >= b.  One less than the least
@@ -11,6 +13,11 @@ Three query modes share one branch-and-bound engine:
 * ``antichain``: largest antichain with no (k+1)-set shattered
   (trace of size 2^(k+1)).
 
+All five are certified in one place, ``_solve_state``: it runs the
+search under the query's budget, lists the witness in the canonical
+member order (by cardinality, then mask; not relabeled) and re-checks
+it through the search's own independent predicate before it returns.
+
 The engine branches on candidate sets.  Every constraint state keeps an
 exact per-candidate count of what blocks the candidate in the current
 subtree, so the candidates still addable are counted, per size, as moves
@@ -20,15 +27,12 @@ the free window room.  Symmetry is exploited by orbital branching: at a
 node whose chosen and excluded candidates are stabilized by a
 permutation group G of the ground set, either a representative e goes
 in, or its entire G-orbit goes out.  Disabling symmetry changes node
-counts, never optima.  Returned witnesses are re-verified through the
-plain trace-counting path and listed in the canonical member order
-(by cardinality, then mask); they are not relabeled.
+counts, never optima.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial, inf, isfinite
 from time import perf_counter
 from typing import Callable
@@ -42,6 +46,7 @@ from .setcore import (
     family_to_json_obj,
     is_antichain,
     is_downset,
+    kset_masks,
 )
 
 MODE_DOWNSET = "full-downset"
@@ -668,20 +673,10 @@ class _Searcher:
 # builds) reaches every search that uses it.
 
 
-def _combo_masks(nbits: int, size: int) -> list[int]:
-    out = []
-    for combo in combinations(range(nbits), size):
-        w = 0
-        for b in combo:
-            w |= 1 << b
-        out.append(w)
-    return out
-
-
 def _candidate_masks(nbits: int, cards) -> list[int]:
     masks = []
     for card in sorted(cards):
-        masks.extend(_combo_masks(nbits, card))
+        masks.extend(kset_masks(nbits, card))
     masks.sort(key=lambda m: (m.bit_count(), m))
     return masks
 
@@ -709,18 +704,18 @@ def _build_downset_state(n: int, a: int, b: int) -> _CapState:
     implied and sits in every a-window, so each window holds at most
     b - 2 candidates."""
     masks = _candidate_masks(n, range(1, a))
-    return _CapState(n, masks, _combo_masks(n, a), b - 2, _shadow_prereqs(masks))
+    return _CapState(n, masks, kset_masks(n, a), b - 2, _shadow_prereqs(masks))
 
 
 def _build_tilde_state(n: int, c: int) -> _CapState:
     masks = _candidate_masks(n, [2, 3])
-    return _CapState(n, masks, _combo_masks(n, 4), c - 1, _shadow_prereqs(masks))
+    return _CapState(n, masks, kset_masks(n, 4), c - 1, _shadow_prereqs(masks))
 
 
 def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _CapState:
     """card-sets under 'at most cap inside any win-window' (no closure)."""
     masks = _candidate_masks(n, [card])
-    return _CapState(n, masks, _combo_masks(n, win), cap, _shadow_prereqs(masks))
+    return _CapState(n, masks, kset_masks(n, win), cap, _shadow_prereqs(masks))
 
 
 class _AntichainState(_CountedState):
@@ -735,7 +730,7 @@ class _AntichainState(_CountedState):
 
     def __init__(self, n: int, k: int):
         super().__init__(n, sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
-        self.windows = _combo_masks(n, k + 1)
+        self.windows = list(kset_masks(n, k + 1))
         self.cap = (1 << (k + 1)) - 1
         self.seen = [dict() for _ in self.windows]  # projection -> multiplicity
         # by_proj[w][p]: the candidates whose trace on window w is p
@@ -803,11 +798,24 @@ def _solve_state(
     build: Callable[..., _CountedState],
     args: tuple,
     *,
-    exclude_first_cards,
-    budget,
-    use_symmetry,
-):
-    """Maximize over the state ``build(*args)``.  Returns (best, masks|None, completed)."""
+    witness: Callable,
+    recheck: Callable[..., bool],
+    budget_nodes: int,
+    budget_secs: float | None,
+    use_symmetry: bool,
+    exclude_first_cards=frozenset(),
+    implied: tuple[int, ...] = (),
+) -> SearchResult:
+    """Maximize over the state ``build(*args)`` and certify the answer.
+
+    The witness is ``witness(n, masks)``: ``masks`` are the ``implied``
+    masks (members every witness has outside the state's candidates)
+    and the chosen ones, in the canonical member order.  It is returned
+    only if it has one member per mask and ``recheck(witness)`` accepts
+    it; otherwise this raises RuntimeError.
+    """
+    t0 = perf_counter()
+    budget = _Budget(budget_nodes, budget_secs)
     state = build(*args)
     searcher = _Searcher(
         state,
@@ -816,13 +824,25 @@ def _solve_state(
         use_symmetry=use_symmetry,
     )
     completed = searcher.run()
-    sel = None if searcher.best_sel is None else [state.masks[j] for j in searcher.best_sel]
-    return searcher.best, sel, completed
+    chosen = [state.masks[j] for j in searcher.best_sel or ()]
+    wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
+    if len(wit) != len(implied) + len(chosen) or not recheck(wit):
+        raise RuntimeError("witness failed independent re-verification")
+    return SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
 
 
-def _canonicalize(masks, n: int) -> tuple[int, ...]:
+def _canonicalize(masks) -> tuple[int, ...]:
     """Witness masks in the canonical member order; no relabeling."""
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+
+def _limits(q: ArrowQuery) -> dict:
+    """A query's budgets and symmetry switch, as ``_solve_state`` keywords."""
+    return {
+        "budget_nodes": q.budget_nodes,
+        "budget_secs": q.budget_secs,
+        "use_symmetry": q.use_symmetry,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -844,20 +864,20 @@ def max_family(q: ArrowQuery) -> SearchResult:
     q.validate()
     if q.mode != MODE_DOWNSET:
         raise FamilyError(f"max_family needs mode {MODE_DOWNSET!r}")
-    t0 = perf_counter()
-    budget = _Budget(q.budget_nodes, q.budget_secs)
-    n, a, b = q.n, q.a, q.b
-    got, sel, comp = _solve_state(
+    return _solve_state(
         _build_downset_state,
-        (n, a, b),
-        exclude_first_cards=frozenset(),
-        budget=budget,
-        use_symmetry=q.use_symmetry,
+        (q.n, q.a, q.b),
+        **_limits(q),
+        witness=SetFamily.from_masks,
+        recheck=lambda w: is_downset(w) and not arrows(w, q.a, q.b),
+        implied=(0,),
     )
-    witness = SetFamily.from_masks(n, _canonicalize([0, *(sel or [])], n))
-    if len(witness) != 1 + max(got, 0) or not is_downset(witness) or arrows(witness, a, b):
-        raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
+
+
+def _tilde_witness(n: int, masks) -> TildeFamily:
+    g2 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 2])
+    g3 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 3])
+    return TildeFamily(n, g2, g3)
 
 
 def max_tilde(q: ArrowQuery) -> SearchResult:
@@ -866,24 +886,14 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
     q.validate()
     if q.mode != MODE_TILDE:
         raise FamilyError(f"max_tilde needs mode {MODE_TILDE!r}")
-    t0 = perf_counter()
-    budget = _Budget(q.budget_nodes, q.budget_secs)
-    n, c = q.n, q.c
-    got, sel, comp = _solve_state(
+    return _solve_state(
         _build_tilde_state,
-        (n, c),
+        (q.n, q.c),
+        **_limits(q),
+        witness=_tilde_witness,
+        recheck=lambda w: w.complete and not hookarrow(w, q.c),
         exclude_first_cards=frozenset((3,)),
-        budget=budget,
-        use_symmetry=q.use_symmetry,
     )
-    masks = _canonicalize(sel or [], n)
-    g2 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 2])
-    g3 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 3])
-    witness = TildeFamily(n, g2, g3)
-    witness.require_complete()
-    if len(witness) != max(got, 0) or hookarrow(witness, c):
-        raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
 
 
 def max_antichain(q: ArrowQuery) -> SearchResult:
@@ -894,24 +904,13 @@ def max_antichain(q: ArrowQuery) -> SearchResult:
         raise FamilyError(f"max_antichain needs mode {MODE_ANTICHAIN!r}")
     if q.n > 7:
         raise FamilyError("antichain search enumerates all subsets; capped at n <= 7")
-    t0 = perf_counter()
-    budget = _Budget(q.budget_nodes, q.budget_secs)
-    got, sel, comp = _solve_state(
+    return _solve_state(
         _build_antichain_state,
         (q.n, q.k),
-        exclude_first_cards=frozenset(),
-        budget=budget,
-        use_symmetry=q.use_symmetry,
+        **_limits(q),
+        witness=SetFamily.from_masks,
+        recheck=lambda w: is_antichain(w) and not (len(w) and arrows(w, q.k + 1, 1 << (q.k + 1))),
     )
-    masks = _canonicalize(sel or [], q.n)
-    witness = SetFamily.from_masks(q.n, masks)
-    if (
-        len(witness) != max(got, 0)
-        or not is_antichain(witness)
-        or (len(witness) and arrows(witness, q.k + 1, 1 << (q.k + 1)))
-    ):
-        raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(len(witness), witness, comp, budget.nodes, perf_counter() - t0)
 
 
 def run_query(q: ArrowQuery) -> SearchResult:

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_GROUND = 64
@@ -33,6 +34,8 @@ def mask_of(elements: Iterable[int], n: int) -> int:
     """Bitmask of a collection of 1-indexed elements of [n]."""
     m = 0
     for e in elements:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise FamilyError(f"element {e!r} is not an integer")
         if not 1 <= e <= n:
             raise FamilyError(f"element {e} outside ground set [1..{n}]")
         m |= 1 << (e - 1)
@@ -47,6 +50,13 @@ def elements_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def kset_masks(n: int, k: int) -> Iterator[int]:
+    """The k-subsets of [n] as masks, in the lexicographic order of their
+    element tuples (the order of ``itertools.combinations``)."""
+    for combo in combinations([1 << b for b in range(n)], k):
+        yield sum(combo)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -158,17 +168,12 @@ def max_trace_over_ksets(fam: SetFamily, k: int) -> TraceMax:
     maximizing mask as witness."""
     if not 1 <= k <= fam.n:
         raise FamilyError(f"window size {k} outside [1..{fam.n}]")
-    from math import comb
-
     if comb(fam.n, k) > _WINDOW_SCAN_CAP:
         raise FamilyError(f"refusing to scan C({fam.n},{k}) windows")
     members = fam.members
     best = 0
     best_y = None
-    for combo in combinations(range(fam.n), k):
-        y = 0
-        for b in combo:
-            y |= 1 << b
+    for y in kset_masks(fam.n, k):
         size = len({m & y for m in members})
         if size > best or (size == best and (best_y is None or y < best_y)):
             best = size
@@ -345,12 +350,17 @@ def family_to_json_obj(fam: SetFamily) -> dict:
     return {"n": fam.n, "sets": [list(elements_of(m)) for m in fam.members]}
 
 
-def family_from_json_obj(obj: dict) -> SetFamily:
-    try:
-        n = int(obj["n"])
-        sets = obj["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FamilyError(f"bad family JSON object: {obj!r}") from exc
+def family_from_json_obj(obj: dict, key: str = "sets") -> SetFamily:
+    """The family listed under ``obj[key]`` on the ground set [``obj["n"]``].
+    ``n`` and every element must be JSON integers (not booleans), and the
+    family and each of its members JSON lists; nothing is converted."""
+    if not isinstance(obj, dict) or "n" not in obj or key not in obj:
+        raise FamilyError(f"family JSON must be an object with the keys 'n' and {key!r}")
+    n, sets = obj["n"], obj[key]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise FamilyError(f"family JSON key 'n' must be an integer, got {n!r}")
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        raise FamilyError(f"family JSON key {key!r} must be a list of element lists")
     return SetFamily.from_sets(n, sets)
 
 

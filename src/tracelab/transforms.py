@@ -59,6 +59,15 @@ def downset_compress(fam: SetFamily) -> SetFamily:
             return cur
 
 
+def _pair_bits(fam: SetFamily, x: int, y: int) -> tuple[int, int]:
+    """The bits of two distinct elements of [n]."""
+    if x == y:
+        raise FamilyError("symmetrize needs two distinct elements")
+    if not (1 <= x <= fam.n and 1 <= y <= fam.n):
+        raise FamilyError(f"elements {x},{y} outside ground set [1..{fam.n}]")
+    return 1 << (x - 1), 1 << (y - 1)
+
+
 def symmetrize(fam: SetFamily, x: int, y: int) -> SetFamily:
     """Replace the y-side of a down-set by a copy of the x-side:
     drop every member containing y, then add {y} | G for each G in the
@@ -66,13 +75,9 @@ def symmetrize(fam: SetFamily, x: int, y: int) -> SetFamily:
 
     The result is again a down-set of size |fam(no y)| + |fam(x, no y)|.
     """
-    if x == y:
-        raise FamilyError("symmetrize needs two distinct elements")
-    if not (1 <= x <= fam.n and 1 <= y <= fam.n):
-        raise FamilyError(f"elements {x},{y} outside ground set [1..{fam.n}]")
+    bx, by = _pair_bits(fam, x, y)
     if not is_downset(fam):
         raise FamilyError("symmetrize requires a down-set")
-    bx, by = 1 << (x - 1), 1 << (y - 1)
     kept = [m for m in fam.members if not m & by]
     grafted = [(m ^ bx) | by for m in fam.members if m & bx and not m & by]
     return SetFamily.from_masks(fam.n, kept + grafted)
@@ -85,9 +90,7 @@ def symmetrize_if_profitable(fam: SetFamily, x: int, y: int) -> SetFamily:
     and y.  Afterwards link(result, x) == link(result, y) and
     |result| >= |fam|.
     """
-    if x == y:
-        raise FamilyError("symmetrize needs two distinct elements")
-    bx, by = 1 << (x - 1), 1 << (y - 1)
+    bx, by = _pair_bits(fam, x, y)
     both = bx | by
     for m in fam.members:
         if m & both == both:

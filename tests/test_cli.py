@@ -112,6 +112,30 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "sets": [[1.5]]}',
+            '{"n": 3, "sets": [["1"]]}',
+            '{"n": 3, "sets": 5}',
+            '{"n": 3, "g2": [[1, 2], [1, 3], [2, 3]], "g3": [[1.0, 2, 3]]}',
+            '{"n": 6.9, "sets": [[1]]}',
+            '{"n": true, "sets": [[1]]}',
+            '{"n": 3, "sets": [1]}',
+            '{"n": 3, "g2": {}, "g3": []}',
+        ],
+        ids=["float-elem", "str-elem", "sets-int", "float-g3-elem", "float-n", "bool-n",
+             "int-member", "g2-object"],
+    )
+    def test_malformed_family_json_exit_2(self, capsys, tmp_path, text):
+        # only JSON integers count as n and as elements, and only lists as
+        # families and members; nothing is converted
+        f = tmp_path / "fam.json"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(f), "--a", "1", "--b", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
 
 class TestSearch:
     def test_downset_search(self, capsys):
@@ -319,6 +343,15 @@ class TestTransformCommands:
         code, out, _ = run_cli(capsys, "symmetrize", str(f), "--x", "1", "--y", "2", "--profitable")
         assert code == 0
         assert last_json(out)["new_size"] == 6
+
+    @pytest.mark.parametrize("profitable", [(), ("--profitable",)], ids=["plain", "profitable"])
+    @pytest.mark.parametrize("x, y", [("0", "2"), ("2", "4")])
+    def test_symmetrize_element_out_of_range_exit_2(self, capsys, tmp_path, profitable, x, y):
+        f = tmp_path / "fam.txt"
+        f.write_text("n=3\n-\n1\n2\n3\n1,3\n")
+        code, out, err = run_cli(capsys, "symmetrize", str(f), "--x", x, "--y", y, *profitable)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "outside ground set" in err
 
     @pytest.mark.parametrize(
         "cmd", [("reduce",), ("symmetrize", "--x", "1", "--y", "2")], ids=["reduce", "symmetrize"]

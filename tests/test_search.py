@@ -396,7 +396,7 @@ def test_random_window_problems_match_bruteforce():
     import random
     from math import comb as _comb
 
-    from tracelab.search import _Budget, _build_uniform_window_state, _solve_state
+    from tracelab.search import _build_uniform_window_state, _solve_state
 
     rng = random.Random(99)
     done = 0
@@ -427,15 +427,21 @@ def test_random_window_problems_match_bruteforce():
                 continue
             if all(sum(1 for m in chosen if m & w == m) <= cap for w in wins):
                 best = len(chosen)
+
+        def within_caps(fam):
+            return all(sum(1 for m in fam.members if m & w == m) <= cap for w in wins)
+
         for sym in (True, False):
-            got, _sel, comp = _solve_state(
+            res = _solve_state(
                 _build_uniform_window_state,
                 (n, card, win, cap),
-                exclude_first_cards=frozenset(),
-                budget=_Budget(10**8, None),
+                witness=SetFamily.from_masks,
+                recheck=within_caps,
+                budget_nodes=10**8,
+                budget_secs=None,
                 use_symmetry=sym,
             )
-            assert comp and got == best, (n, card, win, cap, sym)
+            assert res.proved_optimal and res.optimum == best, (n, card, win, cap, sym)
 
 
 def test_downset_query_is_one_search(monkeypatch):
@@ -485,6 +491,33 @@ def test_search_is_deterministic():
 def test_failed_reverification_raises(monkeypatch, module, checker, fake, run):
     # a witness the independent checker rejects is never returned
     monkeypatch.setattr(module, checker, fake)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: max_family(ArrowQuery.downset(5, 3, 7)),
+        lambda: max_tilde(ArrowQuery.tilde(5, 6)),
+        lambda: max_antichain(ArrowQuery.antichain(4, 1)),
+        lambda: max_cancellative(5, 3),
+        lambda: ex3(5, Pattern.K_COMPLETE),
+    ],
+    ids=["max_family", "max_tilde", "max_antichain", "max_cancellative", "ex3"],
+)
+def test_lost_witness_member_raises(monkeypatch, run):
+    # a canonical listing that repeats one chosen mask (and so drops
+    # another) fails the length check, whatever the predicate says
+    real = search_mod._canonicalize
+
+    def repeat_one(masks):
+        ms = real(masks)
+        return ms[:-1] + ms[-2:-1]
+
+    for module in (search_mod, canc_mod):
+        if hasattr(module, "_canonicalize"):
+            monkeypatch.setattr(module, "_canonicalize", repeat_one)
     with pytest.raises(RuntimeError, match="re-verification"):
         run()
 
