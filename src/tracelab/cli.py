@@ -57,6 +57,7 @@ from .setcore import (
     family_to_text,
     is_downset,
     max_trace_over_ksets,
+    parse_json,
 )
 from .transforms import (
     aux_triples_linear,
@@ -101,6 +102,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise FamilyError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FamilyError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path: str, data: str) -> None:
@@ -229,10 +232,7 @@ def _cmd_search(ns, argv) -> int:
     inputs = None
     if ns.query:
         text = _read_text(ns.query)
-        try:
-            q = ArrowQuery.from_json_obj(json.loads(text))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise FamilyError(f"bad query JSON in {ns.query}: {exc}") from exc
+        q = ArrowQuery.from_json_obj(parse_json(text, f"query JSON in {ns.query}"))
         budget_kw = _budget_kwargs(ns, q.budget_nodes, q.budget_secs)
         q = dataclasses.replace(q, **budget_kw)
         inputs = {ns.query: _sha256(text.encode())}

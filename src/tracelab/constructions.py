@@ -26,6 +26,7 @@ from .setcore import (
     family_from_json_obj,
     is_downset,
     kset_masks,
+    parse_json,
     shadow,
 )
 
@@ -250,11 +251,7 @@ def tilde_to_json(tf: TildeFamily) -> str:
 
 
 def tilde_from_json(text: str) -> TildeFamily:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FamilyError(f"pair/triple family JSON does not parse: {exc}") from exc
-    return tilde_from_json_obj(obj)
+    return tilde_from_json_obj(parse_json(text, "pair/triple family JSON"))
 
 
 # ---------------------------------------------------------------------------

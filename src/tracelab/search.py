@@ -47,6 +47,7 @@ from .setcore import (
     is_antichain,
     is_downset,
     kset_masks,
+    submasks,
 )
 
 MODE_DOWNSET = "full-downset"
@@ -347,17 +348,25 @@ class _CountedState:
 
 
 class _CapState(_CountedState):
-    """Candidate sets under per-window membership caps.
+    """The sets of the sizes ``cards`` on [n], under 'at most ``cap``
+    chosen candidates inside any ``win``-window', closed downward within
+    ``cards``.
 
-    Windows are fixed masks; a candidate contributes to every window
-    containing it.  ``prereqs`` encode shadow closure (a set may only be
-    chosen once its one-smaller subsets are in); choosing a candidate
-    auto-adds missing prerequisites.  All mutations have exact inverses.
+    The state derives its structure from these four values.  The windows
+    are the ``win``-subsets of [n]; ``window_cands[w]`` lists, in index
+    order, the candidates inside window w (its submasks that are
+    candidates) and ``cand_windows[i]`` the windows containing
+    candidate i.  ``below[i]`` lists every candidate strictly inside i and
+    ``children[i]`` the candidates one element larger than i.  Choosing i
+    adds the undecided members of ``below[i]`` with it, so a chosen set's
+    candidate subsets are always chosen; an excluded member makes the add
+    fail.  With one size, as in the uniform states, ``below`` is empty
+    and the constraint is the window cap alone.
 
     ``blocked[i]`` counts the full windows containing i plus its excluded
-    prerequisites, and ``resid`` is the total free room over all windows.
-    ``bound_remaining`` packs the counted candidates into ``resid``,
-    lightest window weight first.
+    one-smaller subsets, and ``resid`` is the total free room over all
+    windows.  ``bound_remaining`` packs the counted candidates into
+    ``resid``, lightest window weight first.
 
     Window counts ``cnt`` are raised in place as an add walks its windows;
     at the first window that would pass ``cap`` every increment made so
@@ -367,25 +376,28 @@ class _CapState(_CountedState):
     a window already at ``cap`` cannot take an add.
     """
 
-    def __init__(self, nbits, masks, windows, cap, prereqs):
-        super().__init__(nbits, masks)
-        self.windows = list(windows)
+    def __init__(self, n, cards, win, cap):
+        super().__init__(n, _candidate_masks(n, cards))
+        idx_of = self.idx_of
+        self.windows = list(kset_masks(n, win))
         self.cap = cap
         self.cnt = [0] * len(self.windows)
+        self.window_cands = [
+            sorted(idx_of[s] for s in submasks(w) if s in idx_of) for w in self.windows
+        ]
         self.cand_windows = [[] for _ in self.masks]
-        self.window_cands = [[] for _ in self.windows]
-        for wi, w in enumerate(self.windows):
-            row = self.window_cands[wi]
-            for ci, m in enumerate(self.masks):
-                if m & w == m:
-                    self.cand_windows[ci].append(wi)
-                    row.append(ci)
+        for wi, row in enumerate(self.window_cands):
+            for ci in row:
+                self.cand_windows[ci].append(wi)
         self.n_windows = [len(ws) for ws in self.cand_windows]
-        self.prereq = [tuple(p) for p in prereqs]
+        self.below = [
+            [idx_of[s] for s in submasks(m) if s != m and s in idx_of] for m in self.masks
+        ]
         self.children = [[] for _ in self.masks]
-        for ci, ps in enumerate(self.prereq):
-            for p in ps:
-                self.children[p].append(ci)
+        for ci, under in enumerate(self.below):
+            for j in under:
+                if self.cards[j] + 1 == self.cards[ci]:
+                    self.children[j].append(ci)
         self.resid = cap * len(self.windows)
         # window weight per cardinality: minimum over candidates (uniform in
         # practice); used for the aggregate-capacity bound
@@ -402,38 +414,20 @@ class _CapState(_CountedState):
 
     # -- moves --------------------------------------------------------------
 
-    def _closure(self, i) -> list[int] | None:
-        """i plus its transitively missing prerequisites; None if any is out."""
-        adds = []
-        stack = [i]
-        seen = set()
-        while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            st = self.status[j]
-            if st == 1:
-                continue
-            if st == 2:
-                return None
-            adds.append(j)
-            stack.extend(self.prereq[j])
-        return adds
-
     def try_add_group(self, i) -> list[int] | None:
-        """Choose candidate i together with missing prerequisites; None if
-        jointly infeasible (then it stays infeasible in this subtree)."""
+        """Choose candidate i together with the undecided candidates inside
+        it; None if one of those is out or a window would pass ``cap``
+        (then i stays unaddable in this subtree)."""
         status = self.status
         if status[i]:
             return None
         adds = [i]
-        for p in self.prereq[i]:
-            if status[p] != 1:
-                adds = self._closure(i)
-                if adds is None:
-                    return None
-                break
+        for j in self.below[i]:
+            st = status[j]
+            if st == 2:
+                return None
+            if not st:
+                adds.append(j)
         cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
         filled = []
         for j in adds:
@@ -681,41 +675,21 @@ def _candidate_masks(nbits: int, cards) -> list[int]:
     return masks
 
 
-def _shadow_prereqs(masks: list[int]) -> list[tuple[int, ...]]:
-    """Indices of the one-smaller subsets, where those are candidates."""
-    idx_of = {m: i for i, m in enumerate(masks)}
-    out = []
-    for m in masks:
-        ps = []
-        b = m
-        while b:
-            low = b & -b
-            sub = m ^ low
-            j = idx_of.get(sub)
-            if j is not None:
-                ps.append(j)
-            b ^= low
-        out.append(tuple(ps))
-    return out
-
-
 def _build_downset_state(n: int, a: int, b: int) -> _CapState:
     """Down-sets on [n] with members of size 1..a-1.  The empty set is
     implied and sits in every a-window, so each window holds at most
     b - 2 candidates."""
-    masks = _candidate_masks(n, range(1, a))
-    return _CapState(n, masks, kset_masks(n, a), b - 2, _shadow_prereqs(masks))
+    return _CapState(n, range(1, a), a, b - 2)
 
 
 def _build_tilde_state(n: int, c: int) -> _CapState:
-    masks = _candidate_masks(n, [2, 3])
-    return _CapState(n, masks, kset_masks(n, 4), c - 1, _shadow_prereqs(masks))
+    return _CapState(n, (2, 3), 4, c - 1)
 
 
 def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _CapState:
-    """card-sets under 'at most cap inside any win-window' (no closure)."""
-    masks = _candidate_masks(n, [card])
-    return _CapState(n, masks, kset_masks(n, win), cap, _shadow_prereqs(masks))
+    """card-sets under 'at most cap inside any win-window'; one size, so
+    no set has a candidate inside it and the cap is the only constraint."""
+    return _CapState(n, (card,), win, cap)
 
 
 class _AntichainState(_CountedState):

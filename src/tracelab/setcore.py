@@ -368,9 +368,14 @@ def family_to_json(fam: SetFamily) -> str:
     return json.dumps(family_to_json_obj(fam), separators=(",", ":"))
 
 
-def family_from_json(text: str) -> SetFamily:
+def parse_json(text: str, what: str):
+    """The JSON value in ``text``.  Text that does not parse, or that nests
+    deeper than the parser can follow, raises FamilyError naming ``what``."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FamilyError(f"family JSON does not parse: {exc}") from exc
-    return family_from_json_obj(obj)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FamilyError(f"{what} does not parse: {exc}") from exc
+
+
+def family_from_json(text: str) -> SetFamily:
+    return family_from_json_obj(parse_json(text, "family JSON"))

@@ -421,6 +421,42 @@ def test_unread_flag_rejected(capsys, tmp_path, monkeypatch, args):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
 
 
+_DEEP = b"[" * 200_000 + b"]" * 200_000  # nested past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"n": 3, "sets": [[1], [\xff]]}',
+        b'{"n": 3, "sets": ' + _DEEP + b"}",
+        b'{"n": 3, "g2": ' + _DEEP + b', "g3": []}',
+    ],
+    ids=["non-utf8", "deep-family-json", "deep-pair-triple-json"],
+)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "F", "--a", "2", "--b", "2"],
+        ["reduce", "F"],
+        ["symmetrize", "F", "--x", "1", "--y", "2"],
+        ["partition", "F"],
+        ["cancellative", "--check", "F", "--l", "2"],
+        ["construct", "downclosure", "--input", "F"],
+        ["search", "--query", "F"],
+    ],
+    ids=["check", "reduce", "symmetrize", "partition", "cancellative-check",
+         "construct-downclosure", "search-query"],
+)
+def test_bad_input_file_exit_2(capsys, tmp_path, monkeypatch, args, data):
+    # an unreadable file is a parse error (exit 2), never a traceback; for
+    # check, exit 1 would read as "arrow holds"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_bytes(data)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

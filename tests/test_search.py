@@ -614,6 +614,38 @@ def test_budget_stopped_runs_pinned(key, sym):
     assert got == (with_sym if sym else without_sym)
 
 
+def _prereqs(st, i):
+    """The candidates one element smaller than candidate i, from
+    ``st.masks`` alone."""
+    m = st.masks[i]
+    return [
+        j
+        for j, mj in enumerate(st.masks)
+        if mj & m == mj and mj.bit_count() + 1 == m.bit_count()
+    ]
+
+
+def _closure_ref(st, i):
+    """i plus its transitively missing one-smaller subsets, walked one
+    level at a time; None if any of them is out.  The reference for the
+    candidates ``try_add_group`` adds."""
+    adds = []
+    stack = [i]
+    seen = set()
+    while stack:
+        j = stack.pop()
+        if j in seen:
+            continue
+        seen.add(j)
+        if st.status[j] == 1:
+            continue
+        if st.status[j] == 2:
+            return None
+        adds.append(j)
+        stack.extend(_prereqs(st, j))
+    return adds
+
+
 def _brute_counted(st):
     """Candidates of a ``_CapState`` that ``avail`` should count, from the
     primary state (status, window counts, prerequisites) alone: undecided,
@@ -625,7 +657,7 @@ def _brute_counted(st):
     return [
         i
         for i in range(len(st.masks))
-        if st.status[i] == 0 and fits(i) and all(st.status[p] != 2 for p in st.prereq[i])
+        if st.status[i] == 0 and fits(i) and all(st.status[p] != 2 for p in _prereqs(st, i))
     ]
 
 
@@ -648,7 +680,7 @@ def _brute_subtree_max(st):
         best = max(best, len(taken))
         for k in range(pos, len(undecided)):
             i = undecided[k]
-            if all(st.status[p] == 1 or p in taken for p in st.prereq[i]) and all(
+            if all(st.status[p] == 1 or p in taken for p in _prereqs(st, i)) and all(
                 room[w] > 0 for w in wins[i]
             ):
                 taken.add(i)
@@ -700,7 +732,7 @@ def test_all_in_matches_bruteforce_on_random_states():
     for build, args in builds:
         st = build(*args)
         assert len(st.masks) <= 20  # brute force stays cheap
-        assert all(p < i for i, ps in enumerate(st.prereq) for p in ps)
+        assert all(p < i for i in range(len(st.masks)) for p in _prereqs(st, i))
         start = (list(st.status), list(st.cnt), dict(st.avail), st.resid)
         for _walk in range(4):
             moves = []
@@ -740,7 +772,7 @@ def _brute_blocked(st):
     contain each candidate plus its excluded prerequisites."""
     return [
         sum(1 for wi, w in enumerate(st.windows) if m & w == m and st.cnt[wi] >= st.cap)
-        + sum(1 for p in st.prereq[i] if st.status[p] == 2)
+        + sum(1 for p in _prereqs(st, i) if st.status[p] == 2)
         for i, m in enumerate(st.masks)
     ]
 
@@ -776,7 +808,7 @@ def test_cap_state_failed_add_changes_nothing():
                     _undo(st, moves.pop())
                 elif r < 0.8:
                     i = rng.choice(open_)
-                    closure = st._closure(i)
+                    closure = _closure_ref(st, i)
                     before = _cap_snapshot(st)
                     adds = st.try_add_group(i)
                     if adds is None:
@@ -798,6 +830,51 @@ def test_cap_state_failed_add_changes_nothing():
                 _undo(st, move)
             assert _cap_snapshot(st) == start, (build.__name__, args)
     assert late_overflows, "no add overflowed on a closure member after the first"
+
+
+def test_cap_state_structure_matches_bruteforce():
+    # _CapState derives its window incidence, children and below lists from
+    # (n, cards, win, cap); recount them by brute-force containment for
+    # every builder at n <= 6.  From the root, an add takes exactly the
+    # candidate and the candidates inside it, and its undo restores the
+    # state.  The caps are loose enough that no root add overflows.
+    from tracelab.search import (
+        _build_downset_state,
+        _build_tilde_state,
+        _build_uniform_window_state,
+    )
+
+    builds = [(_build_downset_state, (n, a, 1 << a)) for n in range(1, 7) for a in range(1, n + 1)]
+    builds += [(_build_tilde_state, (n, 10)) for n in range(4, 7)]
+    builds += [
+        (_build_uniform_window_state, (n, card, win, cap))
+        for n in range(2, 7)
+        for card, win, cap in ((2, 3, 2), (2, 4, 5), (3, 4, 3))
+        if win <= n
+    ]
+    for build, args in builds:
+        st = build(*args)
+        masks, where = st.masks, (build.__name__, args)
+        assert st.window_cands == [
+            [i for i, m in enumerate(masks) if m & w == m] for w in st.windows
+        ], where
+        assert st.cand_windows == [
+            [wi for wi, w in enumerate(st.windows) if m & w == m] for m in masks
+        ], where
+        assert st.children == [
+            [j for j, mj in enumerate(masks) if mi & mj == mi and mj.bit_count() == mi.bit_count() + 1]
+            for mi in masks
+        ], where
+        assert [sorted(under) for under in st.below] == [
+            [j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi] for mi in masks
+        ], where
+        start = _cap_snapshot(st)
+        for i, mi in enumerate(masks):
+            adds = st.try_add_group(i)
+            assert adds is not None, where
+            assert sorted(adds) == [j for j, mj in enumerate(masks) if mj & mi == mj], where
+            st.undo_add_group(adds)
+            assert _cap_snapshot(st) == start, where
 
 
 # Reference addability for the antichain and cancellative states, from the
