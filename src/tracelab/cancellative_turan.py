@@ -23,6 +23,7 @@ from .search import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECS,
     SearchResult,
+    _Averaging,
     _CountedState,
     _build_uniform_window_state,
     _candidate_masks,
@@ -166,8 +167,9 @@ def arrow_vs_pattern(fam: SetFamily, k: int, pattern: Pattern) -> ArrowPatternVe
 # extremal searches
 
 
-class _CancellativeState(_CountedState):
-    """Incremental cancellative feasibility for l >= 3.
+class _CancellativeState(_Averaging, _CountedState):
+    """Incremental cancellative feasibility for l >= 3, with the
+    averaging bound (the property survives deleting a vertex).
 
     Bookkeeping: ``diffs`` counts symmetric differences of chosen pairs
     meeting in l-1 points (future edges must avoid covering them) and
@@ -201,6 +203,8 @@ class _CancellativeState(_CountedState):
                 if (e & f).bit_count() == l - 1:
                     self.partners[i].append(j)
                     self.pair_partners[e ^ f].append((i, j))
+        self.least_n = l
+        self._count_u()
 
     def try_add_group(self, i: int):
         if self.status[i] or self.blocked[i]:

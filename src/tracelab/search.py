@@ -23,11 +23,17 @@ exact per-candidate count of what blocks the candidate in the current
 subtree, so the candidates still addable are counted, per size, as moves
 are made and undone.  The bound for antichain and cancellative states
 is the number of counted candidates; window-cap states pack them into
-the free window room.  Symmetry is exploited by orbital branching: at a
-node whose chosen and excluded candidates are stabilized by a
-permutation group G of the ground set, either a representative e goes
-in, or its entire G-orbit goes out.  Disabling symmetry changes node
-counts, never optima.
+the free window room.  The k-uniform searches (ex3, triangle-free,
+cancellative) chain a second bound, read only where the first fails to
+prune: the averaging bound of Katona, Nemetz and Simonovits over the
+chosen and counted candidates U, with M the same search's proved optimum
+on n-1 points (``_Averaging``).  ``_solve_state`` finds M by running the
+same search on n-1 points first, and so on down, under the query's own
+budget, so a result's ``nodes`` includes these sub-queries.  Symmetry is
+exploited by orbital branching: at a node whose chosen and excluded
+candidates are stabilized by a permutation group G of the ground set,
+either a representative e goes in, or its entire G-orbit goes out.
+Disabling symmetry changes node counts, never optima.
 """
 
 from __future__ import annotations
@@ -273,7 +279,13 @@ class _CountedState:
     candidate, smallest mask first, or None when none is left.
     ``bound_remaining()`` is never below the largest number of
     candidates that can still be added (the subtree optimum); by default
-    it is the number of counted candidates.
+    it is the number of counted candidates.  The k-uniform states also
+    mix in ``_Averaging``: they keep the chosen and counted candidates U
+    as a bitset, and their ``reach()`` bounds the whole family of the
+    subtree, chosen members included.  The engine chains it after
+    ``bound_remaining()``; it needs the same search's optimum on n-1
+    points, so the ``nodes`` of such a search include that sub-query's.
+    Only these states keep U.
 
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
@@ -341,6 +353,105 @@ class _CountedState:
 
     def bound_remaining(self) -> int:
         return sum(self.avail.values())
+
+
+# ---------------------------------------------------------------------------
+# the averaging bound of the uniform states
+
+
+class _Averaging:
+    """The averaging bound, mixed into a state whose candidates are the
+    k-sets of [n] (k = ``cards[0]``) under a property that survives
+    deleting a vertex: ex3, triangle-free and cancellative.
+
+    U is the chosen and counted candidates, kept as the bitset ``ubits``
+    (bit i set while candidate i is chosen, or undecided and unblocked);
+    every family F of the current subtree lies inside U.  Let ``d_v`` be
+    the number of members of U that contain vertex v, and M the optimum
+    of the same search on n-1 points.  F - v (the members avoiding v) is
+    such a family on n-1 points, so
+
+        (n-k)|F| = sum_v |F - v| <= sum_v min(M, |U| - d_v),  and
+        |F| = |F - v| + deg_F(v) <= M + d_v  for every v;
+
+    ``reach()`` is the lesser of the two (Katona, Nemetz, Simonovits, "On
+    a graph problem of Turán", 1964).  ``start_averaging(M)`` turns it
+    on.  The generic moves below keep ``ubits`` exact; a subclass that
+    inlines moves resyncs the bits those moves change.
+
+    ``least_n`` is the fewest ground points on which the search is still
+    the restriction of itself: on n-1 >= ``least_n`` points its optimum
+    is M, and its witnesses pass the n-point re-check.
+    """
+
+    ubits = 0  # _CapState.__init__ may block candidates before _count_u runs
+
+    def _count_u(self) -> None:
+        self.ubits = 0
+        self._resync(range(len(self.masks)))
+
+    def _resync(self, idxs) -> None:
+        """Set the U bit of each candidate in ``idxs`` from its status and
+        block count."""
+        status, blocked = self.status, self.blocked
+        u = self.ubits
+        for i in idxs:
+            s = status[i]
+            if s == 1 or not (s or blocked[i]):
+                u |= 1 << i
+            else:
+                u &= ~(1 << i)
+        self.ubits = u
+
+    # -- the generic moves, with U kept --------------------------------------
+
+    def _set_status(self, i: int, value: int) -> None:
+        # also chosen <-> undecided-but-blocked, where avail does not move
+        super()._set_status(i, value)
+        if value == 1 or not (value or self.blocked[i]):
+            self.ubits |= 1 << i
+        else:
+            self.ubits &= ~(1 << i)
+
+    def _block(self, i: int) -> None:
+        b = self.blocked[i]
+        self.blocked[i] = b + 1
+        if not (b or self.status[i]):
+            self.avail[self.cards[i]] -= 1
+            self.ubits &= ~(1 << i)
+
+    def _unblock(self, i: int) -> None:
+        b = self.blocked[i] - 1
+        self.blocked[i] = b
+        if not (b or self.status[i]):
+            self.avail[self.cards[i]] += 1
+            self.ubits |= 1 << i
+
+    # -- the bound ------------------------------------------------------------
+
+    def start_averaging(self, sub_optimum: int) -> None:
+        """Turn the bound on, with M = ``sub_optimum``."""
+        self.sub_optimum = sub_optimum
+        self.spare = self.nbits - self.cards[0]
+        self.vbits = [
+            sum(1 << i for i, m in enumerate(self.masks) if m >> v & 1)
+            for v in range(self.nbits)
+        ]
+
+    def reach(self) -> int:
+        """Most members, chosen ones included, that a family of this
+        subtree can have."""
+        u = self.ubits
+        size = u.bit_count()
+        m = self.sub_optimum
+        total = 0
+        least = size  # min over v of d_v
+        for vb in self.vbits:
+            d = (u & vb).bit_count()
+            total += m if m < size - d else size - d
+            if d < least:
+                least = d
+        return min(total // self.spare, m + least)
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +600,22 @@ class _CapState(_CountedState):
 
     def mark_out(self, i) -> None:
         self._set_status(i, 2)
+        # _block inlined over the children
+        status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
         for t in self.children[i]:
-            self._block(t)
+            b = blocked[t]
+            blocked[t] = b + 1
+            if not (b or status[t]):
+                avail[cards[t]] -= 1
 
     def unmark_out(self, i) -> None:
+        # _unblock inlined over the children
+        status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
         for t in self.children[i]:
-            self._unblock(t)
+            b = blocked[t] - 1
+            blocked[t] = b
+            if not (b or status[t]):
+                avail[cards[t]] += 1
         self._set_status(i, 0)
 
     # -- queries ------------------------------------------------------------
@@ -516,6 +637,38 @@ class _CapState(_CountedState):
         return total
 
 
+class _UniformCapState(_Averaging, _CapState):
+    """A ``_CapState`` of one size ``card``, carrying the averaging bound.
+
+    No candidate lies inside another, so an add takes the candidate alone
+    and no candidate has children.  The inlined add and undo of
+    ``_CapState`` leave ``ubits`` alone; these wrappers resync the
+    members of the windows that the move fills or frees, the only
+    candidates whose block count it changes.
+    """
+
+    def __init__(self, n, card, win, cap):
+        super().__init__(n, (card,), win, cap)
+        # with fewer points than a window there is no window to cap
+        self.least_n = max(card, win)
+        self._count_u()
+
+    def _in_full_windows(self, i) -> list[int]:
+        cnt, cap, window_cands = self.cnt, self.cap, self.window_cands
+        return [j for w in self.cand_windows[i] if cnt[w] == cap for j in window_cands[w]]
+
+    def try_add_group(self, i) -> list[int] | None:
+        adds = super().try_add_group(i)
+        if adds is not None:
+            self._resync(self._in_full_windows(i))
+        return adds
+
+    def undo_add_group(self, adds) -> None:
+        touched = self._in_full_windows(adds[0])
+        super().undo_add_group(adds)
+        self._resync(touched)
+
+
 # ---------------------------------------------------------------------------
 # branch-and-bound driver
 
@@ -533,6 +686,10 @@ class _Searcher:
     leaves open.  Nodes are ticked in the same order as when each frame
     ticked itself, so node counts, the point where a budget stops and
     the incumbent it leaves are unchanged by this.
+
+    ``reach``, when given, is a second bound: the most members, chosen
+    ones included, a family of the subtree can have.  It is read only at
+    nodes that the state's own ``bound_remaining`` leaves open.
     """
 
     def __init__(
@@ -541,6 +698,7 @@ class _Searcher:
         budget: _Budget,
         exclude_first_cards=frozenset(),
         use_symmetry: bool = True,
+        reach: Callable[[], int] | None = None,
     ):
         self.state = state
         self.budget = budget
@@ -549,6 +707,7 @@ class _Searcher:
         self.chosen: list[int] = []
         self.exclude_first_cards = frozenset(exclude_first_cards)
         self.use_symmetry = use_symmetry
+        self.reach = reach
 
     def run(self) -> bool:
         """Returns True when the tree was fully explored."""
@@ -567,7 +726,9 @@ class _Searcher:
         if cur > self.best:
             self.best = cur
             self.best_sel = list(self.chosen)
-        return cur + self.state.bound_remaining() > self.best
+        if cur + self.state.bound_remaining() <= self.best:
+            return False
+        return self.reach is None or self.reach() > self.best
 
     def _unwind(self, trail) -> None:
         for step, payload in reversed(trail):
@@ -686,10 +847,10 @@ def _build_tilde_state(n: int, c: int) -> _CapState:
     return _CapState(n, (2, 3), 4, c - 1)
 
 
-def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _CapState:
+def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _UniformCapState:
     """card-sets under 'at most cap inside any win-window'; one size, so
     no set has a candidate inside it and the cap is the only constraint."""
-    return _CapState(n, (card,), win, cap)
+    return _UniformCapState(n, card, win, cap)
 
 
 class _AntichainState(_CountedState):
@@ -782,27 +943,51 @@ def _solve_state(
 ) -> SearchResult:
     """Maximize over the state ``build(*args)`` and certify the answer.
 
+    ``args[0]`` is the number n of ground points.  When the state carries
+    the averaging bound (an ``_Averaging`` state with n-1 >= ``least_n``),
+    the same search first runs on n-1 points, ``build(n - 1, *args[1:])``,
+    and so on down, under the same budget: one node count and one
+    deadline, so ``nodes`` includes these sub-queries.  A proved optimum
+    on n-1 points turns the bound on.  An unproved one means the budget
+    ran out; its witness, a family on the first n-1 points, is then the
+    unproved incumbent on n points, and no search runs.
+
     The witness is ``witness(n, masks)``: ``masks`` are the ``implied``
     masks (members every witness has outside the state's candidates)
     and the chosen ones, in the canonical member order.  It is returned
     only if it has one member per mask and ``recheck(witness)`` accepts
     it; otherwise this raises RuntimeError.
     """
-    t0 = perf_counter()
     budget = _Budget(budget_nodes, budget_secs)
-    state = build(*args)
-    searcher = _Searcher(
-        state,
-        budget,
-        exclude_first_cards=exclude_first_cards,
-        use_symmetry=use_symmetry,
-    )
-    completed = searcher.run()
-    chosen = [state.masks[j] for j in searcher.best_sel or ()]
-    wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
-    if len(wit) != len(implied) + len(chosen) or not recheck(wit):
-        raise RuntimeError("witness failed independent re-verification")
-    return SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
+
+    def solve(n: int) -> SearchResult:
+        t0 = perf_counter()
+        state = build(n, *args[1:])
+        chosen = reach = None
+        completed = False
+        if isinstance(state, _Averaging) and n - 1 >= state.least_n:
+            sub = solve(n - 1)
+            if sub.proved_optimal:
+                state.start_averaging(sub.optimum)
+                reach = state.reach
+            else:  # (averaged searches have no implied members)
+                chosen = sub.witness.members
+        if chosen is None:
+            searcher = _Searcher(
+                state,
+                budget,
+                exclude_first_cards=exclude_first_cards,
+                use_symmetry=use_symmetry,
+                reach=reach,
+            )
+            completed = searcher.run()
+            chosen = [state.masks[j] for j in searcher.best_sel or ()]
+        wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
+        if len(wit) != len(implied) + len(chosen) or not recheck(wit):
+            raise RuntimeError("witness failed independent re-verification")
+        return SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
+
+    return solve(args[0])
 
 
 def _canonicalize(masks) -> tuple[int, ...]:

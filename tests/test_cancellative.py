@@ -185,11 +185,15 @@ class TestArrowVsPattern:
 
 class TestMaxCancellative:
     def test_balanced_product_small(self):
-        for n in range(2, 7):
-            assert max_cancellative(n, 2).optimum == n * n // 4
-        for n in range(3, 7):
+        # n = 10 (l=2) and n = 9 (l=3) are proved within 50k nodes only
+        # with the averaging bound
+        for n in (*range(2, 7), 10):
+            res = max_cancellative(n, 2, budget_nodes=50_000)
+            assert res.proved_optimal and res.optimum == n * n // 4, n
+        for n in (*range(3, 7), 9):
             expected = ((n + 2) // 3) * ((n + 1) // 3) * (n // 3)
-            assert max_cancellative(n, 3).optimum == expected
+            res = max_cancellative(n, 3, budget_nodes=50_000)
+            assert res.proved_optimal and res.optimum == expected, n
 
     def test_witness_reverifies(self):
         res = max_cancellative(6, 3)
@@ -222,6 +226,11 @@ class TestEx3:
     def test_witness_pattern_free(self):
         res = ex3(6, Pattern.K_MINUS)
         assert pattern_free(res.witness, 3, Pattern.K_MINUS)
+        assert len(res.witness) == res.optimum
+        # proved within 50k nodes only with the averaging bound
+        res = ex3(8, Pattern.K_COMPLETE, budget_nodes=50_000)
+        assert (res.optimum, res.proved_optimal) == (36, True)
+        assert pattern_free(res.witness, 3, Pattern.K_COMPLETE)
         assert len(res.witness) == res.optimum
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from copy import deepcopy
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -539,13 +539,13 @@ _NODE_PINS = {
     "antichain-5-1": (lambda s: max_antichain(ArrowQuery.antichain(5, 1, use_symmetry=s)),
                       (5, True, 79), (5, True, 1375)),
     "cancellative-2-7": (lambda s: max_cancellative(7, 2, use_symmetry=s),
-                         (12, True, 111), (12, True, 7175)),
+                         (12, True, 101), (12, True, 105)),
     "cancellative-3-6": (lambda s: max_cancellative(6, 3, use_symmetry=s),
-                         (8, True, 43), (8, True, 1203)),
+                         (8, True, 48), (8, True, 80)),
     "ex3-k4-6": (lambda s: ex3(6, Pattern.K_COMPLETE, use_symmetry=s),
-                 (14, True, 807), (14, True, 7697)),
+                 (14, True, 135), (14, True, 135)),
     "ex3-k4minus-6": (lambda s: ex3(6, Pattern.K_MINUS, use_symmetry=s),
-                      (10, True, 151), (10, True, 229)),
+                      (10, True, 147), (10, True, 203)),
 }
 
 
@@ -569,6 +569,7 @@ def _witness_sha256(witness):
 # the witness masks) with symmetry on and off.  Where the budget stops the
 # search, and which incumbent it leaves, depends on the order in which
 # nodes are ticked and incumbents recorded, so these pin that order.
+# trianglefree-10 now proves within 3000 nodes; 300 still stops it.
 _BUDGET_STOP_PINS = {
     ("tilde-9-5", 3000): (
         lambda s, b: max_tilde(ArrowQuery.tilde(9, 5, use_symmetry=s, budget_nodes=b)),
@@ -587,8 +588,13 @@ _BUDGET_STOP_PINS = {
     ),
     ("trianglefree-10", 3000): (
         lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
-        (25, False, 3001, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
-        (25, False, 3001, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
+        (25, True, 472, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
+        (25, True, 494, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
+    ),
+    ("trianglefree-10", 300): (
+        lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
+        (20, False, 301, "de5715fa91dc9e47a7a5f182f5119c32c1a9d1aa41ee16b988b32f4711c148ee"),
+        (16, False, 301, "329e934520cb40a24ff9b3ce9c7aba19a79a618b3dd4f02e9cbafc77407282db"),
     ),
     ("tilde-6-7", 0): (
         lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
@@ -703,6 +709,112 @@ def _undo(st, move):
         st.unmark_out(payload)
 
 
+# Reference for the uniform states (ex3, triangle-free, cancellative):
+# each is "no forbidden configuration among the chosen candidates", listed
+# from the masks alone.
+
+
+def _conflicts(st):
+    """``pairs[i][j]``: for each forbidden configuration holding the
+    candidates i and j, the bitset of its other members.  A configuration
+    is cap+1 candidates inside one window or, in a cancellative state,
+    edges H1, H2 meeting in l-1 points and an edge H3 covering their
+    difference; here each has at least three members."""
+    ms = st.masks
+    bad = set()
+    if isinstance(st, canc_mod._CancellativeState):
+        for a, b in combinations(range(len(ms)), 2):
+            if (ms[a] & ms[b]).bit_count() == st.cards[0] - 1:
+                d = ms[a] ^ ms[b]
+                bad.update(frozenset((a, b, c)) for c, mc in enumerate(ms) if d & mc == d)
+    else:
+        for w in st.windows:
+            inside = [i for i, m in enumerate(ms) if m & w == m]
+            bad.update(frozenset(c) for c in combinations(inside, st.cap + 1))
+    pairs = [[[] for _ in ms] for _ in ms]
+    for conf in bad:
+        full = sum(1 << j for j in conf)
+        for i, j in permutations(conf, 2):
+            pairs[i][j].append(full & ~(1 << i | 1 << j))
+    return pairs
+
+
+def _chosen_bits(st):
+    return sum(1 << i for i, s in enumerate(st.status) if s == 1)
+
+
+def _addable(pairs, chosen, idxs):
+    """The candidates of ``idxs`` that no forbidden configuration blocks
+    once the chosen bitset is in."""
+    ins = [i for i in range(chosen.bit_length()) if chosen >> i & 1]
+    return [j for j in idxs if not any(r & chosen == r for i in ins for r in pairs[i][j])]
+
+
+def _brute_u(st, pairs):
+    """U from the primary state: the chosen candidates plus the undecided
+    ones that can still be added."""
+    chosen = _chosen_bits(st)
+    undecided = [i for i, s in enumerate(st.status) if s == 0]
+    return chosen | sum(1 << i for i in _addable(pairs, chosen, undecided))
+
+
+def _brute_free_max(st, pairs):
+    """Most members, chosen ones included, of a family in the subtree:
+    exhaustive growth in index order, pruned by the number of candidates
+    still addable."""
+    best = 0
+
+    def grow(cands, chosen, taken):
+        nonlocal best
+        best = max(best, taken)
+        for k, i in enumerate(cands):
+            if taken + len(cands) - k <= best:
+                return
+            grown = chosen | 1 << i
+            # a candidate addable before i went in is blocked only by a
+            # configuration holding i
+            later = [j for j in cands[k + 1:] if not any(r & grown == r for r in pairs[i][j])]
+            grow(later, grown, taken + 1)
+
+    chosen = _chosen_bits(st)
+    undecided = [i for i, s in enumerate(st.status) if s == 0]
+    grow(_addable(pairs, chosen, undecided), chosen, chosen.bit_count())
+    return best
+
+
+def _averaged(build, args):
+    """``build(*args)`` with its averaging bound on, as ``_solve_state``
+    turns it on, but with M found by brute force; also its conflicts."""
+    st = build(*args)
+    if args[0] - 1 >= st.least_n:
+        smaller = build(args[0] - 1, *args[1:])
+        st.start_averaging(_brute_free_max(smaller, _conflicts(smaller)))
+    return st, _conflicts(st)
+
+
+def _check_averaging(st, pairs, memo, where):
+    """U is exact, and the averaging bound covers the subtree optimum;
+    True when it meets it.  ``memo`` caches optima by status."""
+    assert st.ubits == _brute_u(st, pairs), where
+    if not hasattr(st, "sub_optimum"):  # too few points for the bound
+        return False
+    key = tuple(st.status)
+    if key not in memo:
+        memo[key] = _brute_free_max(st, pairs)
+    reach = st.reach()
+    assert reach >= memo[key], where
+    return reach == memo[key]
+
+
+# ex3 (K4, K4-), triangle-free, cancellative l=3
+_UNIFORM_BUILDS = [
+    *((search_mod._build_uniform_window_state, (n, 3, 4, cap))
+      for n in (4, 5, 6) for cap in (3, 2)),
+    *((search_mod._build_uniform_window_state, (n, 2, 3, 2)) for n in range(3, 8)),
+    *((canc_mod._build_cancellative_state, (n, 3)) for n in range(4, 8)),
+]
+
+
 def test_all_in_matches_bruteforce_on_random_states():
     # Bound soundness of _CapState on small states, checked against brute
     # force along seeded random add/out/undo walks.  (The name is kept from
@@ -762,9 +874,41 @@ def test_all_in_matches_bruteforce_on_random_states():
             assert (st.status, st.cnt, st.avail, st.resid) == start
     assert tight, "no walk reached a state where the bound is exact"
 
+    # The uniform states also keep U (chosen and counted candidates) as a
+    # bitset and carry the averaging bound: after every move, failed adds
+    # included, U matches brute force and the bound covers the optimum.
+    rng = random.Random(3)
+    tight = 0
+    for build, args in _UNIFORM_BUILDS:
+        where = (build.__name__, args)
+        st, pairs = _averaged(build, args)
+        memo = {}
+        start = deepcopy((st.status, st.blocked, st.avail, st.ubits))
+        for _walk in range(2):
+            moves = []
+            tight += _check_averaging(st, pairs, memo, (*where, moves))
+            for _ in range(30):
+                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
+                r = rng.random()
+                if moves and (not open_ or r < 0.2):
+                    _undo(st, moves.pop())
+                elif r < 0.65:
+                    adds = st.try_add_group(rng.choice(open_))
+                    if adds is not None:
+                        moves.append(("in", adds))
+                else:
+                    i = rng.choice(open_)
+                    st.mark_out(i)
+                    moves.append(("out", i))
+                tight += _check_averaging(st, pairs, memo, (*where, moves))
+            for move in reversed(moves):
+                _undo(st, move)
+            assert deepcopy((st.status, st.blocked, st.avail, st.ubits)) == start, where
+    assert tight, "no walk reached a state where the averaging bound is exact"
+
 
 def _cap_snapshot(st):
-    return deepcopy((st.status, st.blocked, st.cnt, st.avail, st.resid))
+    return deepcopy((st.status, st.blocked, st.cnt, st.avail, st.resid, getattr(st, "ubits", None)))
 
 
 def _brute_blocked(st):
@@ -781,10 +925,16 @@ def test_cap_state_failed_add_changes_nothing():
     # _CapState raises window counts in place while an add walks its
     # closure, so a window that overflows on a later member must roll back
     # every increment the earlier members made.  Seeded add/out/undo walks
-    # on down-set and tilde states, where closures hold several members.
+    # on down-set and tilde states, where closures hold several members,
+    # and on the uniform window states, whose U bitset and averaging bound
+    # are checked against brute force after every move.
     import random
 
-    from tracelab.search import _build_downset_state, _build_tilde_state
+    from tracelab.search import (
+        _build_downset_state,
+        _build_tilde_state,
+        _build_uniform_window_state,
+    )
 
     builds = [
         (_build_downset_state, (5, 3, 5)),
@@ -793,15 +943,23 @@ def test_cap_state_failed_add_changes_nothing():
         (_build_tilde_state, (5, 4)),
         (_build_tilde_state, (6, 6)),
     ]
+    builds += [(b, args) for b, args in _UNIFORM_BUILDS if b is _build_uniform_window_state]
     rng = random.Random(707)
     late_overflows = 0  # failed adds whose first member fits on its own
     for build, args in builds:
-        st = build(*args)
+        uniform = build is _build_uniform_window_state
+        if uniform:
+            st, pairs = _averaged(build, args)
+            memo = {}
+        else:
+            st = build(*args)
         start = _cap_snapshot(st)
         for _walk in range(6):
             moves = []
             for _ in range(50):
                 where = (build.__name__, args, moves)
+                if uniform:
+                    _check_averaging(st, pairs, memo, where)
                 open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
                 r = rng.random()
                 if moves and (not open_ or r < 0.2):
@@ -826,6 +984,8 @@ def test_cap_state_failed_add_changes_nothing():
                     i = rng.choice(open_)
                     st.mark_out(i)
                     moves.append(("out", i))
+            if uniform:
+                _check_averaging(st, pairs, memo, (build.__name__, args, moves))
             for move in reversed(moves):
                 _undo(st, move)
             assert _cap_snapshot(st) == start, (build.__name__, args)
