@@ -195,6 +195,15 @@ class TestMaxCancellative:
             res = max_cancellative(n, 3, budget_nodes=50_000)
             assert res.proved_optimal and res.optimum == expected, n
 
+    def test_unproved_sub_query_still_searches_n_points(self):
+        # cancellative-3-7 without symmetry does not prove within its share
+        # of 20,000 nodes; the 8-point search must still run on the rest
+        res = max_cancellative(8, 3, budget_nodes=20_000, use_symmetry=False)
+        assert not res.proved_optimal and res.nodes <= 20_001
+        assert res.optimum >= 18
+        assert any(m >> 7 & 1 for m in res.witness.members)
+        assert is_cancellative(res.witness, 3).ok
+
     def test_witness_reverifies(self):
         res = max_cancellative(6, 3)
         assert res.proved_optimal and res.optimum == 8

@@ -593,8 +593,8 @@ _BUDGET_STOP_PINS = {
     ),
     ("trianglefree-10", 300): (
         lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
-        (20, False, 301, "de5715fa91dc9e47a7a5f182f5119c32c1a9d1aa41ee16b988b32f4711c148ee"),
-        (16, False, 301, "329e934520cb40a24ff9b3ce9c7aba19a79a618b3dd4f02e9cbafc77407282db"),
+        (21, False, 301, "be08b7ab489583066019f4010507fbf98b0fe562fdfe003cdcb9d1359721c675"),
+        (21, False, 301, "be08b7ab489583066019f4010507fbf98b0fe562fdfe003cdcb9d1359721c675"),
     ),
     ("tilde-6-7", 0): (
         lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
@@ -796,7 +796,7 @@ def _check_averaging(st, pairs, memo, where):
     """U is exact, and the averaging bound covers the subtree optimum;
     True when it meets it.  ``memo`` caches optima by status."""
     assert st.ubits == _brute_u(st, pairs), where
-    if not hasattr(st, "sub_optimum"):  # too few points for the bound
+    if st.reach is None:  # too few points for the bound
         return False
     key = tuple(st.status)
     if key not in memo:
