@@ -169,7 +169,8 @@ def arrow_vs_pattern(fam: SetFamily, k: int, pattern: Pattern) -> ArrowPatternVe
 
 class _CancellativeState(_Averaging, _CountedState):
     """Incremental cancellative feasibility for l >= 3, with the
-    averaging bound (the property survives deleting a vertex).
+    averaging bound (the property survives deleting a vertex), M from
+    the same search on n-1 points; the moves keep U in ``ubits``.
 
     Bookkeeping: ``diffs`` counts symmetric differences of chosen pairs
     meeting in l-1 points (future edges must avoid covering them) and
@@ -203,8 +204,35 @@ class _CancellativeState(_Averaging, _CountedState):
                 if (e & f).bit_count() == l - 1:
                     self.partners[i].append(j)
                     self.pair_partners[e ^ f].append((i, j))
-        self.least_n = l
-        self._count_u()
+        self.ubits = (1 << len(self.masks)) - 1
+        if n - 1 >= l:
+            self.sub_args = ((n - 1, l),)
+
+    # the base moves with the U bit added; on _block and _unblock, the hot
+    # path, super() plus a separate U update reads 70% slower on
+    # max_cancellative(8, 3) without symmetry
+
+    def _set_status(self, i: int, value: int) -> None:
+        # also chosen <-> undecided-but-blocked, where avail does not move
+        super()._set_status(i, value)
+        if value == 1 or not (value or self.blocked[i]):
+            self.ubits |= 1 << i
+        else:
+            self.ubits &= ~(1 << i)
+
+    def _block(self, i: int) -> None:
+        b = self.blocked[i]
+        self.blocked[i] = b + 1
+        if not (b or self.status[i]):
+            self.avail[self.cards[i]] -= 1
+            self.ubits &= ~(1 << i)
+
+    def _unblock(self, i: int) -> None:
+        b = self.blocked[i] - 1
+        self.blocked[i] = b
+        if not (b or self.status[i]):
+            self.avail[self.cards[i]] += 1
+            self.ubits |= 1 << i
 
     def try_add_group(self, i: int):
         if self.status[i] or self.blocked[i]:
@@ -283,7 +311,7 @@ def max_cancellative(
         build,
         args,
         witness=SetFamily.from_masks,
-        recheck=lambda w: is_cancellative(w, l).ok,
+        recheck=lambda w, *_: is_cancellative(w, l).ok,
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
         use_symmetry=use_symmetry,
@@ -306,7 +334,7 @@ def ex3(
         _build_uniform_window_state,
         (n, 3, 4, pattern.window_limit(3)),
         witness=SetFamily.from_masks,
-        recheck=lambda w: pattern_free(w, 3, pattern),
+        recheck=lambda w, *_: pattern_free(w, 3, pattern),
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
         use_symmetry=use_symmetry,

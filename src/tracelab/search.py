@@ -23,14 +23,18 @@ exact per-candidate count of what blocks the candidate in the current
 subtree, so the candidates still addable are counted, per size, as moves
 are made and undone.  The bound for antichain and cancellative states
 is the number of counted candidates; window-cap states pack them into
-the free window room.  The k-uniform searches (ex3, triangle-free,
-cancellative) chain a second bound, read only where the first fails to
-prune: the averaging bound of Katona, Nemetz and Simonovits over the
-chosen and counted candidates U, with M the same search's proved optimum
-on n-1 points (``_Averaging``).  ``_solve_state`` finds M by running the
-same search on n-1 points first, and so on down, on a fixed share of the
-query's own budget, so a result's ``nodes`` includes these sub-queries;
-the search on n points always runs.  Symmetry is exploited by orbital
+the free window room.  The down-set, ex3, triangle-free and cancellative
+searches chain a second bound, read only where the first fails to
+prune (``_Averaging``): over the chosen and counted candidates U, each
+vertex v splits a family into its members avoiding v, at most M, the
+optimum of a deletion sub-query on n-1 points, and its link at v, at
+most the degree of v in U; summed over v, the members avoiding v also
+give the averaging bound of Katona, Nemetz and Simonovits.  A
+down-set's link is itself a down-set under a halved trace ceiling, so a
+second sub-query on n-1 points caps it too (Frankl).  ``_solve_state`` runs the sub-queries a state declares
+before its own search, each at most once per query and on a fixed share
+of the query's own budget, so a result's ``nodes`` includes them; the
+search on n points always runs.  Symmetry is exploited by orbital
 branching: at a node whose chosen and excluded candidates are stabilized
 by a permutation group G of the ground set, either a representative e
 goes in, or its entire G-orbit goes out.  Disabling symmetry changes
@@ -261,8 +265,8 @@ class _Budget:
 
 class _CountedState:
     """What the search engine reads from a constraint state, and the
-    bookkeeping every state shares.  Every query builds one state and
-    runs one search over it.
+    bookkeeping every state shares.  Every search, a query's own or one
+    of its sub-queries, builds one state and runs over it.
 
     Candidates are the indices ``0 .. len(masks)-1``, in the canonical
     member order; ``masks[i]`` is the candidate's bitmask over ``nbits``
@@ -270,7 +274,8 @@ class _CountedState:
     of size c in ascending mask order and ``idx_of`` the inverse of
     ``masks``.  ``status[i]`` is 0 while candidate i is undecided, 1 once
     it is in and 2 once it is out.  The empty selection is feasible, so
-    every state admits a family.
+    every state admits a family.  ``implied`` lists the masks every family
+    of the search has outside the candidates (the down-set's empty set).
 
     ``blocked[i]`` counts the reasons, in the current subtree, why i
     cannot be added; a subclass keeps it exact through ``_block`` and
@@ -280,14 +285,15 @@ class _CountedState:
     candidate, smallest mask first, or None when none is left.
     ``bound_remaining()`` is never below the largest number of
     candidates that can still be added (the subtree optimum); by default
-    it is the number of counted candidates.  ``reach`` is None, or a
-    second bound that the engine chains after ``bound_remaining()``: a
-    callable giving the most members, chosen ones included, that a family
-    of the subtree can have.  The k-uniform states mix in ``_Averaging``,
-    which keeps the chosen and counted candidates U as a bitset and sets
-    ``reach`` once it is given the same search's optimum on n-1 points;
-    the ``nodes`` of such a search include that sub-query's.  Only these
-    states keep U.
+    it is the number of counted candidates.  While ``has_reach`` is True,
+    ``reach()`` is a second bound that the engine chains after
+    ``bound_remaining()``: the most candidates, chosen ones included,
+    that a family of the subtree can hold.  The states that mix in
+    ``_Averaging`` declare in ``sub_args`` the builder arguments of the
+    sub-queries that bound needs, and turn it on once they are given
+    the sub-queries' optima; the ``nodes`` of such a search include the
+    sub-queries'.  Those states, and every ``_CapState``, keep U, the
+    chosen and counted candidates, as the bitset ``ubits``.
 
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
@@ -300,7 +306,9 @@ class _CountedState:
     invariant under every relabeling of the ground set.
     """
 
-    reach: Callable[[], int] | None = None
+    implied: tuple[int, ...] = ()
+    has_reach = False
+    sub_args: tuple[tuple, ...] = ()
 
     def __init__(self, nbits: int, masks: list[int]):
         self.nbits = nbits
@@ -360,105 +368,69 @@ class _CountedState:
 
 
 # ---------------------------------------------------------------------------
-# the averaging bound of the uniform states
+# the vertex-deletion bound
 
 
 class _Averaging:
-    """The averaging bound, mixed into a state whose candidates are the
-    k-sets of [n] (k = ``cards[0]``) under a property that survives
-    deleting a vertex: ex3, triangle-free and cancellative.
+    """The vertex-deletion bound, mixed into a state whose family F on
+    [n] splits at each vertex v into F - v (the members avoiding v) and
+    the link F(v) = {S - v : v in S in F}, where F - v is a family of
+    the same search on n-1 points: ex3, triangle-free, cancellative and
+    down-sets.
 
-    U is the chosen and counted candidates, kept as the bitset ``ubits``
-    (bit i set while candidate i is chosen, or undecided and unblocked);
-    every family F of the current subtree lies inside U.  Let ``d_v`` be
-    the number of members of U that contain vertex v, and M the optimum
-    of the same search on n-1 points.  F - v (the members avoiding v) is
-    such a family on n-1 points, so
+    U is the chosen and counted candidates, the bitset ``ubits`` that
+    the state keeps exact (bit i set while i is chosen, or undecided and
+    unblocked); every family of the current subtree lies inside U plus
+    I, the state's ``implied`` members outside the candidates (the
+    down-set's empty set, which avoids every vertex).  Let ``d_v`` be
+    the number of members of U that contain v, M the optimum of the
+    deletion sub-query on n-1 points and L a cap on the link's size.
+    Then |F(v)| <= d_v, and F(v)'s empty set is the member {v}, which
+    ``d_v`` already counts, so for every v
 
-        (n-k)|F| = sum_v |F - v| <= sum_v min(M, |U| - d_v),  and
-        |F| = |F - v| + deg_F(v) <= M + d_v  for every v;
+        |F| = |F - v| + |F(v)| <= min(M, |U| + |I| - d_v) + min(L, d_v),
 
-    ``_averaged_reach()`` is the lesser of the two (Katona, Nemetz,
-    Simonovits, "On a graph problem of Turán", 1964).
-    ``start_averaging(M)`` turns it on: it becomes the state's ``reach``.
-    The generic moves below keep ``ubits`` exact; a subclass that inlines
-    moves resyncs the bits those moves change.
-
-    ``least_n`` is the fewest ground points on which the search is still
-    the restriction of itself: on n-1 >= ``least_n`` points its optimum
-    is M, and its witnesses pass the n-point re-check.
+    and, as each member avoids at least n - k vertices (k the largest
+    candidate size), (n - k)|F| <= sum_v min(M, |U| + |I| - d_v)
+    (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
+    ``reach()`` is the lesser of the least per-vertex bound and the
+    average, less |I|: it counts candidates, as the engine does.
+    ``start_averaging(M, L)`` turns it on; without L the link is bounded
+    by ``d_v`` alone.  The state declares the sub-queries that give M
+    (and L, where searched) in ``sub_args``.
     """
 
-    ubits = 0  # _CapState.__init__ may block candidates before _count_u runs
-
-    def _count_u(self) -> None:
-        self.ubits = 0
-        self._resync(range(len(self.masks)))
-
-    def _resync(self, idxs) -> None:
-        """Set the U bit of each candidate in ``idxs`` from its status and
-        block count."""
-        status, blocked = self.status, self.blocked
-        u = self.ubits
-        for i in idxs:
-            s = status[i]
-            if s == 1 or not (s or blocked[i]):
-                u |= 1 << i
-            else:
-                u &= ~(1 << i)
-        self.ubits = u
-
-    # -- the generic moves, with U kept --------------------------------------
-
-    def _set_status(self, i: int, value: int) -> None:
-        # also chosen <-> undecided-but-blocked, where avail does not move
-        super()._set_status(i, value)
-        self._resync((i,))
-
-    # _block and _unblock repeat the base bodies with the U bit added:
-    # super() plus _resync reads 70% slower on max_cancellative(8, 3)
-    # without symmetry, where they are the hot path.
-
-    def _block(self, i: int) -> None:
-        b = self.blocked[i]
-        self.blocked[i] = b + 1
-        if not (b or self.status[i]):
-            self.avail[self.cards[i]] -= 1
-            self.ubits &= ~(1 << i)
-
-    def _unblock(self, i: int) -> None:
-        b = self.blocked[i] - 1
-        self.blocked[i] = b
-        if not (b or self.status[i]):
-            self.avail[self.cards[i]] += 1
-            self.ubits |= 1 << i
-
-    # -- the bound ------------------------------------------------------------
-
-    def start_averaging(self, sub_optimum: int) -> None:
-        """Turn the bound on, with M = ``sub_optimum``."""
-        self.reach = self._averaged_reach
+    def start_averaging(self, sub_optimum: int, link_cap: int | None = None) -> None:
+        """Turn the bound on, with M = ``sub_optimum`` and L = ``link_cap``."""
+        self.has_reach = True
         self.sub_optimum = sub_optimum
-        self.spare = self.nbits - self.cards[0]
+        # no cap: d_v never exceeds the number of candidates
+        self.link_cap = len(self.masks) if link_cap is None else link_cap
+        self.spare = self.nbits - self.cards[-1]
         self.vbits = [
             sum(1 << i for i, m in enumerate(self.masks) if m >> v & 1)
             for v in range(self.nbits)
         ]
 
-    def _averaged_reach(self) -> int:
-        """Most members, chosen ones included, that a family of this
-        subtree can have."""
+    def reach(self) -> int:
+        """Most candidates, chosen ones included, that a family of this
+        subtree can hold: the bound above less the implied members."""
         u = self.ubits
-        size = u.bit_count()
-        m = self.sub_optimum
+        implied = len(self.implied)
+        size = u.bit_count() + implied
+        m, link = self.sub_optimum, self.link_cap
         total = 0
-        least = size  # min over v of d_v
+        best = size
         for vb in self.vbits:
             d = (u & vb).bit_count()
-            total += m if m < size - d else size - d
-            if d < least:
-                least = d
-        return min(total // self.spare, m + least)
+            rest = size - d
+            if rest > m:
+                rest = m
+            total += rest
+            rest += d if d < link else link
+            if rest < best:
+                best = rest
+        return min(total // self.spare, best) - implied
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +458,21 @@ class _CapState(_CountedState):
     windows.  ``bound_remaining`` packs the counted candidates into
     ``resid``, lightest window weight first.
 
-    Window counts ``cnt`` are raised in place as an add walks its windows;
-    at the first window that would pass ``cap`` every increment made so
-    far is rolled back and the add fails with nothing changed.  An undo
-    lowers the same windows and unblocks the candidates of each window
-    whose count leaves ``cap``: exactly the windows the add filled, since
-    a window already at ``cap`` cannot take an add.
+    A blocked candidate can never go in: a full window of its own would
+    overflow, and an excluded subset lies in ``below`` of every set
+    containing it.  So an add whose candidate or an undecided member of
+    ``below`` is blocked fails before it touches a window.  Otherwise
+    window counts ``cnt`` are raised in place as the add walks its
+    windows; at the first window that would pass ``cap`` every increment
+    made so far is rolled back and the add fails with nothing changed.
+    An undo lowers the same windows and unblocks the candidates of each
+    window whose count leaves ``cap``: exactly the windows the add
+    filled, since a window already at ``cap`` cannot take an add.
+
+    The moves keep ``ubits`` (U) in the same loops: ``bits[i]`` is XORed
+    into it wherever ``avail`` moves on a block, an unblock or an
+    exclusion, and where a chosen candidate goes back to undecided but
+    blocked.  A counted candidate that goes in stays in U.
     """
 
     def __init__(self, n, cards, win, cap):
@@ -529,23 +510,27 @@ class _CapState(_CountedState):
             for row in self.window_cands:
                 for ci in row:
                     self._block(ci)
+        self.bits = [1 << i for i in range(len(self.masks))]
+        self.ubits = sum(bit for bit, k in zip(self.bits, self.blocked) if not k)
 
     # -- moves --------------------------------------------------------------
 
     def try_add_group(self, i) -> list[int] | None:
         """Choose candidate i together with the undecided candidates inside
-        it; None if one of those is out or a window would pass ``cap``
-        (then i stays unaddable in this subtree)."""
-        status = self.status
-        if status[i]:
+        it; None if one of those is out or blocked, or a window would pass
+        ``cap`` (then i stays unaddable in this subtree)."""
+        status, blocked = self.status, self.blocked
+        if status[i] or blocked[i]:
             return None
         adds = [i]
         for j in self.below[i]:
             st = status[j]
-            if st == 2:
-                return None
             if not st:
+                if blocked[j]:
+                    return None
                 adds.append(j)
+            elif st == 2:
+                return None
         cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
         filled = []
         for j in adds:
@@ -558,21 +543,23 @@ class _CapState(_CountedState):
                 cnt[w] = c
                 if c == cap:
                     filled.append(w)
-        # _set_status(j, 1) and _block inlined
-        blocked, avail, cards = self.blocked, self.avail, self.cards
-        n_windows = self.n_windows
+        # _set_status(j, 1) and _block inlined; every member of adds was
+        # counted, so it leaves avail and stays in U
+        avail, cards, n_windows = self.avail, self.cards, self.n_windows
         for j in adds:
             status[j] = 1
-            if not blocked[j]:
-                avail[cards[j]] -= 1
+            avail[cards[j]] -= 1
             self.resid -= n_windows[j]
-        window_cands = self.window_cands
+        window_cands, bits = self.window_cands, self.bits
+        u = self.ubits
         for w in filled:
             for j2 in window_cands[w]:
                 b = blocked[j2]
                 blocked[j2] = b + 1
                 if not (b or status[j2]):
                     avail[cards[j2]] -= 1
+                    u ^= bits[j2]
+        self.ubits = u
         return adds
 
     def _roll_back(self, adds, stop_j, stop_w) -> None:
@@ -588,11 +575,14 @@ class _CapState(_CountedState):
     def undo_add_group(self, adds) -> None:
         cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
         status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
-        n_windows, window_cands = self.n_windows, self.window_cands
+        n_windows, window_cands, bits = self.n_windows, self.window_cands, self.bits
+        u = self.ubits
         # _set_status(j, 0) and _unblock inlined
         for j in adds:
             status[j] = 0
-            if not blocked[j]:
+            if blocked[j]:  # chosen -> blocked: leaves U, avail stays
+                u ^= bits[j]
+            else:
                 avail[cards[j]] += 1
             self.resid += n_windows[j]
             for w in cand_windows[j]:
@@ -603,27 +593,46 @@ class _CapState(_CountedState):
                         blocked[j2] = b
                         if not (b or status[j2]):
                             avail[cards[j2]] += 1
+                            u ^= bits[j2]
                 cnt[w] = c - 1
+        self.ubits = u
 
     def mark_out(self, i) -> None:
-        self._set_status(i, 2)
-        # _block inlined over the children
-        status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
+        # _set_status(i, 2) of an undecided i and _block over the children
+        # inlined
+        status, blocked, avail, cards, bits = (
+            self.status, self.blocked, self.avail, self.cards, self.bits
+        )
+        u = self.ubits
+        status[i] = 2
+        if not blocked[i]:
+            avail[cards[i]] -= 1
+            u ^= bits[i]
         for t in self.children[i]:
             b = blocked[t]
             blocked[t] = b + 1
             if not (b or status[t]):
                 avail[cards[t]] -= 1
+                u ^= bits[t]
+        self.ubits = u
 
     def unmark_out(self, i) -> None:
-        # _unblock inlined over the children
-        status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
+        # _unblock over the children and _set_status(i, 0) inlined
+        status, blocked, avail, cards, bits = (
+            self.status, self.blocked, self.avail, self.cards, self.bits
+        )
+        u = self.ubits
         for t in self.children[i]:
             b = blocked[t] - 1
             blocked[t] = b
             if not (b or status[t]):
                 avail[cards[t]] += 1
-        self._set_status(i, 0)
+                u ^= bits[t]
+        status[i] = 0
+        if not blocked[i]:
+            avail[cards[i]] += 1
+            u ^= bits[i]
+        self.ubits = u
 
     # -- queries ------------------------------------------------------------
 
@@ -645,35 +654,40 @@ class _CapState(_CountedState):
 
 
 class _UniformCapState(_Averaging, _CapState):
-    """A ``_CapState`` of one size ``card``, carrying the averaging bound.
-
-    No candidate lies inside another, so an add takes the candidate alone
-    and no candidate has children.  The inlined add and undo of
-    ``_CapState`` leave ``ubits`` alone; these wrappers resync the
-    members of the windows that the move fills or frees, the only
-    candidates whose block count it changes.
-    """
+    """A ``_CapState`` of one size ``card``, carrying the averaging bound
+    with M from the same search on n-1 points."""
 
     def __init__(self, n, card, win, cap):
         super().__init__(n, (card,), win, cap)
         # with fewer points than a window there is no window to cap
-        self.least_n = max(card, win)
-        self._count_u()
+        if n - 1 >= max(card, win):
+            self.sub_args = ((n - 1, card, win, cap),)
 
-    def _in_full_windows(self, i) -> list[int]:
-        cnt, cap, window_cands = self.cnt, self.cap, self.window_cands
-        return [j for w in self.cand_windows[i] if cnt[w] == cap for j in window_cands[w]]
 
-    def try_add_group(self, i) -> list[int] | None:
-        adds = super().try_add_group(i)
-        if adds is not None:
-            self._resync(self._in_full_windows(i))
-        return adds
+class _DownsetState(_Averaging, _CapState):
+    """Down-sets on [n] with members of size 1..a-1 and every a-window
+    trace below b, carrying the vertex-deletion bound.
 
-    def undo_add_group(self, adds) -> None:
-        touched = self._in_full_windows(adds[0])
-        super().undo_add_group(adds)
-        self._resync(touched)
+    The empty set is implied and sits in every a-window, so each window
+    holds at most b - 2 candidates.  F - v is such a down-set on n-1
+    points, so M is the optimum of the query (n-1, a, b).  The link
+    F(v) lies in F - v, so for an (a-1)-window Y avoiding v each member
+    T of F(v)'s trace on Y gives T and T + v in F's trace on Y + v,
+    which has at most b-1 members.  F(v) is thus a down-set of
+    (a-2)-sets and smaller on n-1 points under the ceiling
+    b' = (b-1)//2 + 1, and L is the optimum of the query (n-1, a-1, b')
+    (Frankl, "On the trace of finite sets", 1983).  As b <= 2^a, b' is
+    at most 2^(a-1): the link query is never vacuous.
+    """
+
+    implied = (0,)
+
+    def __init__(self, n, a, b):
+        super().__init__(n, range(1, a), a, b - 2)
+        # with n-1 < a points there is no window to cap; b = 2 leaves
+        # every candidate blocked
+        if n - 1 >= a >= 2 and b >= 3:
+            self.sub_args = ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +708,10 @@ class _Searcher:
     ticked itself, so node counts, the point where a budget stops and
     the incumbent it leaves are unchanged by this.
 
-    The state's ``reach``, when it has one, is read only at nodes that
-    its own ``bound_remaining`` leaves open.
+    The state's ``reach()``, while it has one, is read only at nodes
+    that its own ``bound_remaining`` leaves open.  The searcher holds it
+    as a bound method; the state holds no reference back, so a finished
+    state is freed without the cyclic collector.
     """
 
     def __init__(
@@ -712,7 +728,7 @@ class _Searcher:
         self.chosen: list[int] = []
         self.exclude_first_cards = frozenset(exclude_first_cards)
         self.use_symmetry = use_symmetry
-        self.reach = state.reach
+        self.reach = state.reach if state.has_reach else None
 
     def run(self) -> bool:
         """Returns True when the tree was fully explored."""
@@ -841,11 +857,10 @@ def _candidate_masks(nbits: int, cards) -> list[int]:
     return masks
 
 
-def _build_downset_state(n: int, a: int, b: int) -> _CapState:
-    """Down-sets on [n] with members of size 1..a-1.  The empty set is
-    implied and sits in every a-window, so each window holds at most
-    b - 2 candidates."""
-    return _CapState(n, range(1, a), a, b - 2)
+def _build_downset_state(n: int, a: int, b: int) -> _DownsetState:
+    """Down-sets on [n] with members of size 1..a-1 and no a-window trace
+    of size >= b; the empty set is implied."""
+    return _DownsetState(n, a, b)
 
 
 def _build_tilde_state(n: int, c: int) -> _CapState:
@@ -944,59 +959,87 @@ def _solve_state(
     budget_secs: float | None,
     use_symmetry: bool,
     exclude_first_cards=frozenset(),
-    implied: tuple[int, ...] = (),
 ) -> SearchResult:
     """Maximize over the state ``build(*args)`` and certify the answer.
 
-    ``args[0]`` is the number n of ground points.  When the state carries
-    the averaging bound (an ``_Averaging`` state with n-1 >= ``least_n``),
-    the same search first runs on n-1 points, ``build(n - 1, *args[1:])``,
-    and so on down, under the same budget: one node count and one
-    deadline, so ``nodes`` includes these sub-queries.  The sub-query may
-    spend ``_SUB_SHARE`` of the nodes and of the time still left; the
-    search on n points always runs, with the rest.  A proved optimum on
-    n-1 points turns the bound on.  An unproved sub-query's witness, a
-    family on the first n-1 points, is the search's first incumbent
-    instead.
+    When the state declares sub-queries (``sub_args``, builder argument
+    tuples on n-1 points), they run first, in order, up to the first
+    that is not proved, under the same budget: one node count and one
+    deadline, so ``nodes`` includes them.  Together they may spend
+    ``_SUB_SHARE`` of the nodes and of the time still left; the search
+    on ``args`` always runs, with the rest.  A sub-query runs at most
+    once per query, wherever it is declared, and its own sub-queries
+    before it.  When every one proves, their optima turn the state's
+    bound on.  Otherwise the first one's witness, a family of the same
+    search on the first n-1 points, is the search's first incumbent.
 
-    The witness is ``witness(n, masks)``: ``masks`` are the ``implied``
-    masks (members every witness has outside the state's candidates)
-    and the chosen ones, in the canonical member order.  It is returned
-    only if it has one member per mask and ``recheck(witness)`` accepts
-    it; otherwise this raises RuntimeError.
+    The witness is ``witness(n, masks)``: ``masks`` are the state's
+    ``implied`` masks and the chosen ones, in the canonical member
+    order.  It is returned only if it has one member per mask and
+    ``recheck(witness, *args)``, with the arguments of its own search,
+    accepts it; otherwise this raises RuntimeError.
     """
-    budget = _Budget(budget_nodes, budget_secs)
+    return _Query(
+        build, witness, recheck, _Budget(budget_nodes, budget_secs),
+        use_symmetry, exclude_first_cards,
+    ).solve(args)
 
-    def solve(n: int) -> SearchResult:
+
+class _Query:
+    """The searches of one ``_solve_state`` call: its own and the
+    sub-queries below it, which share its budget."""
+
+    def __init__(self, build, witness, recheck, budget, use_symmetry, exclude_first_cards):
+        self.build, self.witness, self.recheck = build, witness, recheck
+        self.budget = budget
+        self.use_symmetry = use_symmetry
+        self.exclude_first_cards = exclude_first_cards
+        self.solved: dict[tuple, SearchResult] = {}  # sub-query args -> result
+
+    def solve(self, args: tuple) -> SearchResult:
         t0 = perf_counter()
-        state = build(n, *args[1:])
+        budget = self.budget
+        state = self.build(*args)
         start = None
-        if isinstance(state, _Averaging) and n - 1 >= state.least_n:
-            sub = _sub_budgeted(budget, lambda: solve(n - 1))
-            if sub.proved_optimal:
-                state.start_averaging(sub.optimum)
-            else:  # (averaged searches have no implied members)
-                start = [state.idx_of[m] for m in sub.witness.members]
+        if state.sub_args:
+            subs = _sub_budgeted(budget, lambda: self._sub_queries(state.sub_args))
+            if len(subs) == len(state.sub_args) and subs[-1].proved_optimal:
+                state.start_averaging(*(r.optimum for r in subs))
+            else:
+                start = [
+                    state.idx_of[m] for m in subs[0].witness.members if m not in state.implied
+                ]
         searcher = _Searcher(
             state,
             budget,
-            exclude_first_cards=exclude_first_cards,
-            use_symmetry=use_symmetry,
+            exclude_first_cards=self.exclude_first_cards,
+            use_symmetry=self.use_symmetry,
         )
         if start is not None:
             searcher.best, searcher.best_sel = len(start), start
         # a sub-query that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
         chosen = [state.masks[j] for j in searcher.best_sel or ()]
-        wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
-        if len(wit) != len(implied) + len(chosen) or not recheck(wit):
+        implied = state.implied
+        wit = self.witness(state.nbits, _canonicalize([*implied, *chosen]))
+        if len(wit) != len(implied) + len(chosen) or not self.recheck(wit, *args):
             raise RuntimeError("witness failed independent re-verification")
         return SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
 
-    return solve(args[0])
+    def _sub_queries(self, sub_args) -> list[SearchResult]:
+        """The results of the sub-queries ``sub_args``, in order, up to the
+        first that is not proved."""
+        subs = []
+        for args in sub_args:
+            if args not in self.solved:
+                self.solved[args] = self.solve(args)
+            subs.append(self.solved[args])
+            if not subs[-1].proved_optimal:
+                break
+        return subs
 
 
-# share of the nodes and seconds still left that an n-1 sub-query may spend
+# share of the nodes and seconds still left that a state's sub-queries may spend
 _SUB_SHARE = 3 / 4
 
 
@@ -1040,9 +1083,9 @@ def max_family(q: ArrowQuery) -> SearchResult:
     avoiding the trace level into a down-set of the same size, and a
     member of size >= a would already fill a full a-window.  One search
     over the sets of size 1..a-1 decides the singletons with the rest;
-    the empty set is added to its witness.  Earlier versions ran one
-    search per number of singletons, so node counts differ from theirs,
-    and for some queries so do the witness and ``result_digest``.
+    the empty set is added to its witness.  The deletion and link
+    queries of its bound run first, on n-1 points (``_DownsetState``),
+    and their nodes count in the result's.
     """
     q.validate()
     if q.mode != MODE_DOWNSET:
@@ -1052,8 +1095,7 @@ def max_family(q: ArrowQuery) -> SearchResult:
         (q.n, q.a, q.b),
         **_limits(q),
         witness=SetFamily.from_masks,
-        recheck=lambda w: is_downset(w) and not arrows(w, q.a, q.b),
-        implied=(0,),
+        recheck=lambda w, n, a, b: is_downset(w) and not arrows(w, a, b),
     )
 
 
@@ -1074,7 +1116,7 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
         (q.n, q.c),
         **_limits(q),
         witness=_tilde_witness,
-        recheck=lambda w: w.complete and not hookarrow(w, q.c),
+        recheck=lambda w, n, c: w.complete and not hookarrow(w, c),
         exclude_first_cards=frozenset((3,)),
     )
 
@@ -1092,7 +1134,7 @@ def max_antichain(q: ArrowQuery) -> SearchResult:
         (q.n, q.k),
         **_limits(q),
         witness=SetFamily.from_masks,
-        recheck=lambda w: is_antichain(w) and not (len(w) and arrows(w, q.k + 1, 1 << (q.k + 1))),
+        recheck=lambda w, n, k: is_antichain(w) and not (len(w) and arrows(w, k + 1, 1 << (k + 1))),
     )
 
 

@@ -191,6 +191,28 @@ class TestDownsetSearch:
             off = max_family(ArrowQuery.downset(n, a, b, use_symmetry=False))
             assert on.optimum == off.optimum
 
+    def test_link_problem_closed_form(self):
+        # (3, 7) is the link problem of (4, 13); its closed form, proved
+        # through n = 9 by the vertex-deletion bound's sub-query chain
+        for n in range(3, 10):
+            res = max_family(ArrowQuery.downset(n, 3, 7))
+            assert (res.optimum, res.proved_optimal) == (n * n // 4 + n + 1, True), n
+
+    def test_vertex_deletion_bound_proves_8_4_13(self):
+        # |G| = 48 at n = 8, sub-queries included in the node count
+        res = max_family(ArrowQuery.downset(8, 4, 13))
+        assert (res.optimum, res.proved_optimal) == (48, True)
+        assert res.nodes <= 13_000
+
+    @pytest.mark.parametrize(
+        "args, optimum", [((7, 6, 12), 13), ((7, 6, 14), 16), ((7, 6, 16), 19), ((6, 5, 23), 34)]
+    )
+    def test_bound_proves_without_symmetry(self, args, optimum):
+        # proofs that the window-packing bound alone did not finish within
+        # this budget
+        res = max_family(ArrowQuery.downset(*args, use_symmetry=False, budget_nodes=20_000))
+        assert (res.optimum, res.proved_optimal) == (optimum, True)
+
     def test_budget_exhaustion_unproved(self):
         res = max_family(ArrowQuery.downset(7, 4, 13, budget_nodes=40))
         assert not res.proved_optimal
@@ -428,7 +450,7 @@ def test_random_window_problems_match_bruteforce():
             if all(sum(1 for m in chosen if m & w == m) <= cap for w in wins):
                 best = len(chosen)
 
-        def within_caps(fam):
+        def within_caps(fam, *_):
             return all(sum(1 for m in fam.members if m & w == m) <= cap for w in wins)
 
         for sym in (True, False):
@@ -445,18 +467,28 @@ def test_random_window_problems_match_bruteforce():
 
 
 def test_downset_query_is_one_search(monkeypatch):
-    # one state build per query: no per-prefix subproblems
+    # one build of the query's own state, first: no per-prefix subproblems.
+    # Every other build is a sub-query that an earlier build declared, on
+    # one point fewer, and no arguments are built twice.
     calls = []
+    declared = {}  # sub-query args -> the args of the build declaring it
     real = search_mod._build_downset_state
 
     def counting(*args):
+        assert args == (6, 4, 13) or args in declared, args
         calls.append(args)
-        return real(*args)
+        st = real(*args)
+        for sub in st.sub_args:
+            declared.setdefault(sub, args)
+        return st
 
     monkeypatch.setattr(search_mod, "_build_downset_state", counting)
     res = max_family(ArrowQuery.downset(6, 4, 13))
     assert (res.optimum, res.proved_optimal) == (27, True)
-    assert calls == [(6, 4, 13)]
+    assert calls[0] == (6, 4, 13) and calls.count((6, 4, 13)) == 1
+    assert len(set(calls)) == len(calls)
+    assert all(declared[sub][0] - 1 == sub[0] for sub in calls[1:])
+    assert (5, 4, 13) in calls and (5, 3, 7) in calls  # deletion and link
 
 
 def test_zero_node_budget_keeps_empty_set_witness():
@@ -522,14 +554,41 @@ def test_lost_witness_member_raises(monkeypatch, run):
         run()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: max_family(ArrowQuery.downset(6, 4, 13)),
+        lambda: max_tilde(ArrowQuery.tilde(6, 6)),
+        lambda: max_antichain(ArrowQuery.antichain(4, 1)),
+        lambda: max_cancellative(6, 3),
+        lambda: max_cancellative(7, 2),
+        lambda: ex3(6, Pattern.K_COMPLETE),
+    ],
+    ids=["max_family", "max_tilde", "max_antichain", "max_cancellative", "trianglefree", "ex3"],
+)
+def test_finished_search_leaves_no_reference_cycles(run):
+    # states, searchers and sub-query results are freed by reference
+    # counting alone, so none waits for the cyclic collector
+    import gc
+
+    run()  # imports and first-call caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # (optimum, proved_optimal, nodes) with symmetry on and off.  The DFS is
 # deterministic, so a change that claims not to alter the search must
 # leave every triple exactly as it is.
 _NODE_PINS = {
     "downset-6-4-13": (lambda s: max_family(ArrowQuery.downset(6, 4, 13, use_symmetry=s)),
-                       (27, True, 106), (27, True, 4332)),
+                       (27, True, 135), (27, True, 1066)),
     "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
-                      (16, True, 43), (16, True, 661)),
+                      (16, True, 97), (16, True, 147)),
     "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
                   (12, True, 63), (12, True, 1592)),
     "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
@@ -782,26 +841,128 @@ def _brute_free_max(st, pairs):
     return best
 
 
+def _reach_ref(st, u, m, link, implied):
+    """The vertex-deletion bound from its definition, on the bitset U = u:
+    for every vertex v, the members of U and the ``implied`` ones that
+    avoid v, at most m, plus those that contain v, at most ``link`` (None:
+    no cap); and the first term averaged over v, each member avoiding at
+    least n - k vertices.  In candidates, so less ``implied``."""
+    members = [mask for i, mask in enumerate(st.masks) if u >> i & 1]
+    size = len(members) + implied
+    per_vertex, total = [], 0
+    for v in range(st.nbits):
+        d = sum(1 for mask in members if mask >> v & 1)
+        total += min(m, size - d)
+        per_vertex.append(min(m, size - d) + (d if link is None else min(link, d)))
+    spare = st.nbits - max(st.cards)
+    return min(min(per_vertex), total // spare) - implied
+
+
 def _averaged(build, args):
     """``build(*args)`` with its averaging bound on, as ``_solve_state``
-    turns it on, but with M found by brute force; also its conflicts."""
+    turns it on, but with M found by brute force (None when the state
+    declares no sub-query); also its conflicts."""
     st = build(*args)
-    if args[0] - 1 >= st.least_n:
-        smaller = build(args[0] - 1, *args[1:])
-        st.start_averaging(_brute_free_max(smaller, _conflicts(smaller)))
-    return st, _conflicts(st)
+    m = None
+    if st.sub_args:
+        (sub,) = st.sub_args
+        assert sub == (args[0] - 1, *args[1:])
+        smaller = build(*sub)
+        m = _brute_free_max(smaller, _conflicts(smaller))
+        st.start_averaging(m)
+    return st, _conflicts(st), m
 
 
-def _check_averaging(st, pairs, memo, where):
-    """U is exact, and the averaging bound covers the subtree optimum;
-    True when it meets it.  ``memo`` caches optima by status."""
-    assert st.ubits == _brute_u(st, pairs), where
-    if st.reach is None:  # too few points for the bound
+def _check_averaging(st, pairs, m, memo, where):
+    """U is exact, and the averaging bound is its definition and covers
+    the subtree optimum; True when it meets it.  ``memo`` caches optima
+    by status."""
+    u = _brute_u(st, pairs)
+    assert st.ubits == u, where
+    if m is None:  # too few points for the bound
+        assert not st.has_reach, where
         return False
     key = tuple(st.status)
     if key not in memo:
         memo[key] = _brute_free_max(st, pairs)
     reach = st.reach()
+    assert reach == _reach_ref(st, u, m, None, 0), where
+    assert reach >= memo[key], where
+    return reach == memo[key]
+
+
+# Reference for the down-set bound: M and the link cap L by brute force.
+
+
+def _brute_downset_max(n, a, b):
+    """Largest down-set on [n] of sets of size < a, the empty set
+    included, with every a-window trace below b.  Down-sets are grown one
+    set at a time in (size, mask) order, a set only once all its
+    one-smaller subsets are in, so each is met once; traces only grow."""
+    sets = sorted((m for m in range(1, 1 << n) if m.bit_count() < a),
+                  key=lambda m: (m.bit_count(), m))
+    wins = [sum(1 << x for x in c) for c in combinations(range(n), a)]
+    fam = {0}
+    best = 0
+
+    def grow(pos):
+        nonlocal best
+        best = max(best, len(fam))
+        for k in range(pos, len(sets)):
+            m = sets[k]
+            if all(m & ~(1 << x) in fam for x in range(n) if m >> x & 1):
+                fam.add(m)
+                if all(len({f & w for f in fam}) < b for w in wins):
+                    grow(k + 1)
+                fam.remove(m)
+
+    grow(0)
+    return best
+
+
+def _bounded_downset(args):
+    """``_build_downset_state(*args)`` with its bound on, as
+    ``_solve_state`` turns it on, but with M = M(n-1, a, b) and
+    L = M(n-1, a-1, (b-1)//2 + 1) found by brute force; and (M, L), or
+    None when the state has too few points for the bound.  The searches
+    for M and L reach the same optima, with symmetry on and off."""
+    n, a, b = args
+    st = search_mod._build_downset_state(*args)
+    if n - 1 < a:
+        assert st.sub_args == ()
+        return st, None
+    assert st.sub_args == ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1)), args
+    optima = tuple(_brute_downset_max(*sub) for sub in st.sub_args)
+    for sub, opt in zip(st.sub_args, optima):
+        for sym in (True, False):
+            res = max_family(ArrowQuery.downset(*sub, use_symmetry=sym))
+            assert (res.optimum, res.proved_optimal) == (opt, True), (sub, sym)
+    st.start_averaging(*optima)
+    return st, optima
+
+
+def _brute_cap_u(st):
+    """U of a ``_CapState`` from the primary state: the chosen candidates
+    plus the counted ones."""
+    chosen = sum(1 << i for i, s in enumerate(st.status) if s == 1)
+    return chosen | sum(1 << i for i in _brute_counted(st))
+
+
+def _check_cap_u(st, bound, memo, where):
+    """After a move on a down-set or tilde state: U is exact and, where
+    the state carries the down-set bound with (M, L) = ``bound``,
+    ``reach()`` is the bound's definition and covers the subtree optimum
+    (``memo`` caches it by status); True when it meets it."""
+    u = _brute_cap_u(st)
+    assert st.ubits == u, where
+    if bound is None:
+        assert not st.has_reach, where
+        return False
+    key = tuple(st.status)
+    if key not in memo:
+        memo[key] = st.status.count(1) + _brute_subtree_max(st)
+    reach = st.reach()
+    assert reach == _reach_ref(st, u, *bound, 1), where
     assert reach >= memo[key], where
     return reach == memo[key]
 
@@ -818,7 +979,10 @@ _UNIFORM_BUILDS = [
 def test_all_in_matches_bruteforce_on_random_states():
     # Bound soundness of _CapState on small states, checked against brute
     # force along seeded random add/out/undo walks.  (The name is kept from
-    # the all-in shortcut this test used to check.)
+    # the all-in shortcut this test used to check.)  After every move,
+    # failed adds included, U is exact on every state, and on down-sets
+    # the vertex-deletion bound, with M and L by brute force, is its
+    # definition and covers the subtree optimum.
     import random
 
     from tracelab.search import (
@@ -835,28 +999,37 @@ def test_all_in_matches_bruteforce_on_random_states():
         (_build_downset_state, (5, 3, 5)),
         (_build_downset_state, (5, 3, 7)),
         (_build_downset_state, (5, 3, 6)),
+        (_build_downset_state, (5, 2, 3)),
+        (_build_downset_state, (6, 2, 4)),
         (_build_uniform_window_state, (6, 2, 3, 2)),
         (_build_uniform_window_state, (5, 3, 4, 2)),
         (_build_uniform_window_state, (5, 2, 4, 3)),
     ]
     rng = random.Random(2024)
     tight = 0  # states where the bound equals the subtree optimum
+    reach_tight = 0  # states where the down-set bound does
     for build, args in builds:
-        st = build(*args)
+        if build is _build_downset_state:
+            st, bound = _bounded_downset(args)
+        else:
+            st, bound = build(*args), None
+        memo = {}
         assert len(st.masks) <= 20  # brute force stays cheap
         assert all(p < i for i in range(len(st.masks)) for p in _prereqs(st, i))
-        start = (list(st.status), list(st.cnt), dict(st.avail), st.resid)
+        start = (list(st.status), list(st.cnt), dict(st.avail), st.resid, st.ubits)
         for _walk in range(4):
             moves = []
             for _ in range(60):
+                where = (build.__name__, args, moves)
                 counted = _brute_counted(st)
                 assert st.avail == {
                     c: sum(1 for i in counted if st.cards[i] == c) for c in st.avail
-                }, (build.__name__, args, moves)
+                }, where
                 best = _brute_subtree_max(st)
-                bound = st.bound_remaining()
-                assert bound >= best, (build.__name__, args, moves)
-                tight += bound == best
+                bound_now = st.bound_remaining()
+                assert bound_now >= best, where
+                tight += bound_now == best
+                reach_tight += _check_cap_u(st, bound, memo, where)
                 open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
                 r = rng.random()
                 if moves and (not open_ or r < 0.2):
@@ -869,10 +1042,12 @@ def test_all_in_matches_bruteforce_on_random_states():
                     i = rng.choice(open_)
                     st.mark_out(i)
                     moves.append(("out", i))
+            reach_tight += _check_cap_u(st, bound, memo, (build.__name__, args, moves))
             for move in reversed(moves):
                 _undo(st, move)
-            assert (st.status, st.cnt, st.avail, st.resid) == start
+            assert (st.status, st.cnt, st.avail, st.resid, st.ubits) == start
     assert tight, "no walk reached a state where the bound is exact"
+    assert reach_tight, "no walk reached a state where the down-set bound is exact"
 
     # The uniform states also keep U (chosen and counted candidates) as a
     # bitset and carry the averaging bound: after every move, failed adds
@@ -881,12 +1056,12 @@ def test_all_in_matches_bruteforce_on_random_states():
     tight = 0
     for build, args in _UNIFORM_BUILDS:
         where = (build.__name__, args)
-        st, pairs = _averaged(build, args)
+        st, pairs, m = _averaged(build, args)
         memo = {}
         start = deepcopy((st.status, st.blocked, st.avail, st.ubits))
         for _walk in range(2):
             moves = []
-            tight += _check_averaging(st, pairs, memo, (*where, moves))
+            tight += _check_averaging(st, pairs, m, memo, (*where, moves))
             for _ in range(30):
                 open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
                 r = rng.random()
@@ -900,7 +1075,7 @@ def test_all_in_matches_bruteforce_on_random_states():
                     i = rng.choice(open_)
                     st.mark_out(i)
                     moves.append(("out", i))
-                tight += _check_averaging(st, pairs, memo, (*where, moves))
+                tight += _check_averaging(st, pairs, m, memo, (*where, moves))
             for move in reversed(moves):
                 _undo(st, move)
             assert deepcopy((st.status, st.blocked, st.avail, st.ubits)) == start, where
@@ -908,7 +1083,7 @@ def test_all_in_matches_bruteforce_on_random_states():
 
 
 def _cap_snapshot(st):
-    return deepcopy((st.status, st.blocked, st.cnt, st.avail, st.resid, getattr(st, "ubits", None)))
+    return deepcopy((st.status, st.blocked, st.cnt, st.avail, st.resid, st.ubits))
 
 
 def _brute_blocked(st):
@@ -927,7 +1102,10 @@ def test_cap_state_failed_add_changes_nothing():
     # every increment the earlier members made.  Seeded add/out/undo walks
     # on down-set and tilde states, where closures hold several members,
     # and on the uniform window states, whose U bitset and averaging bound
-    # are checked against brute force after every move.
+    # are checked against brute force after every move; so are U on the
+    # down-set and tilde states, and the down-set bound.  An add whose
+    # closure has an excluded or a blocked member fails before it touches
+    # a window: it rolls nothing back.
     import random
 
     from tracelab.search import (
@@ -946,20 +1124,28 @@ def test_cap_state_failed_add_changes_nothing():
     builds += [(b, args) for b, args in _UNIFORM_BUILDS if b is _build_uniform_window_state]
     rng = random.Random(707)
     late_overflows = 0  # failed adds whose first member fits on its own
+    early_fails = 0  # failed adds with a blocked closure member
     for build, args in builds:
         uniform = build is _build_uniform_window_state
+        memo = {}
         if uniform:
-            st, pairs = _averaged(build, args)
-            memo = {}
+            st, pairs, m = _averaged(build, args)
+        elif build is _build_downset_state:
+            st, bound = _bounded_downset(args)
         else:
-            st = build(*args)
+            st, bound = build(*args), None
+        roll_backs = []
+        real_roll_back = st._roll_back
+        st._roll_back = lambda *a: (roll_backs.append(a), real_roll_back(*a))
         start = _cap_snapshot(st)
         for _walk in range(6):
             moves = []
             for _ in range(50):
                 where = (build.__name__, args, moves)
                 if uniform:
-                    _check_averaging(st, pairs, memo, where)
+                    _check_averaging(st, pairs, m, memo, where)
+                else:
+                    _check_cap_u(st, bound, memo, where)
                 open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
                 r = rng.random()
                 if moves and (not open_ or r < 0.2):
@@ -967,7 +1153,10 @@ def test_cap_state_failed_add_changes_nothing():
                 elif r < 0.8:
                     i = rng.choice(open_)
                     closure = _closure_ref(st, i)
+                    blocked = _brute_blocked(st)
+                    early = closure is None or any(blocked[j] for j in closure)
                     before = _cap_snapshot(st)
+                    rolled = len(roll_backs)
                     adds = st.try_add_group(i)
                     if adds is None:
                         assert _cap_snapshot(st) == before, where
@@ -976,7 +1165,11 @@ def test_cap_state_failed_add_changes_nothing():
                             and len(closure) >= 2
                             and all(st.cnt[w] < st.cap for w in st.cand_windows[i])
                         )
+                        if early:
+                            assert len(roll_backs) == rolled, where
+                            early_fails += closure is not None
                     else:
+                        assert not early, where
                         assert sorted(adds) == sorted(closure), where
                         assert st.blocked == _brute_blocked(st), where
                         moves.append(("in", adds))
@@ -984,12 +1177,16 @@ def test_cap_state_failed_add_changes_nothing():
                     i = rng.choice(open_)
                     st.mark_out(i)
                     moves.append(("out", i))
+            where = (build.__name__, args, moves)
             if uniform:
-                _check_averaging(st, pairs, memo, (build.__name__, args, moves))
+                _check_averaging(st, pairs, m, memo, where)
+            else:
+                _check_cap_u(st, bound, memo, where)
             for move in reversed(moves):
                 _undo(st, move)
             assert _cap_snapshot(st) == start, (build.__name__, args)
     assert late_overflows, "no add overflowed on a closure member after the first"
+    assert early_fails, "no add failed on a blocked closure member"
 
 
 def test_cap_state_structure_matches_bruteforce():
