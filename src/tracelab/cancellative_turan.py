@@ -23,7 +23,6 @@ from .search import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECS,
     SearchResult,
-    _Averaging,
     _CountedState,
     _build_uniform_window_state,
     _candidate_masks,
@@ -167,10 +166,12 @@ def arrow_vs_pattern(fam: SetFamily, k: int, pattern: Pattern) -> ArrowPatternVe
 # extremal searches
 
 
-class _CancellativeState(_Averaging, _CountedState):
+class _CancellativeState(_CountedState):
     """Incremental cancellative feasibility for l >= 3, with the
     averaging bound (the property survives deleting a vertex), M from
-    the same search on n-1 points; the moves keep U in ``ubits``.
+    the same search on n-1 points.  The moves are the base ones
+    (``_set_status``, ``_block``, ``_unblock``), which keep ``free`` and
+    ``inbits``.
 
     Bookkeeping: ``diffs`` counts symmetric differences of chosen pairs
     meeting in l-1 points (future edges must avoid covering them) and
@@ -204,35 +205,8 @@ class _CancellativeState(_Averaging, _CountedState):
                 if (e & f).bit_count() == l - 1:
                     self.partners[i].append(j)
                     self.pair_partners[e ^ f].append((i, j))
-        self.ubits = (1 << len(self.masks)) - 1
         if n - 1 >= l:
             self.sub_args = ((n - 1, l),)
-
-    # the base moves with the U bit added; on _block and _unblock, the hot
-    # path, super() plus a separate U update reads 70% slower on
-    # max_cancellative(8, 3) without symmetry
-
-    def _set_status(self, i: int, value: int) -> None:
-        # also chosen <-> undecided-but-blocked, where avail does not move
-        super()._set_status(i, value)
-        if value == 1 or not (value or self.blocked[i]):
-            self.ubits |= 1 << i
-        else:
-            self.ubits &= ~(1 << i)
-
-    def _block(self, i: int) -> None:
-        b = self.blocked[i]
-        self.blocked[i] = b + 1
-        if not (b or self.status[i]):
-            self.avail[self.cards[i]] -= 1
-            self.ubits &= ~(1 << i)
-
-    def _unblock(self, i: int) -> None:
-        b = self.blocked[i] - 1
-        self.blocked[i] = b
-        if not (b or self.status[i]):
-            self.avail[self.cards[i]] += 1
-            self.ubits |= 1 << i
 
     def try_add_group(self, i: int):
         if self.status[i] or self.blocked[i]:

@@ -20,25 +20,29 @@ it through the search's own independent predicate before it returns.
 
 The engine branches on candidate sets.  Every constraint state keeps an
 exact per-candidate count of what blocks the candidate in the current
-subtree, so the candidates still addable are counted, per size, as moves
-are made and undone.  The bound for antichain and cancellative states
-is the number of counted candidates; window-cap states pack them into
-the free window room.  The down-set, ex3, triangle-free and cancellative
+subtree, and two bitsets over the candidates: ``free``, the candidates
+still addable (undecided and unblocked: the *counted* ones), and
+``inbits``, the chosen ones.  The moves update those two bitsets, and
+all else the engine reads derives from them: the next candidate to
+branch on, the counts per size, the incumbent and U, the chosen and
+counted candidates.  The bound for antichain and cancellative states is
+the number of counted candidates; window-cap states pack them into the
+free window room.  The down-set, ex3, triangle-free and cancellative
 searches chain a second bound, read only where the first fails to
-prune (``_Averaging``): over the chosen and counted candidates U, each
-vertex v splits a family into its members avoiding v, at most M, the
-optimum of a deletion sub-query on n-1 points, and its link at v, at
-most the degree of v in U; summed over v, the members avoiding v also
-give the averaging bound of Katona, Nemetz and Simonovits.  A
-down-set's link is itself a down-set under a halved trace ceiling, so a
-second sub-query on n-1 points caps it too (Frankl).  ``_solve_state`` runs the sub-queries a state declares
-before its own search, each at most once per query and on a fixed share
-of the query's own budget, so a result's ``nodes`` includes them; the
-search on n points always runs.  Symmetry is exploited by orbital
-branching: at a node whose chosen and excluded candidates are stabilized
-by a permutation group G of the ground set, either a representative e
-goes in, or its entire G-orbit goes out.  Disabling symmetry changes
-node counts, never optima.
+prune (``_CountedState.reach``): over U, each vertex v splits a family
+into its members avoiding v, at most M, the optimum of a deletion
+sub-query on n-1 points, and its link at v, at most the degree of v in
+U; summed over v, the members avoiding v also give the averaging bound
+of Katona, Nemetz and Simonovits.  A down-set's link is itself a
+down-set under a halved trace ceiling, so a second sub-query on n-1
+points caps it too (Frankl).  ``_solve_state`` runs the sub-queries a
+state declares before its own search, each at most once per query and
+on a fixed share of the query's own budget, so a result's ``nodes``
+includes them; the search on n points always runs.  Symmetry is
+exploited by orbital branching: at a node whose chosen and excluded
+candidates are stabilized by a permutation group G of the ground set,
+either a representative e goes in, or its entire G-orbit goes out.
+Disabling symmetry changes node counts, never optima.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .constructions import TildeFamily, hookarrow, tilde_to_json_obj
 from .setcore import (
     FamilyError,
     SetFamily,
+    _canon_key,
     arrows,
     family_to_json_obj,
     is_antichain,
@@ -269,31 +274,55 @@ class _CountedState:
     of its sub-queries, builds one state and runs over it.
 
     Candidates are the indices ``0 .. len(masks)-1``, in the canonical
-    member order; ``masks[i]`` is the candidate's bitmask over ``nbits``
-    ground elements, ``cards[i]`` its size, ``by_card[c]`` the candidates
-    of size c in ascending mask order and ``idx_of`` the inverse of
-    ``masks``.  ``status[i]`` is 0 while candidate i is undecided, 1 once
-    it is in and 2 once it is out.  The empty selection is feasible, so
-    every state admits a family.  ``implied`` lists the masks every family
-    of the search has outside the candidates (the down-set's empty set).
+    member order (by size, then mask); ``masks[i]`` is the candidate's
+    bitmask over ``nbits`` ground elements, ``cards[i]`` its size,
+    ``by_card[c]`` the candidates of size c in ascending mask order and
+    ``idx_of`` the inverse of ``masks``.  ``status[i]`` is 0 while
+    candidate i is undecided, 1 once it is in and 2 once it is out.  The
+    empty selection is feasible, so every state admits a family.
+    ``implied`` lists the masks every family of the search has outside
+    the candidates (the down-set's empty set).
 
     ``blocked[i]`` counts the reasons, in the current subtree, why i
     cannot be added; a subclass keeps it exact through ``_block`` and
     ``_unblock``.  A candidate is *counted* while it is undecided and
-    unblocked, and ``avail[c]`` is the number of counted candidates of
-    size c.  ``pick_first()`` is the highest-cardinality counted
-    candidate, smallest mask first, or None when none is left.
-    ``bound_remaining()`` is never below the largest number of
-    candidates that can still be added (the subtree optimum); by default
-    it is the number of counted candidates.  While ``has_reach`` is True,
-    ``reach()`` is a second bound that the engine chains after
+    unblocked.  Two bitsets over the candidate indices are all the rest
+    of the state: ``free`` holds the counted candidates and ``inbits``
+    the chosen ones (``bits[i]`` is candidate i's bit, ``card_bits[c]``
+    the bits of size c).  Everything else derives from them.  As the
+    index order is by size, then mask, ``pick_first()``, the
+    highest-cardinality counted candidate with the smallest mask, is the
+    lowest bit of ``free`` of the size of its top bit, or None when
+    ``free`` is empty.  ``bound_remaining()`` is never below the largest
+    number of candidates that can still be added (the subtree optimum);
+    by default it is the number of counted candidates.
+
+    The vertex-deletion bound.  While ``has_reach`` is True, ``reach()``
+    is a second bound that the engine chains after
     ``bound_remaining()``: the most candidates, chosen ones included,
-    that a family of the subtree can hold.  The states that mix in
-    ``_Averaging`` declare in ``sub_args`` the builder arguments of the
-    sub-queries that bound needs, and turn it on once they are given
-    the sub-queries' optima; the ``nodes`` of such a search include the
-    sub-queries'.  Those states, and every ``_CapState``, keep U, the
-    chosen and counted candidates, as the bitset ``ubits``.
+    that a family of the subtree can hold.  It serves states whose
+    family F on [n] splits at each vertex v into F - v (the members
+    avoiding v), a family of the same search on n-1 points, and the
+    link F(v) = {S - v : v in S in F}: ex3, triangle-free, cancellative
+    and down-sets.  Every family of the subtree lies inside U =
+    ``free | inbits``, the chosen and counted candidates, plus I, the
+    ``implied`` members.  Let ``d_v`` be the number of members of U that
+    contain v, M the optimum of the deletion sub-query on n-1 points and
+    L a cap on the link's size.  Then |F(v)| <= d_v, and F(v)'s empty
+    set is the member {v}, which ``d_v`` already counts, so for every v
+
+        |F| = |F - v| + |F(v)| <= min(M, |U| + |I| - d_v) + min(L, d_v),
+
+    and, as each member avoids at least n - k vertices (k the largest
+    candidate size), (n - k)|F| <= sum_v min(M, |U| + |I| - d_v)
+    (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
+    ``reach()`` is the lesser of the least per-vertex bound and the
+    average, less |I|: it counts candidates, as the engine does.  A
+    state declares in ``sub_args`` the builder arguments of the
+    sub-queries that give M (and L, where searched);
+    ``start_averaging(M, L)`` turns the bound on once they are solved,
+    and without L the link is bounded by ``d_v`` alone.  The ``nodes``
+    of such a search include the sub-queries'.
 
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
@@ -318,30 +347,35 @@ class _CountedState:
         self.by_card: dict[int, list[int]] = {}
         for i, c in enumerate(self.cards):
             self.by_card.setdefault(c, []).append(i)
-        self.card_list_desc = sorted(self.by_card, reverse=True)
+        self.bits = [1 << i for i in range(len(self.masks))]
+        self.card_bits = {c: sum(self.bits[i] for i in idxs) for c, idxs in self.by_card.items()}
         self.status = [0] * len(self.masks)   # 0 undecided, 1 in, 2 out
         self.blocked = [0] * len(self.masks)
-        self.avail = {c: len(idxs) for c, idxs in self.by_card.items()}
+        self.free = (1 << len(self.masks)) - 1
+        self.inbits = 0
 
     # -- counted-candidate bookkeeping ------------------------------------
 
     def _set_status(self, i: int, value: int) -> None:
-        was = self.status[i] == 0 and self.blocked[i] == 0
+        """Move i between undecided and decided (one side must be 0)."""
+        bit = self.bits[i]
+        if value == 1 or self.status[i] == 1:
+            self.inbits ^= bit
+        if not self.blocked[i]:
+            self.free ^= bit
         self.status[i] = value
-        if was != (value == 0 and self.blocked[i] == 0):
-            self.avail[self.cards[i]] += -1 if was else 1
 
     def _block(self, i: int) -> None:
         b = self.blocked[i]
         self.blocked[i] = b + 1
         if not (b or self.status[i]):
-            self.avail[self.cards[i]] -= 1
+            self.free ^= self.bits[i]
 
     def _unblock(self, i: int) -> None:
         b = self.blocked[i] - 1
         self.blocked[i] = b
         if not (b or self.status[i]):
-            self.avail[self.cards[i]] += 1
+            self.free ^= self.bits[i]
 
     # -- moves (try_add_group and undo_add_group are the subclass's) ---------
 
@@ -355,53 +389,18 @@ class _CountedState:
 
     def pick_first(self) -> int | None:
         """Highest-cardinality counted candidate, smallest mask first."""
-        status, blocked = self.status, self.blocked
-        for c in self.card_list_desc:
-            if self.avail[c]:
-                for i in self.by_card[c]:
-                    if not (status[i] or blocked[i]):
-                        return i
-        return None
+        free = self.free
+        if not free:
+            return None
+        low = free & self.card_bits[self.cards[free.bit_length() - 1]]
+        return (low & -low).bit_length() - 1
 
     def bound_remaining(self) -> int:
-        return sum(self.avail.values())
-
-
-# ---------------------------------------------------------------------------
-# the vertex-deletion bound
-
-
-class _Averaging:
-    """The vertex-deletion bound, mixed into a state whose family F on
-    [n] splits at each vertex v into F - v (the members avoiding v) and
-    the link F(v) = {S - v : v in S in F}, where F - v is a family of
-    the same search on n-1 points: ex3, triangle-free, cancellative and
-    down-sets.
-
-    U is the chosen and counted candidates, the bitset ``ubits`` that
-    the state keeps exact (bit i set while i is chosen, or undecided and
-    unblocked); every family of the current subtree lies inside U plus
-    I, the state's ``implied`` members outside the candidates (the
-    down-set's empty set, which avoids every vertex).  Let ``d_v`` be
-    the number of members of U that contain v, M the optimum of the
-    deletion sub-query on n-1 points and L a cap on the link's size.
-    Then |F(v)| <= d_v, and F(v)'s empty set is the member {v}, which
-    ``d_v`` already counts, so for every v
-
-        |F| = |F - v| + |F(v)| <= min(M, |U| + |I| - d_v) + min(L, d_v),
-
-    and, as each member avoids at least n - k vertices (k the largest
-    candidate size), (n - k)|F| <= sum_v min(M, |U| + |I| - d_v)
-    (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
-    ``reach()`` is the lesser of the least per-vertex bound and the
-    average, less |I|: it counts candidates, as the engine does.
-    ``start_averaging(M, L)`` turns it on; without L the link is bounded
-    by ``d_v`` alone.  The state declares the sub-queries that give M
-    (and L, where searched) in ``sub_args``.
-    """
+        return self.free.bit_count()
 
     def start_averaging(self, sub_optimum: int, link_cap: int | None = None) -> None:
-        """Turn the bound on, with M = ``sub_optimum`` and L = ``link_cap``."""
+        """Turn the vertex-deletion bound on, with M = ``sub_optimum`` and
+        L = ``link_cap``."""
         self.has_reach = True
         self.sub_optimum = sub_optimum
         # no cap: d_v never exceeds the number of candidates
@@ -415,7 +414,7 @@ class _Averaging:
     def reach(self) -> int:
         """Most candidates, chosen ones included, that a family of this
         subtree can hold: the bound above less the implied members."""
-        u = self.ubits
+        u = self.free | self.inbits
         implied = len(self.implied)
         size = u.bit_count() + implied
         m, link = self.sub_optimum, self.link_cap
@@ -461,18 +460,16 @@ class _CapState(_CountedState):
     A blocked candidate can never go in: a full window of its own would
     overflow, and an excluded subset lies in ``below`` of every set
     containing it.  So an add whose candidate or an undecided member of
-    ``below`` is blocked fails before it touches a window.  Otherwise
-    window counts ``cnt`` are raised in place as the add walks its
-    windows; at the first window that would pass ``cap`` every increment
-    made so far is rolled back and the add fails with nothing changed.
-    An undo lowers the same windows and unblocks the candidates of each
-    window whose count leaves ``cap``: exactly the windows the add
-    filled, since a window already at ``cap`` cannot take an add.
-
-    The moves keep ``ubits`` (U) in the same loops: ``bits[i]`` is XORed
-    into it wherever ``avail`` moves on a block, an unblock or an
-    exclusion, and where a chosen candidate goes back to undecided but
-    blocked.  A counted candidate that goes in stays in U.
+    ``below`` is blocked fails before it touches a window, and every
+    member of a successful add was counted.  Otherwise window counts
+    ``cnt`` are raised in place as the add walks its windows; at the
+    first window that would pass ``cap`` every increment made so far is
+    rolled back and the add fails with nothing changed.  An undo lowers
+    the same windows and unblocks the candidates of each window whose
+    count leaves ``cap``: exactly the windows the add filled, since a
+    window already at ``cap`` cannot take an add.  So once an undone
+    member's own windows are lowered it is unblocked again, and it goes
+    back to ``free``.
     """
 
     def __init__(self, n, cards, win, cap):
@@ -499,19 +496,19 @@ class _CapState(_CountedState):
                     self.children[j].append(ci)
         self.resid = cap * len(self.windows)
         # window weight per cardinality: minimum over candidates (uniform in
-        # practice); used for the aggregate-capacity bound
-        self.weight = {
+        # practice); used for the aggregate-capacity bound.  (bits of the
+        # size, weight), lightest first: the greedy order of bound_remaining
+        weight = {
             c: min((self.n_windows[i] for i in idxs), default=0)
             for c, idxs in self.by_card.items()
         }
-        # (card, weight), lightest first: the greedy order of bound_remaining
-        self.by_weight = sorted(self.weight.items(), key=lambda cw: cw[1])
+        self.by_weight = [
+            (self.card_bits[c], w) for c, w in sorted(weight.items(), key=lambda cw: cw[1])
+        ]
         if cap == 0:  # every window starts full
             for row in self.window_cands:
                 for ci in row:
                     self._block(ci)
-        self.bits = [1 << i for i in range(len(self.masks))]
-        self.ubits = sum(bit for bit, k in zip(self.bits, self.blocked) if not k)
 
     # -- moves --------------------------------------------------------------
 
@@ -544,22 +541,23 @@ class _CapState(_CountedState):
                 if c == cap:
                     filled.append(w)
         # _set_status(j, 1) and _block inlined; every member of adds was
-        # counted, so it leaves avail and stays in U
-        avail, cards, n_windows = self.avail, self.cards, self.n_windows
+        # counted, so it moves from free to inbits
+        n_windows, bits = self.n_windows, self.bits
+        group = 0
         for j in adds:
             status[j] = 1
-            avail[cards[j]] -= 1
+            group |= bits[j]
             self.resid -= n_windows[j]
-        window_cands, bits = self.window_cands, self.bits
-        u = self.ubits
+        self.inbits |= group
+        free = self.free ^ group
+        window_cands = self.window_cands
         for w in filled:
             for j2 in window_cands[w]:
                 b = blocked[j2]
                 blocked[j2] = b + 1
                 if not (b or status[j2]):
-                    avail[cards[j2]] -= 1
-                    u ^= bits[j2]
-        self.ubits = u
+                    free ^= bits[j2]
+        self.free = free
         return adds
 
     def _roll_back(self, adds, stop_j, stop_w) -> None:
@@ -574,17 +572,12 @@ class _CapState(_CountedState):
 
     def undo_add_group(self, adds) -> None:
         cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
-        status, blocked, avail, cards = self.status, self.blocked, self.avail, self.cards
+        status, blocked = self.status, self.blocked
         n_windows, window_cands, bits = self.n_windows, self.window_cands, self.bits
-        u = self.ubits
-        # _set_status(j, 0) and _unblock inlined
+        free = self.free
+        group = 0
+        # _unblock and _set_status(j, 0) inlined
         for j in adds:
-            status[j] = 0
-            if blocked[j]:  # chosen -> blocked: leaves U, avail stays
-                u ^= bits[j]
-            else:
-                avail[cards[j]] += 1
-            self.resid += n_windows[j]
             for w in cand_windows[j]:
                 c = cnt[w]
                 if c == cap:
@@ -592,47 +585,42 @@ class _CapState(_CountedState):
                         b = blocked[j2] - 1
                         blocked[j2] = b
                         if not (b or status[j2]):
-                            avail[cards[j2]] += 1
-                            u ^= bits[j2]
+                            free ^= bits[j2]
                 cnt[w] = c - 1
-        self.ubits = u
+            status[j] = 0
+            group |= bits[j]
+            self.resid += n_windows[j]
+        self.inbits ^= group
+        self.free = free | group
 
     def mark_out(self, i) -> None:
         # _set_status(i, 2) of an undecided i and _block over the children
         # inlined
-        status, blocked, avail, cards, bits = (
-            self.status, self.blocked, self.avail, self.cards, self.bits
-        )
-        u = self.ubits
+        status, blocked, bits = self.status, self.blocked, self.bits
+        free = self.free
         status[i] = 2
         if not blocked[i]:
-            avail[cards[i]] -= 1
-            u ^= bits[i]
+            free ^= bits[i]
         for t in self.children[i]:
             b = blocked[t]
             blocked[t] = b + 1
             if not (b or status[t]):
-                avail[cards[t]] -= 1
-                u ^= bits[t]
-        self.ubits = u
+                free ^= bits[t]
+        self.free = free
 
     def unmark_out(self, i) -> None:
         # _unblock over the children and _set_status(i, 0) inlined
-        status, blocked, avail, cards, bits = (
-            self.status, self.blocked, self.avail, self.cards, self.bits
-        )
-        u = self.ubits
+        status, blocked, bits = self.status, self.blocked, self.bits
+        free = self.free
         for t in self.children[i]:
             b = blocked[t] - 1
             blocked[t] = b
             if not (b or status[t]):
-                avail[cards[t]] += 1
-                u ^= bits[t]
+                free ^= bits[t]
         status[i] = 0
         if not blocked[i]:
-            avail[cards[i]] += 1
-            u ^= bits[i]
-        self.ubits = u
+            free ^= bits[i]
+        self.free = free
 
     # -- queries ------------------------------------------------------------
 
@@ -640,12 +628,12 @@ class _CapState(_CountedState):
         """Upper bound on how many more candidates can still be chosen."""
         budget = self.resid
         total = 0
-        avail = self.avail
-        for c, w in self.by_weight:
-            n_avail = avail[c]
-            if not n_avail:
+        free = self.free
+        for cbits, w in self.by_weight:
+            n_free = (free & cbits).bit_count()
+            if not n_free:
                 continue
-            take = n_avail if w == 0 else min(n_avail, budget // w)
+            take = n_free if w == 0 else min(n_free, budget // w)
             total += take
             budget -= take * w
             if budget <= 0:
@@ -653,7 +641,7 @@ class _CapState(_CountedState):
         return total
 
 
-class _UniformCapState(_Averaging, _CapState):
+class _UniformCapState(_CapState):
     """A ``_CapState`` of one size ``card``, carrying the averaging bound
     with M from the same search on n-1 points."""
 
@@ -664,7 +652,7 @@ class _UniformCapState(_Averaging, _CapState):
             self.sub_args = ((n - 1, card, win, cap),)
 
 
-class _DownsetState(_Averaging, _CapState):
+class _DownsetState(_CapState):
     """Down-sets on [n] with members of size 1..a-1 and every a-window
     trace below b, carrying the vertex-deletion bound.
 
@@ -704,9 +692,8 @@ class _Searcher:
     A node is opened (``_open``: ticked, recorded if it is a new
     incumbent, and bounded) by its parent right after the move that
     makes it, and a ``_dfs`` frame is entered only for a node the bound
-    leaves open.  Nodes are ticked in the same order as when each frame
-    ticked itself, so node counts, the point where a budget stops and
-    the incumbent it leaves are unchanged by this.
+    leaves open.  The incumbent is ``best_bits``, the state's
+    ``inbits`` when it was recorded.
 
     The state's ``reach()``, while it has one, is read only at nodes
     that its own ``bound_remaining`` leaves open.  The searcher holds it
@@ -724,8 +711,7 @@ class _Searcher:
         self.state = state
         self.budget = budget
         self.best = -1
-        self.best_sel: list[int] | None = None
-        self.chosen: list[int] = []
+        self.best_bits = 0
         self.exclude_first_cards = frozenset(exclude_first_cards)
         self.use_symmetry = use_symmetry
         self.reach = state.reach if state.has_reach else None
@@ -743,10 +729,11 @@ class _Searcher:
         """Tick the node the state stands at, record it when it is a new
         incumbent, and tell whether its bound leaves it open."""
         self.budget.tick()
-        cur = len(self.chosen)
+        inbits = self.state.inbits
+        cur = inbits.bit_count()
         if cur > self.best:
             self.best = cur
-            self.best_sel = list(self.chosen)
+            self.best_bits = inbits
         if cur + self.state.bound_remaining() <= self.best:
             return False
         return self.reach is None or self.reach() > self.best
@@ -754,7 +741,6 @@ class _Searcher:
     def _unwind(self, trail) -> None:
         for step, payload in reversed(trail):
             if step == "i":
-                del self.chosen[-len(payload):]
                 self.state.undo_add_group(payload)
             else:
                 for j in reversed(payload):
@@ -795,7 +781,6 @@ class _Searcher:
     def _dfs(self, group) -> None:
         """Explore an open node; its parent has already opened it."""
         st = self.state
-        chosen = self.chosen
         trail = []
         try:
             while True:
@@ -819,16 +804,13 @@ class _Searcher:
                         # orbit-free families were covered above; any family
                         # meeting the orbit needs e, which cannot be added
                         return
-                    chosen.extend(adds)
                     trail.append(("i", adds))
                     group = self._stabilize(group, e)
                 else:
                     adds = st.try_add_group(e)
                     if adds is not None:
-                        chosen.extend(adds)
                         if self._open():
                             self._dfs(self._stabilize(group, e))
-                        del chosen[-len(adds):]
                         st.undo_add_group(adds)
                     outs = tuple(j for j in orb if st.status[j] == 0)
                     for j in outs:
@@ -853,7 +835,7 @@ def _candidate_masks(nbits: int, cards) -> list[int]:
     masks = []
     for card in sorted(cards):
         masks.extend(kset_masks(nbits, card))
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    masks.sort(key=_canon_key)
     return masks
 
 
@@ -884,7 +866,7 @@ class _AntichainState(_CountedState):
     """
 
     def __init__(self, n: int, k: int):
-        super().__init__(n, sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
+        super().__init__(n, sorted(range(1 << n), key=_canon_key))
         self.windows = list(kset_masks(n, k + 1))
         self.cap = (1 << (k + 1)) - 1
         self.seen = [dict() for _ in self.windows]  # projection -> multiplicity
@@ -1006,9 +988,11 @@ class _Query:
             if len(subs) == len(state.sub_args) and subs[-1].proved_optimal:
                 state.start_averaging(*(r.optimum for r in subs))
             else:
-                start = [
-                    state.idx_of[m] for m in subs[0].witness.members if m not in state.implied
-                ]
+                start = sum(
+                    state.bits[state.idx_of[m]]
+                    for m in subs[0].witness.members
+                    if m not in state.implied
+                )
         searcher = _Searcher(
             state,
             budget,
@@ -1016,10 +1000,11 @@ class _Query:
             use_symmetry=self.use_symmetry,
         )
         if start is not None:
-            searcher.best, searcher.best_sel = len(start), start
+            searcher.best, searcher.best_bits = start.bit_count(), start
         # a sub-query that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
-        chosen = [state.masks[j] for j in searcher.best_sel or ()]
+        best = searcher.best_bits
+        chosen = [m for m, bit in zip(state.masks, state.bits) if best & bit]
         implied = state.implied
         wit = self.witness(state.nbits, _canonicalize([*implied, *chosen]))
         if len(wit) != len(implied) + len(chosen) or not self.recheck(wit, *args):
@@ -1059,7 +1044,7 @@ def _sub_budgeted(budget: _Budget, run: Callable[[], SearchResult]) -> SearchRes
 
 def _canonicalize(masks) -> tuple[int, ...]:
     """Witness masks in the canonical member order; no relabeling."""
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+    return tuple(sorted(masks, key=_canon_key))
 
 
 def _limits(q: ArrowQuery) -> dict:

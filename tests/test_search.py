@@ -712,7 +712,7 @@ def _closure_ref(st, i):
 
 
 def _brute_counted(st):
-    """Candidates of a ``_CapState`` that ``avail`` should count, from the
+    """Candidates of a ``_CapState`` that ``free`` should hold, from the
     primary state (status, window counts, prerequisites) alone: undecided,
     in no full window, and with no excluded prerequisite."""
     def fits(i):
@@ -878,7 +878,8 @@ def _check_averaging(st, pairs, m, memo, where):
     the subtree optimum; True when it meets it.  ``memo`` caches optima
     by status."""
     u = _brute_u(st, pairs)
-    assert st.ubits == u, where
+    chosen = _chosen_bits(st)
+    assert (st.free, st.inbits) == (u & ~chosen, chosen), where
     if m is None:  # too few points for the bound
         assert not st.has_reach, where
         return False
@@ -954,7 +955,8 @@ def _check_cap_u(st, bound, memo, where):
     ``reach()`` is the bound's definition and covers the subtree optimum
     (``memo`` caches it by status); True when it meets it."""
     u = _brute_cap_u(st)
-    assert st.ubits == u, where
+    chosen = _chosen_bits(st)
+    assert (st.free, st.inbits) == (u & ~chosen, chosen), where
     if bound is None:
         assert not st.has_reach, where
         return False
@@ -965,6 +967,15 @@ def _check_cap_u(st, bound, memo, where):
     assert reach == _reach_ref(st, u, *bound, 1), where
     assert reach >= memo[key], where
     return reach == memo[key]
+
+
+def _check_cap_counted(st, where):
+    """``free`` holds the counted candidates, and ``pick_first()`` is the
+    largest of them, the smallest index first within a size."""
+    counted = _brute_counted(st)
+    assert st.free == sum(1 << i for i in counted), where
+    first = max(counted, key=lambda i: (st.cards[i], -i), default=None)
+    assert st.pick_first() == first, where
 
 
 # ex3 (K4, K4-), triangle-free, cancellative l=3
@@ -1016,15 +1027,14 @@ def test_all_in_matches_bruteforce_on_random_states():
         memo = {}
         assert len(st.masks) <= 20  # brute force stays cheap
         assert all(p < i for i in range(len(st.masks)) for p in _prereqs(st, i))
-        start = (list(st.status), list(st.cnt), dict(st.avail), st.resid, st.ubits)
+        # pick_first reads the index order as (size, mask)
+        assert st.masks == sorted(st.masks, key=lambda m: (m.bit_count(), m))
+        start = (list(st.status), list(st.cnt), st.free, st.inbits, st.resid)
         for _walk in range(4):
             moves = []
             for _ in range(60):
                 where = (build.__name__, args, moves)
-                counted = _brute_counted(st)
-                assert st.avail == {
-                    c: sum(1 for i in counted if st.cards[i] == c) for c in st.avail
-                }, where
+                _check_cap_counted(st, where)
                 best = _brute_subtree_max(st)
                 bound_now = st.bound_remaining()
                 assert bound_now >= best, where
@@ -1042,23 +1052,24 @@ def test_all_in_matches_bruteforce_on_random_states():
                     i = rng.choice(open_)
                     st.mark_out(i)
                     moves.append(("out", i))
+            _check_cap_counted(st, (build.__name__, args, moves))
             reach_tight += _check_cap_u(st, bound, memo, (build.__name__, args, moves))
             for move in reversed(moves):
                 _undo(st, move)
-            assert (st.status, st.cnt, st.avail, st.resid, st.ubits) == start
+            assert (st.status, st.cnt, st.free, st.inbits, st.resid) == start
     assert tight, "no walk reached a state where the bound is exact"
     assert reach_tight, "no walk reached a state where the down-set bound is exact"
 
-    # The uniform states also keep U (chosen and counted candidates) as a
-    # bitset and carry the averaging bound: after every move, failed adds
-    # included, U matches brute force and the bound covers the optimum.
+    # The uniform states carry the averaging bound over U (chosen and
+    # counted candidates): after every move, failed adds included, U
+    # matches brute force and the bound covers the optimum.
     rng = random.Random(3)
     tight = 0
     for build, args in _UNIFORM_BUILDS:
         where = (build.__name__, args)
         st, pairs, m = _averaged(build, args)
         memo = {}
-        start = deepcopy((st.status, st.blocked, st.avail, st.ubits))
+        start = deepcopy((st.status, st.blocked, st.free, st.inbits))
         for _walk in range(2):
             moves = []
             tight += _check_averaging(st, pairs, m, memo, (*where, moves))
@@ -1078,12 +1089,12 @@ def test_all_in_matches_bruteforce_on_random_states():
                 tight += _check_averaging(st, pairs, m, memo, (*where, moves))
             for move in reversed(moves):
                 _undo(st, move)
-            assert deepcopy((st.status, st.blocked, st.avail, st.ubits)) == start, where
+            assert deepcopy((st.status, st.blocked, st.free, st.inbits)) == start, where
     assert tight, "no walk reached a state where the averaging bound is exact"
 
 
 def _cap_snapshot(st):
-    return deepcopy((st.status, st.blocked, st.cnt, st.avail, st.resid, st.ubits))
+    return deepcopy((st.status, st.blocked, st.cnt, st.free, st.inbits, st.resid))
 
 
 def _brute_blocked(st):
@@ -1295,7 +1306,7 @@ def _brute_counted_max(st, addable):
 
 def _counted_snapshot(st):
     extra = st.seen if hasattr(st, "seen") else (st.diffs, st.cov2)
-    return deepcopy((st.status, st.blocked, st.avail, extra))
+    return deepcopy((st.status, st.blocked, st.free, st.inbits, extra))
 
 
 def test_counted_states_match_bruteforce_on_random_states():
@@ -1322,9 +1333,7 @@ def test_counted_states_match_bruteforce_on_random_states():
                 ref = _addable_set(st, addable)
                 counted = [i for i in range(len(st.masks)) if not (st.status[i] or st.blocked[i])]
                 assert counted == ref, where
-                assert st.avail == {
-                    c: sum(1 for i in ref if st.cards[i] == c) for c in st.avail
-                }, where
+                assert (st.free, st.inbits) == (sum(1 << i for i in ref), _chosen_bits(st)), where
                 first = max(ref, key=lambda i: (st.cards[i], -i), default=None)
                 assert st.pick_first() == first, where
                 assert st.bound_remaining() >= _brute_counted_max(st, addable), where
