@@ -10,6 +10,11 @@ Core vocabulary implemented here: traces ``{F & Y}``, the arrow test
 "some a-set carries a trace of size >= b", links and deletions, level
 slices, shadows, down-set and antichain predicates, and the two
 serialization formats (plain text and JSON).
+
+The arrow test rests on :func:`max_trace_over_ksets`, a bit-parallel
+scan: one bitset of members per element, and the k-windows walked depth
+first with each prefix's members kept split into trace classes, so a
+window costs a few big-int ANDs instead of a set of |fam| traces.
 """
 
 from __future__ import annotations
@@ -165,20 +170,64 @@ def trace_size(fam: SetFamily, y: int) -> int:
 
 def max_trace_over_ksets(fam: SetFamily, k: int) -> TraceMax:
     """Maximum trace size over all k-subsets of [n], with the smallest
-    maximizing mask as witness."""
-    if not 1 <= k <= fam.n:
-        raise FamilyError(f"window size {k} outside [1..{fam.n}]")
-    if comb(fam.n, k) > _WINDOW_SCAN_CAP:
-        raise FamilyError(f"refusing to scan C({fam.n},{k}) windows")
-    members = fam.members
-    best = 0
-    best_y = None
-    for y in kset_masks(fam.n, k):
-        size = len({m & y for m in members})
-        if size > best or (size == best and (best_y is None or y < best_y)):
-            best = size
-            best_y = y
-    return TraceMax(best, best_y if best_y is not None else 0)
+    maximizing mask as witness.
+
+    Bit-parallel over the members: ``cols[e]`` has bit j set when member j
+    contains element e+1.  The k-sets are walked depth first, in the
+    lexicographic order of ``kset_masks``, and each prefix Y carries its
+    members split into trace classes (members with equal ``F & Y``), each
+    class a member bitset.  Adding element e splits every class with
+    ``& cols[e]``; at the last element the trace size is the number of
+    classes plus the number that split, counted without building them.
+
+    Cost: each of the C(n, k) windows takes one AND of |fam|-bit integers
+    per class of its prefix, at most min(|fam|, 2^(k-1)) classes, and each
+    inner prefix pays the same to split.  Small k is cheap whatever |fam|
+    is; when both k and |fam| are large the classes run into the hundreds
+    and building one set of |fam| traces per window can be faster.  Ties
+    go to the smallest maximizing mask, compared by value, not by visit
+    order.
+    """
+    n = fam.n
+    if not 1 <= k <= n:
+        raise FamilyError(f"window size {k} outside [1..{n}]")
+    if comb(n, k) > _WINDOW_SCAN_CAP:
+        raise FamilyError(f"refusing to scan C({n},{k}) windows")
+    cols = [0] * n
+    for j, m in enumerate(fam.members):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    best, best_y = -1, 0
+    # (trace classes of the prefix, prefix mask, prefix length, first free element)
+    stack = [([(1 << len(fam.members)) - 1] if fam.members else [], 0, 0, 0)]
+    while stack:
+        classes, y, depth, start = stack.pop()
+        if depth == k - 1:
+            for e in range(start, n):
+                col = cols[e]
+                size = len(classes)
+                for c in classes:
+                    a = c & col
+                    if a and a != c:
+                        size += 1
+                if size > best or (size == best and y | 1 << e < best_y):
+                    best, best_y = size, y | 1 << e
+            continue
+        # pushed last-first, so the windows are visited in lexicographic order
+        for e in reversed(range(start, n - k + depth + 1)):
+            col = cols[e]
+            split = []
+            for c in classes:
+                a = c & col
+                if a:
+                    split.append(a)
+                if a != c:
+                    split.append(c ^ a)
+            stack.append((split, y | 1 << e, depth + 1, e + 1))
+    return TraceMax(best, best_y)
 
 
 def arrows(fam: SetFamily, a: int, b: int) -> bool:

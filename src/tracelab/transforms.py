@@ -2,8 +2,11 @@
 the link-equality partition with its auxiliary pattern family.
 
 All operations are pure functions on immutable :class:`SetFamily`
-values.  The two workhorse guarantees, proven by the accompanying test
-suite rather than assumed, are:
+values.  ``downset_compress`` (Frankl's compression) runs its shifts in
+place on one set of masks and builds a single family at the end; each
+shift follows the simultaneous rule of ``downshift``, so the fixpoint is
+the one iterated ``downshift`` reaches.  The two workhorse guarantees,
+proven by the accompanying test suite rather than assumed, are:
 
 * ``downset_compress`` preserves family size, lands on a down-set, and
   never increases any trace;
@@ -23,40 +26,53 @@ from .setcore import (
 )
 
 
+def _shift(masks: set[int], bit: int) -> bool:
+    """One down-shift at ``bit``, in place on a set of member masks.
+
+    The members that move are listed from the set as it stands before the
+    shift, so every member is tested against the same family (the
+    simultaneous rule of :func:`downshift`).  True iff a member moved.
+    """
+    moved = [m for m in masks if m & bit and m ^ bit not in masks]
+    masks.difference_update(moved)
+    masks.update(m ^ bit for m in moved)
+    return bool(moved)
+
+
 def downshift(fam: SetFamily, i: int) -> SetFamily:
     """Compress at element i: each member F containing i is replaced by
-    F - {i} unless F - {i} already belongs to the family.
+    F - {i} unless F - {i} already belongs to the family.  All members are
+    tested against ``fam`` as given, so the shift is simultaneous.
 
     Preserves family size exactly; never increases |trace(., Y)| for any Y.
+    Cost: one pass over the members and one new family.
     """
     if not 1 <= i <= fam.n:
         raise FamilyError(f"element {i} outside ground set [1..{fam.n}]")
-    bit = 1 << (i - 1)
-    out = []
-    for m in fam.members:
-        if m & bit and (m ^ bit) not in fam:
-            out.append(m ^ bit)
-        else:
-            out.append(m)
-    return SetFamily.from_masks(fam.n, out)
+    masks = set(fam.members)
+    _shift(masks, 1 << (i - 1))
+    return SetFamily.from_masks(fam.n, masks)
 
 
 def downset_compress(fam: SetFamily) -> SetFamily:
-    """Iterate downshift over i = 1..n until a full pass changes nothing.
+    """Down-shift at i = 1..n, in that order, until a full pass changes
+    nothing: Frankl's compression.
 
-    Terminates because the total member size strictly drops on every
-    effective shift; the fixpoint is a down-set of the same size.
+    The same sequence of shifts as iterating :func:`downshift`, and the same
+    fixpoint member for member, but every shift works in place on one set
+    of masks and a single family is built at the end.  Cost per pass: n
+    sweeps over the members with one set lookup each.  Terminates because
+    the total member size strictly drops on every effective shift; the
+    fixpoint is a down-set of the same size.
     """
-    cur = fam
+    masks = set(fam.members)
     while True:
         changed = False
-        for i in range(1, fam.n + 1):
-            nxt = downshift(cur, i)
-            if nxt.members != cur.members:
-                cur = nxt
+        for b in range(fam.n):
+            if _shift(masks, 1 << b):
                 changed = True
         if not changed:
-            return cur
+            return SetFamily.from_masks(fam.n, masks)
 
 
 def _pair_bits(fam: SetFamily, x: int, y: int) -> tuple[int, int]:

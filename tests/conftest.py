@@ -8,13 +8,33 @@ from __future__ import annotations
 
 import random
 
-from tracelab import SetFamily, arrows, down_closure
+from tracelab import SetFamily, arrows, down_closure, is_downset
 
 
 def random_family(rng: random.Random, n: int, max_size: int = 40) -> SetFamily:
     size = rng.randint(0, min(max_size, 1 << n))
     masks = {rng.randrange(1 << n) for _ in range(size)}
     return SetFamily.from_masks(n, masks)
+
+
+def kernel_parity_families(seed: int, per_n: int = 30, max_n: int = 8):
+    """(n, family) pairs for kernel parity tests: for each n = 1..max_n the
+    empty family, the one-member families {{}}, {[n]} and one random
+    one-member family, then ``per_n`` random families that are not
+    down-sets, of up to 60 members each."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, max_n + 1):
+        out.append((n, SetFamily.empty(n)))
+        for m in (0, (1 << n) - 1, rng.randrange(1 << n)):
+            out.append((n, SetFamily.from_masks(n, [m])))
+        made = 0
+        while made < per_n:
+            fam = random_family(rng, n, max_size=60)
+            if not is_downset(fam):
+                out.append((n, fam))
+                made += 1
+    return out
 
 
 def random_downset(rng: random.Random, n: int, gens: int = 6, max_card: int = 3) -> SetFamily:

@@ -31,7 +31,7 @@ from tracelab import (
     trace,
 )
 
-from conftest import random_downset, random_family
+from conftest import kernel_parity_families, random_downset, random_family
 
 
 def brute_max_trace(fam, k):
@@ -40,6 +40,18 @@ def brute_max_trace(fam, k):
     for combo in combinations(range(1, fam.n + 1), k):
         y = mask_of(combo, fam.n)
         size = len(trace(fam, y))
+        if size > best or (size == best and (witness is None or y < witness)):
+            best, witness = size, y
+    return best, witness
+
+
+def window_scan_max_trace(fam, k):
+    """Reference: the per-window set scan, one set of traces per k-window,
+    ties to the smallest mask."""
+    best, witness = 0, None
+    for combo in combinations(range(1, fam.n + 1), k):
+        y = mask_of(combo, fam.n)
+        size = len({m & y for m in fam.members})
         if size > best or (size == best and (witness is None or y < witness)):
             best, witness = size, y
     return best, witness
@@ -147,9 +159,25 @@ class TestMaxTrace:
                 exp_max, exp_wit = brute_max_trace(fam, k)
                 assert (got.max, got.witness) == (exp_max, exp_wit)
 
+    def test_matches_window_scan_off_downsets(self):
+        # every k on n = 1..8; ties are common, so the witness pins the tie rule
+        for n, fam in kernel_parity_families(seed=41):
+            for k in range(1, n + 1):
+                got = max_trace_over_ksets(fam, k)
+                assert (got.max, got.witness) == window_scan_max_trace(fam, k), (fam, k)
+
+    @pytest.mark.parametrize("n", range(25, 31))
+    def test_partite_family_traces_at_most_12_for_n_25_to_30(self, n):
+        # the paper's statement on its own range: every 4-set carries <= 12
+        fam = partite_family(n, 3)
+        assert max_trace_over_ksets(fam, 4).max == 12
+        assert not arrows(fam, 4, 13)
+
     def test_window_size_validated(self):
         with pytest.raises(FamilyError):
             max_trace_over_ksets(SetFamily.from_sets(3, [(1,)]), 4)
+        with pytest.raises(FamilyError):
+            max_trace_over_ksets(SetFamily.from_sets(3, [(1,)]), 0)
 
 
 class TestArrows:

@@ -23,7 +23,12 @@ from tracelab import (
     trace_size,
 )
 
-from conftest import random_downset_avoiding, random_family, uncovered_pairs
+from conftest import (
+    kernel_parity_families,
+    random_downset_avoiding,
+    random_family,
+    uncovered_pairs,
+)
 
 
 def all_window_trace_sizes(fam, max_k=4):
@@ -34,6 +39,27 @@ def all_window_trace_sizes(fam, max_k=4):
             y = mask_of(combo, fam.n)
             out[y] = trace_size(fam, y)
     return out
+
+
+def shift_rule(fam, i):
+    """Reference: each member F containing i becomes F - {i} unless
+    F - {i} is in ``fam``, every member tested against ``fam`` as given."""
+    bit = 1 << (i - 1)
+    return SetFamily.from_masks(
+        fam.n, (m ^ bit if m & bit and (m ^ bit) not in fam else m for m in fam.members)
+    )
+
+
+def downshift_fixpoint(fam):
+    """Reference: downshift at i = 1..n, one new family per shift, until a
+    full pass changes nothing."""
+    cur = fam
+    while True:
+        before = cur
+        for i in range(1, fam.n + 1):
+            cur = downshift(cur, i)
+        if cur == before:
+            return cur
 
 
 class TestDownshift:
@@ -57,6 +83,11 @@ class TestDownshift:
             after = all_window_trace_sizes(shifted)
             assert all(after[y] <= before[y] for y in before)
 
+    def test_matches_shift_rule(self):
+        for n, fam in kernel_parity_families(seed=43):
+            for i in range(1, n + 1):
+                assert downshift(fam, i).members == shift_rule(fam, i).members, (fam, i)
+
     def test_bad_element(self):
         with pytest.raises(FamilyError):
             downshift(SetFamily.from_sets(3, [(1,)]), 4)
@@ -70,6 +101,10 @@ class TestCompress:
     def test_downset_is_fixpoint(self):
         fam = partite_family(6, 3)
         assert downset_compress(fam) == fam
+
+    def test_equals_iterated_downshift_fixpoint(self):
+        for _, fam in kernel_parity_families(seed=43):
+            assert downset_compress(fam).members == downshift_fixpoint(fam).members, fam
 
     def test_contracts_on_random_families(self):
         rng = random.Random(23)
