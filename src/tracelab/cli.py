@@ -6,6 +6,14 @@ stdout carries machine-readable JSON lines (or human tables under
 "no arrow" for ``check``), 1 arrow holds / verification FAIL, 2 usage or
 parse error, 3 search budget exhausted before optimality was proved.
 
+Each command reads every flag it is given or refuses the command line
+(exit 2): a flag its mode or kind does not read is a usage error, not
+ignored.  ``search`` turns its query flags (``--mode --n --a --b --c
+--k``) into the same object a ``--query`` file holds, so flags and files
+follow one set of rules (``--mode downset`` and ``tilde`` name the
+``full-downset`` and ``tilde-complete`` modes); ``--query`` excludes the
+query flags.
+
 Every search-backed command attaches a run manifest (command line,
 input digests, library version, budgets, wall time, result digest) to
 its result object.  Re-running a search that finishes, or that stops on
@@ -35,12 +43,15 @@ from .constructions import (
     t_count,
     tilde_from_json,
     tilde_to_full,
+    tilde_to_json,
     tilde_to_json_obj,
     turan_graph,
 )
 from .search import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECS,
+    MODE_DOWNSET,
+    MODE_TILDE,
     ArrowQuery,
     crosscheck_mtilde,
     max_tilde,
@@ -53,6 +64,7 @@ from .setcore import (
     elements_of,
     family_from_json,
     family_from_text,
+    family_to_json,
     family_to_json_obj,
     family_to_text,
     is_downset,
@@ -125,14 +137,6 @@ def _load_family(path: str) -> SetFamily:
     return family_from_text(text)
 
 
-def _write_family(fam: SetFamily, path: str) -> None:
-    if path.endswith(".json"):
-        data = json.dumps(family_to_json_obj(fam), separators=(",", ":")) + "\n"
-    else:
-        data = family_to_text(fam)
-    _write_text(path, data)
-
-
 def _budget_kwargs(ns, nodes=DEFAULT_BUDGET_NODES, secs=DEFAULT_BUDGET_SECS) -> dict:
     """Search budgets: a budget flag that was given overrides the base."""
     return {
@@ -141,55 +145,85 @@ def _budget_kwargs(ns, nodes=DEFAULT_BUDGET_NODES, secs=DEFAULT_BUDGET_SECS) -> 
     }
 
 
+def _check_flags(ns, what: str, needs=(), refuses=()) -> None:
+    """Refuse a command line that omits a flag in ``needs`` or gives one in
+    ``refuses`` (flags named by their argparse dest)."""
+    missing = [f for f in needs if getattr(ns, f) is None]
+    unread = [f for f in refuses if getattr(ns, f) is not None]
+    for verb, flags in (("needs", missing), ("does not read", unread)):
+        if flags:
+            names = ", ".join("--" + f.replace("_", "-") for f in flags)
+            raise FamilyError(f"{what} {verb} {names}")
+
+
+def _emit_family(ns, obj: dict, key: str, fam: SetFamily | TildeFamily) -> int:
+    """Write ``fam`` to ``--out``, or embed it in ``obj`` under ``key``;
+    then print ``obj``.  A pair/triple family is always written as JSON, a
+    family as JSON when the path ends in ``.json`` and as text otherwise."""
+    tilde = isinstance(fam, TildeFamily)
+    if ns.out:
+        if tilde:
+            data = tilde_to_json(fam) + "\n"
+        elif ns.out.endswith(".json"):
+            data = family_to_json(fam) + "\n"
+        else:
+            data = family_to_text(fam)
+        _write_text(ns.out, data)
+        obj["out"] = ns.out
+    else:
+        obj[key] = tilde_to_json_obj(fam) if tilde else family_to_json_obj(fam)
+    _emit(obj, ns.pretty)
+    return 0
+
+
+def _report(ns, argv, run, budget_kw: dict, inputs=None, render=_emit) -> int:
+    """Time ``run()``, which returns (result object, exit code), attach the
+    run manifest to the object, print it through ``render`` and return the
+    exit code."""
+    t0 = time.perf_counter()
+    obj, code = run()
+    wall = (time.perf_counter() - t0) * 1000.0
+    obj["manifest"] = _manifest(argv, inputs or {}, wall, obj, **budget_kw)
+    render(obj, ns.pretty)
+    return code
+
+
+def _searched(res, extra: dict) -> tuple[dict, int]:
+    """A search result with the command's own keys; exit 0 when the
+    optimum is proved, else 3."""
+    return {**res.to_json_obj(), **extra}, 0 if res.proved_optimal else 3
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
+# the flags each construct kind reads; it refuses the others
+_CONSTRUCT_FLAGS = {
+    "partite": ("n", "l"),
+    "turan": ("n", "r"),
+    "special6": (),
+    "downclosure": ("input",),
+    "downclosure-of-file": ("input",),
+}
+
 
 def _cmd_construct(ns, argv) -> int:
-    kind = ns.kind
-    tilde: TildeFamily | None = None
-    fam: SetFamily | None = None
-    formula = None
+    reads = _CONSTRUCT_FLAGS[ns.kind]
+    refuses = [f for f in ("n", "l", "r", "input") if f not in reads]
+    _check_flags(ns, f"construct {ns.kind}", reads, refuses)
+    kind, formula = ns.kind, None
     if kind == "partite":
-        if ns.n is None or ns.l is None:
-            raise FamilyError("construct partite needs --n and --l")
-        fam = partite_family(ns.n, ns.l)
-        formula = partite_family_size(ns.n, ns.l)
+        fam, formula = partite_family(ns.n, ns.l), partite_family_size(ns.n, ns.l)
     elif kind == "turan":
-        if ns.n is None or ns.r is None:
-            raise FamilyError("construct turan needs --r and --n")
-        fam = turan_graph(ns.r, ns.n)
-        formula = t_count(ns.r, ns.n)
+        fam, formula = turan_graph(ns.r, ns.n), t_count(ns.r, ns.n)
     elif kind == "special6":
-        tilde = special6()
-        formula = 16
-    elif kind in ("downclosure", "downclosure-of-file"):
-        kind = "downclosure"
-        if not ns.input:
-            raise FamilyError("construct downclosure needs --input FILE")
-        fam = down_closure(_load_family(ns.input))
-    else:  # pragma: no cover - argparse restricts choices
-        raise FamilyError(f"unknown construct kind {kind!r}")
-
-    if tilde is not None:
-        obj = {"kind": kind, "size": len(tilde), "formula": formula}
-        payload = json.dumps(tilde_to_json_obj(tilde), separators=(",", ":")) + "\n"
-        if ns.out:
-            _write_text(ns.out, payload)
-            obj["out"] = ns.out
-        else:
-            obj["family"] = tilde_to_json_obj(tilde)
+        fam, formula = special6(), 16
     else:
-        obj = {"kind": kind, "size": len(fam)}
-        if formula is not None:
-            obj["formula"] = formula
-        if ns.out:
-            _write_family(fam, ns.out)
-            obj["out"] = ns.out
-        else:
-            obj["family"] = family_to_json_obj(fam)
-    _emit(obj, ns.pretty)
-    return 0
+        kind, fam = "downclosure", down_closure(_load_family(ns.input))
+    obj = {"kind": kind, "size": len(fam)}
+    if formula is not None:
+        obj["formula"] = formula
+    return _emit_family(ns, obj, "family", fam)
 
 
 def _cmd_check(ns, argv) -> int:
@@ -213,43 +247,40 @@ def _cmd_check(ns, argv) -> int:
     return 1 if arrow else 0
 
 
-def _emit_search(ns, argv, run, budget_kw: dict, extra: dict, inputs=None) -> int:
-    """Time ``run()``, print its result with the command's own keys and
-    the manifest, and exit 0 when the optimum is proved, else 3."""
-    t0 = time.perf_counter()
-    res = run()
-    wall = (time.perf_counter() - t0) * 1000.0
-    obj = res.to_json_obj()
-    obj.update(extra)
-    obj["manifest"] = _manifest(argv, inputs or {}, wall, obj, **budget_kw)
-    _emit(obj, ns.pretty)
-    return 0 if res.proved_optimal else 3
+# the query-file key each search flag stands for is its own name; these
+# --mode spellings stand for the file's mode names
+_QUERY_FLAGS = ("mode", "n", "a", "b", "c", "k")
+_MODE_NAMES = {"downset": MODE_DOWNSET, "tilde": MODE_TILDE}
 
 
 def _cmd_search(ns, argv) -> int:
-    mode = ns.mode or "downset"
-    budget_kw = _budget_kwargs(ns)
+    given = {key: getattr(ns, key) for key in _QUERY_FLAGS if getattr(ns, key) is not None}
     inputs = None
     if ns.query:
+        if given:
+            raise FamilyError(f"--query excludes the query flags, got --{', --'.join(given)}")
         text = _read_text(ns.query)
-        q = ArrowQuery.from_json_obj(parse_json(text, f"query JSON in {ns.query}"))
-        budget_kw = _budget_kwargs(ns, q.budget_nodes, q.budget_secs)
-        q = dataclasses.replace(q, **budget_kw)
+        obj = parse_json(text, f"query JSON in {ns.query}")
         inputs = {ns.query: _sha256(text.encode())}
-    elif mode in ("tilde", "tilde-complete"):
-        if ns.n is None or ns.c is None:
-            raise FamilyError("tilde search needs --n and --c")
-        q = ArrowQuery.tilde(ns.n, ns.c, **budget_kw)
-    elif mode == "antichain":
-        if ns.n is None or ns.k is None:
-            raise FamilyError("antichain search needs --n and --k")
-        q = ArrowQuery.antichain(ns.n, ns.k, **budget_kw)
     else:
-        if ns.n is None or ns.a is None or ns.b is None:
-            raise FamilyError("down-set search needs --n, --a and --b")
-        q = ArrowQuery.downset(ns.n, ns.a, ns.b, **budget_kw)
-    run = lambda: run_query(q)
-    return _emit_search(ns, argv, run, budget_kw, {"query": q.to_json_obj()}, inputs)
+        obj = given
+        if ns.mode:
+            obj["mode"] = _MODE_NAMES.get(ns.mode, ns.mode)
+    q = ArrowQuery.from_json_obj(obj)
+    budget_kw = _budget_kwargs(ns, q.budget_nodes, q.budget_secs)
+    q = dataclasses.replace(q, **budget_kw)
+    run = lambda: _searched(run_query(q), {"query": q.to_json_obj()})
+    return _report(ns, argv, run, budget_kw, inputs)
+
+
+def _emit_table(report: dict, pretty: bool) -> None:
+    """verify-table's report; under ``--pretty`` the table alone."""
+    if not pretty:
+        return _emit(report, pretty)
+    print(f"{'c':>3} {'n':>3} {'formula':>8} {'searched':>9} status")
+    for e in report["rows"]:
+        fm = "-" if e["formula"] is None else e["formula"]
+        print(f"{e['c']:>3} {e['n']:>3} {fm:>8} {e['searched']:>9} {e['status']}")
 
 
 def _cmd_verify_table(ns, argv) -> int:
@@ -261,42 +292,39 @@ def _cmd_verify_table(ns, argv) -> int:
     bad = [c for c in rows if c not in allowed]
     if bad:
         raise FamilyError(f"rows must be within {sorted(allowed)}, got {bad}")
+    if not rows or ns.n_min > ns.n_max:
+        raise FamilyError(
+            f"nothing to verify: --rows {ns.rows!r}, --n-min {ns.n_min}, --n-max {ns.n_max}"
+        )
     budget_kw = _budget_kwargs(ns)
-    t0 = time.perf_counter()
-    any_fail = False
-    lines = []
-    for c in rows:
-        for n in range(ns.n_min, ns.n_max + 1):
-            res = max_tilde(ArrowQuery.tilde(n, c, **budget_kw))
-            searched = res.optimum + 1
-            entry = {"c": c, "n": n, "searched": searched, "proved": res.proved_optimal}
-            formula = mtilde_formula(c, n)
-            if isinstance(formula, AsymptoticBounds):
-                entry["formula"] = None
-                entry["status"] = "no-exact-formula"
-            elif c == 8 and n < 25:
-                entry["formula"] = formula
-                entry["status"] = "formula-out-of-range"
-            elif not res.proved_optimal:
-                entry["formula"] = formula
-                entry["status"] = "UNPROVED"
-                any_fail = True
-            else:
-                entry["formula"] = formula
-                entry["status"] = "PASS" if formula == searched else "FAIL"
-                any_fail = any_fail or entry["status"] == "FAIL"
-            lines.append(entry)
-    wall = (time.perf_counter() - t0) * 1000.0
-    if ns.pretty:
-        print(f"{'c':>3} {'n':>3} {'formula':>8} {'searched':>9} status")
-        for e in lines:
-            fm = "-" if e["formula"] is None else e["formula"]
-            print(f"{e['c']:>3} {e['n']:>3} {fm:>8} {e['searched']:>9} {e['status']}")
-    else:
-        report = {"rows": lines}
-        report["manifest"] = _manifest(argv, {}, wall, report, **budget_kw)
-        _emit(report, ns.pretty)
-    return 1 if any_fail else 0
+
+    def run():
+        any_fail = False
+        lines = []
+        for c in rows:
+            for n in range(ns.n_min, ns.n_max + 1):
+                res = max_tilde(ArrowQuery.tilde(n, c, **budget_kw))
+                searched = res.optimum + 1
+                entry = {"c": c, "n": n, "searched": searched, "proved": res.proved_optimal}
+                formula = mtilde_formula(c, n)
+                if isinstance(formula, AsymptoticBounds):
+                    entry["formula"] = None
+                    entry["status"] = "no-exact-formula"
+                elif c == 8 and n < 25:
+                    entry["formula"] = formula
+                    entry["status"] = "formula-out-of-range"
+                elif not res.proved_optimal:
+                    entry["formula"] = formula
+                    entry["status"] = "UNPROVED"
+                    any_fail = True
+                else:
+                    entry["formula"] = formula
+                    entry["status"] = "PASS" if formula == searched else "FAIL"
+                    any_fail = any_fail or entry["status"] == "FAIL"
+                lines.append(entry)
+        return {"rows": lines}, 1 if any_fail else 0
+
+    return _report(ns, argv, run, budget_kw, render=_emit_table)
 
 
 def _cmd_reduce(ns, argv) -> int:
@@ -308,31 +336,18 @@ def _cmd_reduce(ns, argv) -> int:
         "reduced_size": len(red),
         "is_downset": is_downset(red),
     }
-    if ns.out:
-        _write_family(red, ns.out)
-        obj["out"] = ns.out
-    else:
-        obj["reduced"] = family_to_json_obj(red)
-    _emit(obj, ns.pretty)
-    return 0
+    return _emit_family(ns, obj, "reduced", red)
 
 
 def _cmd_symmetrize(ns, argv) -> int:
+    _check_flags(ns, "symmetrize", needs=("x", "y"))
     fam = _load_family(ns.family)
-    if ns.x is None or ns.y is None:
-        raise FamilyError("symmetrize needs --x and --y")
     if ns.profitable:
         out = symmetrize_if_profitable(fam, ns.x, ns.y)
     else:
         out = symmetrize(fam, ns.x, ns.y)
     obj = {"family": ns.family, "x": ns.x, "y": ns.y, "size": len(fam), "new_size": len(out)}
-    if ns.out:
-        _write_family(out, ns.out)
-        obj["out"] = ns.out
-    else:
-        obj["result"] = family_to_json_obj(out)
-    _emit(obj, ns.pretty)
-    return 0
+    return _emit_family(ns, obj, "result", out)
 
 
 def _cmd_partition(ns, argv) -> int:
@@ -353,46 +368,42 @@ def _cmd_partition(ns, argv) -> int:
 
 def _cmd_cancellative(ns, argv) -> int:
     if ns.check:
+        _check_flags(
+            ns, "cancellative --check", needs=("l",), refuses=("n", "budget_nodes", "budget_secs")
+        )
         fam = _load_family(ns.check)
-        if ns.l is None:
-            raise FamilyError("cancellative --check needs --l")
         ok, witness = is_cancellative(fam, ns.l)
         obj = {"family": ns.check, "l": ns.l, "cancellative": ok}
         if witness is not None:
             obj["witness"] = [list(elements_of(m)) for m in witness]
         _emit(obj, ns.pretty)
         return 0
-    if ns.n is None or ns.l is None:
-        raise FamilyError("cancellative search needs --n and --l")
+    _check_flags(ns, "cancellative search", needs=("n", "l"))
     budget_kw = _budget_kwargs(ns)
-    run = lambda: max_cancellative(ns.n, ns.l, **budget_kw)
-    return _emit_search(ns, argv, run, budget_kw, {"n": ns.n, "l": ns.l})
+    run = lambda: _searched(max_cancellative(ns.n, ns.l, **budget_kw), {"n": ns.n, "l": ns.l})
+    return _report(ns, argv, run, budget_kw)
 
 
 def _cmd_ex3(ns, argv) -> int:
+    _check_flags(ns, "ex3", needs=("n",))
     pattern = Pattern(ns.pattern)
-    if ns.n is None:
-        raise FamilyError("ex3 needs --n")
     budget_kw = _budget_kwargs(ns)
-    run = lambda: ex3(ns.n, pattern, **budget_kw)
     # exact values at these sizes are produced by this search, not quoted
     extra = {"n": ns.n, "pattern": pattern.value, "computed_value": True}
-    return _emit_search(ns, argv, run, budget_kw, extra)
+    run = lambda: _searched(ex3(ns.n, pattern, **budget_kw), extra)
+    return _report(ns, argv, run, budget_kw)
 
 
 def _cmd_crosscheck(ns, argv) -> int:
-    if ns.n is None or ns.c is None:
-        raise FamilyError("crosscheck needs --n and --c")
+    _check_flags(ns, "crosscheck", needs=("n", "c"))
     budget_kw = _budget_kwargs(ns)
-    t0 = time.perf_counter()
-    verdict = crosscheck_mtilde(ns.n, ns.c, **budget_kw)
-    wall = (time.perf_counter() - t0) * 1000.0
-    obj = {"n": ns.n, "c": ns.c, "identity_holds": verdict}
-    obj["manifest"] = _manifest(argv, {}, wall, obj, **budget_kw)
-    _emit(obj, ns.pretty)
-    if verdict is None:
-        return 3
-    return 0 if verdict else 1
+
+    def run():
+        verdict = crosscheck_mtilde(ns.n, ns.c, **budget_kw)
+        code = 3 if verdict is None else 0 if verdict else 1
+        return {"n": ns.n, "c": ns.c, "identity_holds": verdict}, code
+
+    return _report(ns, argv, run, budget_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("construct", help="build a named family and report its size")
-    p.add_argument("kind", choices=["partite", "turan", "special6", "downclosure", "downclosure-of-file"])
+    p.add_argument("kind", choices=list(_CONSTRUCT_FLAGS))
     p.add_argument("--n", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)
@@ -429,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="certified extremal search")
     p.add_argument(
-        "--query", help="query JSON file, in place of the query flags; budget flags override its budgets"
+        "--query",
+        help="query JSON file; excludes --mode/--n/--a/--b/--c/--k, which follow the same rules "
+        "(a key the mode does not read exits 2); budget flags override its budgets",
     )
     p.add_argument("--mode", choices=["downset", "full-downset", "tilde", "tilde-complete", "antichain"])
     p.add_argument("--n", type=int)

@@ -486,3 +486,96 @@ class TestVerifyTableRows67:
         assert rows[(6, 5)]["formula"] == 9           # t(3,5) + 1
         assert rows[(7, 6)]["searched"] == 17         # the six-vertex exception
         assert all(r["status"] == "PASS" for r in rows.values())
+
+
+_TILDE_QUERY = {"mode": "tilde-complete", "n": 6, "c": 7}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--query", "q.json", "--n", "9", "--c", "3"],
+        ["search", "--query", "q.json", "--mode", "tilde"],
+        ["search", "--mode", "tilde", "--n", "6", "--c", "7", "--a", "3"],
+        ["search", "--n", "5", "--a", "3", "--b", "7", "--k", "2"],
+        ["search", "--mode", "antichain", "--n", "5", "--k", "2", "--c", "5"],
+        ["construct", "partite", "--n", "6", "--l", "3", "--r", "2", "--out", "f.json"],
+        ["construct", "special6", "--n", "9", "--out", "s.json"],
+        ["construct", "downclosure", "--input", "G.txt", "--n", "4", "--out", "d.json"],
+        ["cancellative", "--check", "G.txt", "--l", "2", "--n", "9"],
+        ["cancellative", "--check", "G.txt", "--l", "2", "--budget-nodes", "3"],
+        ["cancellative", "--check", "G.txt", "--l", "2", "--budget-secs", "1"],
+        ["verify-table", "--rows", ","],
+        ["verify-table", "--rows", "1", "--n-min", "7", "--n-max", "6"],
+    ],
+    ids=[
+        "search-query-and-flags", "search-query-and-mode", "search-tilde-a",
+        "search-downset-k", "search-antichain-c", "construct-partite-r",
+        "construct-special6-n", "construct-downclosure-n", "cancellative-check-n",
+        "cancellative-check-budget-nodes", "cancellative-check-budget-secs",
+        "verify-table-no-rows", "verify-table-empty-n-range",
+    ],
+)
+def test_unread_or_empty_command_line_exit_2(capsys, tmp_path, monkeypatch, args):
+    # a flag the command (in its mode or kind) does not read, or a command
+    # line that leaves nothing to do, is a usage error: no output, no file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps(_TILDE_QUERY))
+    (tmp_path / "G.txt").write_text("n=4\n1,2\n2,3\n")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["G.txt", "q.json"]
+
+
+@pytest.mark.parametrize(
+    "flags, query",
+    [
+        (["--n", "5", "--a", "3", "--b", "7"], {"n": 5, "a": 3, "b": 7}),
+        (["--mode", "downset", "--n", "5", "--b", "13"], {"n": 5, "b": 13}),
+        (["--mode", "tilde", "--n", "6", "--c", "7"], _TILDE_QUERY),
+        (["--mode", "antichain", "--n", "4", "--k", "2"], {"mode": "antichain", "n": 4, "k": 2}),
+    ],
+    ids=["downset", "downset-default-a", "tilde", "antichain"],
+)
+def test_search_flags_match_query_file(capsys, tmp_path, flags, query):
+    # flags and a query file holding the same keys run the same search
+    # (a down-set query that leaves out a gets the file's default, 4)
+    qf = tmp_path / "q.json"
+    qf.write_text(json.dumps(query))
+    code_f, out_f, _ = run_cli(capsys, "search", *flags)
+    code_q, out_q, _ = run_cli(capsys, "search", "--query", str(qf))
+    by_flags, by_file = last_json(out_f), last_json(out_q)
+    assert code_f == code_q == 0
+    for key in ("query", "optimum", "nodes"):
+        assert by_flags[key] == by_file[key]
+    assert by_flags["manifest"]["result_digest"] == by_file["manifest"]["result_digest"]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["search", "--n", "5", "--a", "3", "--b", "7"],
+         "5e6a1097b4f804389b99b8d040aa10deab197c7d32de49bb63968e101dd17aaa"),
+        (["search", "--mode", "tilde", "--n", "6", "--c", "7"],
+         "aabe9f010501369b7b5c31dc450424b90967b7ea9c414c3574b4e33cd3bc11bb"),
+        (["search", "--mode", "antichain", "--n", "4", "--k", "1"],
+         "a87d5ddf6f40bd405586cb244b635187892de7dfab582793ff9427cae27e934d"),
+        (["cancellative", "--n", "6", "--l", "3"],
+         "d0970bed3bd96614bfee3c17dcf92be1762050166d3eff2b592c27ada7521885"),
+        (["ex3", "--n", "6"],
+         "aed3b1e8e4a7a617010a153fbdee3ee4a56789f0ee1760f25e2e17363f2cff7c"),
+        (["crosscheck", "--n", "6", "--c", "7"],
+         "b9007177c559b92d1ecf4114fe0791423d7e151e1c2a2bc5b94fccbf2e7b862f"),
+        (["verify-table", "--rows", "1,2,3", "--n-min", "5", "--n-max", "5"],
+         "dd816902ed184b586b886d9ca492e5de15eafa5a55ed9b0d4b89bf9534d91346"),
+    ],
+    ids=["downset", "tilde", "antichain", "cancellative", "ex3", "crosscheck", "verify-table"],
+)
+def test_result_digest_pinned(capsys, args, digest):
+    # the stable result content of each search-backed command, as pinned
+    # when the command-line paths were merged; a change here changes what
+    # a recorded run manifest reproduces
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert last_json(out)["manifest"]["result_digest"] == digest
