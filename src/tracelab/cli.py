@@ -34,7 +34,6 @@ import time
 from . import __version__
 from .cancellative_turan import Pattern, ex3, is_cancellative, max_cancellative
 from .constructions import (
-    AsymptoticBounds,
     TildeFamily,
     mtilde_formula,
     partite_family,
@@ -279,8 +278,7 @@ def _emit_table(report: dict, pretty: bool) -> None:
         return _emit(report, pretty)
     print(f"{'c':>3} {'n':>3} {'formula':>8} {'searched':>9} status")
     for e in report["rows"]:
-        fm = "-" if e["formula"] is None else e["formula"]
-        print(f"{e['c']:>3} {e['n']:>3} {fm:>8} {e['searched']:>9} {e['status']}")
+        print(f"{e['c']:>3} {e['n']:>3} {e['formula']:>8} {e['searched']:>9} {e['status']}")
 
 
 def _cmd_verify_table(ns, argv) -> int:
@@ -297,31 +295,37 @@ def _cmd_verify_table(ns, argv) -> int:
             f"nothing to verify: --rows {ns.rows!r}, --n-min {ns.n_min}, --n-max {ns.n_max}"
         )
     budget_kw = _budget_kwargs(ns)
+    # every (row, n) passes the search's and the formula table's own
+    # checks before the first search runs
+    table = []
+    for c in rows:
+        for n in range(ns.n_min, ns.n_max + 1):
+            q = ArrowQuery.tilde(n, c, **budget_kw)
+            q.validate()
+            table.append((q, mtilde_formula(c, n)))
 
     def run():
         any_fail = False
         lines = []
-        for c in rows:
-            for n in range(ns.n_min, ns.n_max + 1):
-                res = max_tilde(ArrowQuery.tilde(n, c, **budget_kw))
-                searched = res.optimum + 1
-                entry = {"c": c, "n": n, "searched": searched, "proved": res.proved_optimal}
-                formula = mtilde_formula(c, n)
-                if isinstance(formula, AsymptoticBounds):
-                    entry["formula"] = None
-                    entry["status"] = "no-exact-formula"
-                elif c == 8 and n < 25:
-                    entry["formula"] = formula
-                    entry["status"] = "formula-out-of-range"
-                elif not res.proved_optimal:
-                    entry["formula"] = formula
-                    entry["status"] = "UNPROVED"
-                    any_fail = True
-                else:
-                    entry["formula"] = formula
-                    entry["status"] = "PASS" if formula == searched else "FAIL"
-                    any_fail = any_fail or entry["status"] == "FAIL"
-                lines.append(entry)
+        for q, formula in table:
+            res = max_tilde(q)
+            searched = res.optimum + 1
+            entry = {
+                "c": q.c,
+                "n": q.n,
+                "formula": formula,
+                "searched": searched,
+                "proved": res.proved_optimal,
+            }
+            if q.c == 8 and q.n < 25:
+                entry["status"] = "formula-out-of-range"
+            elif not res.proved_optimal:
+                entry["status"] = "UNPROVED"
+                any_fail = True
+            else:
+                entry["status"] = "PASS" if formula == searched else "FAIL"
+                any_fail = any_fail or entry["status"] == "FAIL"
+            lines.append(entry)
         return {"rows": lines}, 1 if any_fail else 0
 
     return _report(ns, argv, run, budget_kw, render=_emit_table)

@@ -6,6 +6,13 @@ graphs and their edge counts, the exceptional 6-vertex pair/triple
 family, the closed-form table of hook-extremal values, arrow-threshold
 formulas, and the pairwise-product sum inequality check.
 
+The balanced split of [n] into l parts of sizes floor((n+i)/l), i < l
+(the paper's X_1, X_2, X_3 for l = 3) is computed in one place,
+``_balanced_sizes``, and every closed form built on it reads it there:
+the partite blocks and family sizes, the Turán parts, the partite
+thresholds, and the part products of the (4, 13) and (5, 25)
+thresholds and of the table's row 8.
+
 Everything is exact integer arithmetic except
 :func:`pairwise_sum_bound_check`, which is the one float consumer.
 """
@@ -16,7 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .setcore import (
@@ -38,11 +45,18 @@ _MATERIALIZE_CAP = 1_000_000
 # partite families
 
 
-def partite_sizes(n: int, l: int) -> list[int]:
-    """Block sizes floor((n+i)/l), i < l, listed largest first."""
-    if not 1 <= l <= n:
-        raise FamilyError(f"need 1 <= l <= n, got l={l}, n={n}")
+def _balanced_sizes(n: int, l: int) -> list[int]:
+    """Part sizes floor((n+i)/l), i < l, listed largest first; unguarded,
+    so some parts are 0 when n < l."""
     return sorted(((n + i) // l for i in range(l)), reverse=True)
+
+
+def partite_sizes(n: int, l: int) -> list[int]:
+    """Block sizes floor((n+i)/l), i < l, listed largest first: the
+    balanced split, which is also the Turán graph's."""
+    if not 1 <= l <= n:
+        raise FamilyError(f"cannot split n={n} into {l} nonempty parts")
+    return _balanced_sizes(n, l)
 
 
 def _blocks_from_sizes(n: int, sizes: list[int]) -> list[int]:
@@ -62,12 +76,7 @@ def _blocks_from_sizes(n: int, sizes: list[int]) -> list[int]:
 def partite_family_size(n: int, l: int) -> int:
     """prod(1 + floor((n+i)/l)): size of the l-partite family without
     materializing it (valid for any n)."""
-    if not 1 <= l <= n:
-        raise FamilyError(f"need 1 <= l <= n, got l={l}, n={n}")
-    out = 1
-    for i in range(l):
-        out *= 1 + (n + i) // l
-    return out
+    return prod(1 + s for s in partite_sizes(n, l))
 
 
 def partite_family(n: int, l: int, sizes: list[int] | None = None) -> SetFamily:
@@ -85,9 +94,7 @@ def partite_family(n: int, l: int, sizes: list[int] | None = None) -> SetFamily:
     if n > 64:
         raise FamilyError("explicit families need n <= 64")
     blocks = _blocks_from_sizes(n, sizes)
-    total = 1
-    for s in sizes:
-        total *= 1 + s
+    total = prod(1 + s for s in sizes)
     if total > _MATERIALIZE_CAP:
         raise FamilyError(f"family of size {total} too large to materialize")
     choices = [[0] + [1 << b for b in range(64) if blk >> b & 1] for blk in blocks]
@@ -104,19 +111,11 @@ def partite_family(n: int, l: int, sizes: list[int] | None = None) -> SetFamily:
 # Turán graphs
 
 
-def turan_sizes(r: int, n: int) -> list[int]:
-    """Part sizes of the balanced complete r-partite graph, largest first."""
-    if not 1 <= r <= n:
-        raise FamilyError(f"need 1 <= r <= n, got r={r}, n={n}")
-    q, rem = divmod(n, r)
-    return [q + 1] * rem + [q] * (r - rem)
-
-
 def turan_graph(r: int, n: int) -> SetFamily:
     """Edge family of the balanced complete r-partite graph on [n]."""
     if n > 64:
         raise FamilyError("explicit graphs need n <= 64")
-    blocks = _blocks_from_sizes(n, turan_sizes(r, n))
+    blocks = _blocks_from_sizes(n, partite_sizes(n, r))
     masks = []
     for bi, bjs in enumerate(blocks):
         for bj in blocks[bi + 1 :]:
@@ -128,7 +127,7 @@ def turan_graph(r: int, n: int) -> SetFamily:
 
 def t_count(r: int, n: int) -> int:
     """Edge count of the balanced complete r-partite graph on [n]."""
-    return comb(n, 2) - sum(comb(s, 2) for s in turan_sizes(r, n))
+    return comb(n, 2) - sum(comb(s, 2) for s in partite_sizes(n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +268,6 @@ class AsymptoticBounds:
         return ((n / 2) ** 1.5, 0.5 * n**1.5)
 
 
-MTILDE_ROWS = (1, 2, 3, 4, 5, 6, 7, 8)
-# rows with an exact closed form at desk scale (row 8 is asymptotic-only
-# below n = 25, row 4 has no exact formula at all)
-MTILDE_EXACT_ROWS = (1, 2, 3, 5, 6, 7)
-
-
 def mtilde_formula(c: int, n: int):
     """Closed-form least size forcing some 4-set to carry >= c members,
     for complete pair/triple families on [n], n >= 5.
@@ -302,14 +295,14 @@ def mtilde_formula(c: int, n: int):
     if c == 7:
         return 17 if n == 6 else comb(n, 2) + 1
     if c == 8:
-        return ((n + 2) // 3) * ((n + 1) // 3) * (n // 3) + 1
+        return prod(_balanced_sizes(n, 3)) + 1
     raise FamilyError(f"no formula row for c={c}")
 
 
 THRESHOLD_KINDS = (
     "sauer_shelah",      # 1 + sum_{i<k} C(n,i), forces a k-window trace of 2^k
     "three_seven",       # floor(n^2/4) + n + 2, forces a 3-window trace of 7
-    "partite_nonarrow",  # prod floor((n+l+i)/l): largest size avoiding (l+1, 3*2^(l-1)+1)
+    "partite_nonarrow",  # partite_family_size(n, l): largest size avoiding (l+1, 3*2^(l-1)+1)
     "partite_arrow",     # one more than the above (conjectured forcing size)
     "four_thirteen",     # triple-level bound + lower levels, forces (4,13)
     "five_twentyfive",   # quadruple-level analogue, forces (5,25)
@@ -327,18 +320,12 @@ def threshold(kind: str, n: int, l: int | None = None, k: int | None = None) -> 
     if kind in ("partite_nonarrow", "partite_arrow"):
         if l is None or not 1 <= l <= n:
             raise FamilyError(f"{kind} needs 1 <= l <= n")
-        prod = 1
-        for i in range(l):
-            prod *= (n + l + i) // l
-        return prod if kind == "partite_nonarrow" else prod + 1
+        size = partite_family_size(n, l)
+        return size if kind == "partite_nonarrow" else size + 1
     if kind == "four_thirteen":
-        cube = ((n + 2) // 3) * ((n + 1) // 3) * (n // 3)
-        return cube + comb(n, 2) + n + 2
+        return prod(_balanced_sizes(n, 3)) + comb(n, 2) + n + 2
     if kind == "five_twentyfive":
-        prod = 1
-        for i in range(4):
-            prod *= (n + i) // 4
-        return prod + comb(n, 3) + comb(n, 2) + n + 2
+        return prod(_balanced_sizes(n, 4)) + comb(n, 3) + comb(n, 2) + n + 2
     raise FamilyError(f"unknown threshold kind {kind!r}")
 
 

@@ -281,7 +281,10 @@ class _CountedState:
     candidate i is undecided, 1 once it is in and 2 once it is out.  The
     empty selection is feasible, so every state admits a family.
     ``implied`` lists the masks every family of the search has outside
-    the candidates (the down-set's empty set).
+    the candidates (the down-set's empty set).  At candidates of the
+    sizes in ``exclude_first_cards`` the engine explores the
+    orbit-exclusion child before inclusion (tilde's triples: it finds
+    strong incumbents made of lower levels early).
 
     ``blocked[i]`` counts the reasons, in the current subtree, why i
     cannot be added; a subclass keeps it exact through ``_block`` and
@@ -336,6 +339,7 @@ class _CountedState:
     """
 
     implied: tuple[int, ...] = ()
+    exclude_first_cards: frozenset[int] = frozenset()
     has_reach = False
     sub_args: tuple[tuple, ...] = ()
 
@@ -685,10 +689,6 @@ class _DownsetState(_CapState):
 class _Searcher:
     """Depth-first maximizer over a constraint state with orbital branching.
 
-    ``exclude_first_cards``: at candidates of these cardinalities the
-    orbit-exclusion child is explored before inclusion (finds strong
-    incumbents made of lower levels early).
-
     A node is opened (``_open``: ticked, recorded if it is a new
     incumbent, and bounded) by its parent right after the move that
     makes it, and a ``_dfs`` frame is entered only for a node the bound
@@ -701,19 +701,13 @@ class _Searcher:
     state is freed without the cyclic collector.
     """
 
-    def __init__(
-        self,
-        state: _CountedState,
-        budget: _Budget,
-        exclude_first_cards=frozenset(),
-        use_symmetry: bool = True,
-    ):
+    def __init__(self, state: _CountedState, budget: _Budget, use_symmetry: bool = True):
         self.state = state
         self.budget = budget
         self.best = -1
         self.best_bits = 0
-        self.exclude_first_cards = frozenset(exclude_first_cards)
         self.use_symmetry = use_symmetry
+        self.exclude_first_cards = state.exclude_first_cards
         self.reach = state.reach if state.has_reach else None
 
     def run(self) -> bool:
@@ -846,7 +840,9 @@ def _build_downset_state(n: int, a: int, b: int) -> _DownsetState:
 
 
 def _build_tilde_state(n: int, c: int) -> _CapState:
-    return _CapState(n, (2, 3), 4, c - 1)
+    state = _CapState(n, (2, 3), 4, c - 1)
+    state.exclude_first_cards = frozenset((3,))
+    return state
 
 
 def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _UniformCapState:
@@ -940,7 +936,6 @@ def _solve_state(
     budget_nodes: int,
     budget_secs: float | None,
     use_symmetry: bool,
-    exclude_first_cards=frozenset(),
 ) -> SearchResult:
     """Maximize over the state ``build(*args)`` and certify the answer.
 
@@ -962,8 +957,7 @@ def _solve_state(
     accepts it; otherwise this raises RuntimeError.
     """
     return _Query(
-        build, witness, recheck, _Budget(budget_nodes, budget_secs),
-        use_symmetry, exclude_first_cards,
+        build, witness, recheck, _Budget(budget_nodes, budget_secs), use_symmetry
     ).solve(args)
 
 
@@ -971,11 +965,10 @@ class _Query:
     """The searches of one ``_solve_state`` call: its own and the
     sub-queries below it, which share its budget."""
 
-    def __init__(self, build, witness, recheck, budget, use_symmetry, exclude_first_cards):
+    def __init__(self, build, witness, recheck, budget, use_symmetry):
         self.build, self.witness, self.recheck = build, witness, recheck
         self.budget = budget
         self.use_symmetry = use_symmetry
-        self.exclude_first_cards = exclude_first_cards
         self.solved: dict[tuple, SearchResult] = {}  # sub-query args -> result
 
     def solve(self, args: tuple) -> SearchResult:
@@ -993,12 +986,7 @@ class _Query:
                     for m in subs[0].witness.members
                     if m not in state.implied
                 )
-        searcher = _Searcher(
-            state,
-            budget,
-            exclude_first_cards=self.exclude_first_cards,
-            use_symmetry=self.use_symmetry,
-        )
+        searcher = _Searcher(state, budget, use_symmetry=self.use_symmetry)
         if start is not None:
             searcher.best, searcher.best_bits = start.bit_count(), start
         # a sub-query that ran out of nodes may have left none to tick
@@ -1102,7 +1090,6 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
         **_limits(q),
         witness=_tilde_witness,
         recheck=lambda w, n, c: w.complete and not hookarrow(w, c),
-        exclude_first_cards=frozenset((3,)),
     )
 
 

@@ -22,7 +22,6 @@ from .setcore import (
     SetFamily,
     elements_of,
     is_downset,
-    link,
 )
 
 
@@ -104,7 +103,9 @@ def symmetrize_if_profitable(fam: SetFamily, x: int, y: int) -> SetFamily:
 
     Precondition: ``fam`` is a down-set and no member contains both x
     and y.  Afterwards link(result, x) == link(result, y) and
-    |result| >= |fam|.
+    |result| >= |fam|.  As no member holds both, symmetrize(fam, x, y)
+    has |fam| - deg(y) + deg(x) members, so the orientation is read off
+    the degrees, x over y on a tie.
     """
     bx, by = _pair_bits(fam, x, y)
     both = bx | by
@@ -114,7 +115,9 @@ def symmetrize_if_profitable(fam: SetFamily, x: int, y: int) -> SetFamily:
                 f"member {set(elements_of(m))} contains both {x} and {y}; "
                 "symmetrization would not preserve traces"
             )
-    if len(link(fam, x)) >= len(link(fam, y)):
+    deg_x = sum(1 for m in fam.members if m & bx)
+    deg_y = sum(1 for m in fam.members if m & by)
+    if deg_x >= deg_y:
         return symmetrize(fam, x, y)
     return symmetrize(fam, y, x)
 
@@ -124,20 +127,18 @@ def partition_classes(fam: SetFamily) -> PartitionStructure:
     with the family of class-incidence patterns on ground set [r].
 
     Classes are ordered by size descending, then by smallest element.
+    Each element's link {F - x : x in F in fam} is read off the members
+    as a set of masks, the key of its class, and the element's bit is
+    ORed into that class's mask.
     """
     if not is_downset(fam):
         raise FamilyError("partition_classes requires a down-set")
-    n = fam.n
-    links = [frozenset(link(fam, i).members) for i in range(1, n + 1)]
-    class_of: dict[frozenset, int] = {}
-    masks: list[int] = []
-    for b, lk in enumerate(links):
-        if lk in class_of:
-            masks[class_of[lk]] |= 1 << b
-        else:
-            class_of[lk] = len(masks)
-            masks.append(1 << b)
-    masks.sort(key=lambda z: (-z.bit_count(), z & -z))
+    class_mask: dict[frozenset[int], int] = {}
+    for b in range(fam.n):
+        bit = 1 << b
+        key = frozenset(m ^ bit for m in fam.members if m & bit)
+        class_mask[key] = class_mask.get(key, 0) | bit
+    masks = sorted(class_mask.values(), key=lambda z: (-z.bit_count(), z & -z))
     r = len(masks)
     patterns = set()
     for m in fam.members:

@@ -476,6 +476,29 @@ class TestEntryPoint:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n-min", "3"],
+        ["--n-min", "4"],
+        ["--n-min", "21", "--n-max", "22"],
+        ["--n-max", "21"],
+        ["--rows", "1", "--n-min", "17", "--n-max", "21"],
+    ],
+    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap"],
+)
+def test_verify_table_checks_range_before_searching(capsys, monkeypatch, flags):
+    # an n outside the search's or the formula table's range is refused
+    # before the first search runs: no search, no output
+    def no_search(q):
+        raise AssertionError(f"searched n={q.n}, c={q.c} before checking the range")
+
+    monkeypatch.setattr("tracelab.cli.max_tilde", no_search)
+    code, out, err = run_cli(capsys, "verify-table", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestVerifyTableRows67:
     def test_three_part_and_pair_rows(self, capsys):
         code, out, _ = run_cli(

@@ -31,7 +31,56 @@ from tracelab import (
     tilde_to_json,
     turan_graph,
 )
-from tracelab.constructions import turan_sizes
+
+
+# Each closed form written out on its own, with its own copy of the
+# balanced split: references for the parity tests below.
+
+
+def _ref_turan_sizes(r, n):
+    if not 1 <= r <= n:
+        raise FamilyError("bad r")
+    q, rem = divmod(n, r)
+    return [q + 1] * rem + [q] * (r - rem)
+
+
+def _ref_partite_family_size(n, l):
+    if not 1 <= l <= n:
+        raise FamilyError("bad l")
+    out = 1
+    for i in range(l):
+        out *= 1 + (n + i) // l
+    return out
+
+
+def _ref_partite_threshold(n, l):
+    prod = 1
+    for i in range(l):
+        prod *= (n + l + i) // l
+    return prod
+
+
+def _ref_cube3(n):
+    return ((n + 2) // 3) * ((n + 1) // 3) * (n // 3)
+
+
+def _ref_four_thirteen(n):
+    return _ref_cube3(n) + math.comb(n, 2) + n + 2
+
+
+def _ref_five_twentyfive(n):
+    prod = 1
+    for i in range(4):
+        prod *= (n + i) // 4
+    return prod + math.comb(n, 3) + math.comb(n, 2) + n + 2
+
+
+def _outcome(fn, *args):
+    """fn's value, or the marker "FamilyError" when it raises one."""
+    try:
+        return fn(*args)
+    except FamilyError:
+        return "FamilyError"
 
 
 def random_complete_tilde(rng, n):
@@ -107,8 +156,63 @@ class TestTuran:
             assert t_count(3, n) - t_count(3, n - 3) == 2 * n - 3
 
     def test_sizes_near_equal(self):
-        assert turan_sizes(3, 7) == [3, 2, 2]
-        assert turan_sizes(3, 6) == [2, 2, 2]
+        assert partite_sizes(7, 3) == [3, 2, 2]
+        assert partite_sizes(6, 3) == [2, 2, 2]
+
+
+class TestOneBalancedSplit:
+    # every closed form gives the value, and raises for the inputs, that
+    # its written-out reference gives, for n = 0..60 and every l (and l
+    # just outside 1..n)
+
+    def test_part_sizes_and_counts(self):
+        for n in range(61):
+            for l in range(-1, n + 3):
+                ref_sizes = _outcome(_ref_turan_sizes, l, n)
+                assert _outcome(partite_sizes, n, l) == ref_sizes
+                assert _outcome(partite_family_size, n, l) == _outcome(
+                    _ref_partite_family_size, n, l
+                )
+                ref_edges = (
+                    ref_sizes
+                    if ref_sizes == "FamilyError"
+                    else math.comb(n, 2) - sum(math.comb(s, 2) for s in ref_sizes)
+                )
+                assert _outcome(t_count, l, n) == ref_edges
+
+    def test_turan_graph_parts(self):
+        for n in range(13):
+            for r in range(-1, n + 3):
+                ref_sizes = _outcome(_ref_turan_sizes, r, n)
+                got = _outcome(turan_graph, r, n)
+                if ref_sizes == "FamilyError":
+                    assert got == "FamilyError"
+                else:
+                    assert len(got) == math.comb(n, 2) - sum(math.comb(s, 2) for s in ref_sizes)
+
+    def test_thresholds(self):
+        for n in range(61):
+            assert threshold("four_thirteen", n) == _ref_four_thirteen(n)
+            assert threshold("five_twentyfive", n) == _ref_five_twentyfive(n)
+            for l in range(-1, n + 3):
+                ok = 1 <= l <= n
+                ref = _ref_partite_threshold(n, l) if ok else "FamilyError"
+                got = _outcome(threshold, "partite_nonarrow", n, l)
+                assert got == ref
+                got = _outcome(threshold, "partite_arrow", n, l)
+                assert got == (ref + 1 if ok else "FamilyError")
+            for kind in ("partite_nonarrow", "partite_arrow"):
+                assert _outcome(threshold, kind, n) == "FamilyError"
+
+    def test_small_n_values(self):
+        # below l some parts are 0; the level-bound thresholds still
+        # evaluate there
+        assert [threshold("four_thirteen", n) for n in range(3)] == [2, 3, 5]
+
+    def test_row8_cube(self):
+        for n in range(61):
+            want = _ref_cube3(n) + 1 if n >= 5 else "FamilyError"
+            assert _outcome(mtilde_formula, 8, n) == want
 
 
 class TestSpecial6:

@@ -25,6 +25,7 @@ from tracelab import (
 
 from conftest import (
     kernel_parity_families,
+    random_downset,
     random_downset_avoiding,
     random_family,
     uncovered_pairs,
@@ -252,6 +253,103 @@ class TestPartition:
     def test_requires_downset(self):
         with pytest.raises(FamilyError):
             partition_classes(SetFamily.from_sets(3, [(1, 2)]))
+
+
+def _ref_partition_classes(fam):
+    """partition_classes by its definition: one link family per element,
+    grouped by equal member sets."""
+    if not is_downset(fam):
+        raise FamilyError("partition_classes requires a down-set")
+    links = [frozenset(link(fam, i).members) for i in range(1, fam.n + 1)]
+    class_of, masks = {}, []
+    for b, lk in enumerate(links):
+        if lk in class_of:
+            masks[class_of[lk]] |= 1 << b
+        else:
+            class_of[lk] = len(masks)
+            masks.append(1 << b)
+    masks.sort(key=lambda z: (-z.bit_count(), z & -z))
+    patterns = set()
+    for m in fam.members:
+        pat = 0
+        for ci, z in enumerate(masks):
+            if m & z:
+                pat |= 1 << ci
+        patterns.add(pat)
+    return PartitionStructure(tuple(masks), SetFamily.from_masks(max(len(masks), 1), patterns))
+
+
+def _ref_symmetrize_if_profitable(fam, x, y):
+    """symmetrize_if_profitable by its definition: the orientation from
+    the sizes of the two link families."""
+    if x == y:
+        raise FamilyError("symmetrize needs two distinct elements")
+    both = (1 << (x - 1)) | (1 << (y - 1))
+    if any(m & both == both for m in fam.members):
+        raise FamilyError("a member contains both")
+    if len(link(fam, x)) >= len(link(fam, y)):
+        return symmetrize(fam, x, y)
+    return symmetrize(fam, y, x)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the marker "FamilyError" when it raises one."""
+    try:
+        return fn(*args)
+    except FamilyError:
+        return "FamilyError"
+
+
+def _parity_downsets():
+    """Compressed kernel parity families (n = 1..8) and random down-sets
+    on n = 1..12."""
+    fams = [downset_compress(fam) for _, fam in kernel_parity_families(seed=53)]
+    rng = random.Random(59)
+    for n in range(1, 13):
+        for _ in range(4):
+            fams.append(random_downset(rng, n, gens=rng.randint(1, 6), max_card=4))
+    return fams
+
+
+class TestLinksWithoutFamilies:
+    # partition_classes and symmetrize_if_profitable read the links off
+    # the members; they agree with the link-family versions everywhere
+
+    def test_partition_matches_link_families(self):
+        for fam in _parity_downsets():
+            assert partition_classes(fam) == _ref_partition_classes(fam)
+
+    def test_partition_refuses_what_link_families_refuse(self):
+        for _, fam in kernel_parity_families(seed=53, per_n=3):
+            assert _outcome(partition_classes, fam) == _outcome(_ref_partition_classes, fam)
+
+    def test_profitable_orientation_matches_link_sizes(self):
+        raised = kept = 0
+        for fam in _parity_downsets():
+            for x in range(1, fam.n + 1):
+                for y in range(1, fam.n + 1):
+                    if x == y:
+                        continue
+                    got = _outcome(symmetrize_if_profitable, fam, x, y)
+                    assert got == _outcome(_ref_symmetrize_if_profitable, fam, x, y)
+                    raised += got == "FamilyError"
+                    kept += got != "FamilyError"
+        # both outcomes occur: members holding both elements, and none
+        assert raised and kept
+
+    def test_degree_tie_keeps_x_over_y(self):
+        # deg 1 = deg 2 = 2, with different links: x's link is copied
+        fam = SetFamily.from_sets(4, [(), (1,), (2,), (3,), (4,), (1, 3), (2, 4)])
+        assert symmetrize_if_profitable(fam, 1, 2) == symmetrize(fam, 1, 2)
+        assert symmetrize_if_profitable(fam, 2, 1) == symmetrize(fam, 2, 1)
+        assert symmetrize(fam, 1, 2) != symmetrize(fam, 2, 1)
+        assert symmetrize_if_profitable(fam, 1, 2) == _ref_symmetrize_if_profitable(fam, 1, 2)
+
+    def test_member_with_both_raises(self):
+        fam = SetFamily.from_sets(3, [(), (1,), (2,), (3,), (1, 2)])
+        for x, y in ((1, 2), (2, 1)):
+            with pytest.raises(FamilyError, match="contains both"):
+                symmetrize_if_profitable(fam, x, y)
 
 
 class TestAuxTriples:
