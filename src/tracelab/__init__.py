@@ -25,8 +25,6 @@ from .setcore import (
     link_avoiding,
     mask_of,
     max_trace_over_ksets,
-    pair_delete,
-    pair_link,
     shadow,
     trace,
     trace_size,
@@ -40,7 +38,6 @@ from .transforms import (
     symmetrize_if_profitable,
 )
 from .constructions import (
-    AsymptoticBounds,
     BoundCheck,
     HookMax,
     TildeFamily,

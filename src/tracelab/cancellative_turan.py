@@ -24,6 +24,7 @@ from .search import (
     DEFAULT_BUDGET_SECS,
     SearchResult,
     _CountedState,
+    _UniformCapState,
     _build_uniform_window_state,
     _candidate_masks,
     _solve_state,
@@ -205,8 +206,10 @@ class _CancellativeState(_CountedState):
                 if (e & f).bit_count() == l - 1:
                     self.partners[i].append(j)
                     self.pair_partners[e ^ f].append((i, j))
-        if n - 1 >= l:
-            self.sub_args = ((n - 1, l),)
+
+    @staticmethod
+    def sub_queries(n: int, l: int):
+        return ((n - 1, l),) if n - 1 >= l else ()
 
     def try_add_group(self, i: int):
         if self.status[i] or self.blocked[i]:
@@ -278,12 +281,13 @@ def max_cancellative(
         raise FamilyError(f"need l <= n <= 12, got n={n}")
     if l == 2:
         # triangle-free == cancellative for graphs: cap 2 edges per 3-window
-        build, args = _build_uniform_window_state, (n, 2, 3, 2)
+        build, cls, args = _build_uniform_window_state, _UniformCapState, (n, 2, 3, 2)
     else:
-        build, args = _build_cancellative_state, (n, l)
+        build, cls, args = _build_cancellative_state, _CancellativeState, (n, l)
     return _solve_state(
         build,
         args,
+        sub_queries=cls.sub_queries,
         witness=SetFamily.from_masks,
         recheck=lambda w, *_: is_cancellative(w, l).ok,
         budget_nodes=budget_nodes,
@@ -307,6 +311,7 @@ def ex3(
     return _solve_state(
         _build_uniform_window_state,
         (n, 3, 4, pattern.window_limit(3)),
+        sub_queries=_UniformCapState.sub_queries,
         witness=SetFamily.from_masks,
         recheck=lambda w, *_: pattern_free(w, 3, pattern),
         budget_nodes=budget_nodes,

@@ -257,24 +257,14 @@ def tilde_from_json(text: str) -> TildeFamily:
 # formula table and arrow thresholds
 
 
-@dataclass(frozen=True)
-class AsymptoticBounds:
-    """Symbolic lower/upper bounds for a row that has no exact formula."""
-
-    lower: str
-    upper: str
-
-    def evaluate_leading(self, n: int) -> tuple[float, float]:
-        return ((n / 2) ** 1.5, 0.5 * n**1.5)
-
-
 def mtilde_formula(c: int, n: int):
     """Closed-form least size forcing some 4-set to carry >= c members,
     for complete pair/triple families on [n], n >= 5.
 
-    Row c=4 returns symbolic :class:`AsymptoticBounds`; row c=8's formula
-    is only claimed for n >= 25 (the value is returned regardless, callers
-    decide whether to trust it at small n).
+    Row c=4 has no closed form (its order is n^(3/2)) and raises
+    FamilyError; row c=8's formula is only claimed for n >= 25 (the value
+    is returned regardless, callers decide whether to trust it at small
+    n).
     """
     if n < 5:
         raise FamilyError(f"formula table starts at n=5, got n={n}")
@@ -284,10 +274,6 @@ def mtilde_formula(c: int, n: int):
         return 2
     if c == 3:
         return 2 * n // 3 + 1
-    if c == 4:
-        return AsymptoticBounds(
-            lower="(n/2)^(3/2) + o(n^(3/2))", upper="n^(3/2)/2 + O(n)"
-        )
     if c == 5:
         return n * n // 4 + 1
     if c == 6:

@@ -35,10 +35,12 @@ sub-query on n-1 points, and its link at v, at most the degree of v in
 U; summed over v, the members avoiding v also give the averaging bound
 of Katona, Nemetz and Simonovits.  A down-set's link is itself a
 down-set under a halved trace ceiling, so a second sub-query on n-1
-points caps it too (Frankl).  ``_solve_state`` runs the sub-queries a
-state declares before its own search, each at most once per query and
-on a fixed share of the query's own budget, so a result's ``nodes``
-includes them; the search on n points always runs.  Symmetry is
+points caps it too (Frankl).  ``_solve_state`` runs these sub-queries
+bottom up, one level after another: each at most once per query, after
+the levels it declares and before the level declaring it, on a share
+of the query's budget that shrinks with its depth, so a result's
+``nodes`` includes them; the search on n points always runs, last.
+Each level's state is built only when its turn comes.  Symmetry is
 exploited by orbital branching: at a node whose chosen and excluded
 candidates are stabilized by a permutation group G of the ground set,
 either a representative e goes in, or its entire G-orbit goes out.
@@ -321,11 +323,13 @@ class _CountedState:
     (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
     ``reach()`` is the lesser of the least per-vertex bound and the
     average, less |I|: it counts candidates, as the engine does.  A
-    state declares in ``sub_args`` the builder arguments of the
-    sub-queries that give M (and L, where searched);
-    ``start_averaging(M, L)`` turns the bound on once they are solved,
-    and without L the link is bounded by ``d_v`` alone.  The ``nodes``
-    of such a search include the sub-queries'.
+    state class declares the sub-queries that give M (and L, where
+    searched) as a pure function of its builder arguments:
+    ``sub_queries(*args)`` is their builder arguments, in order, and
+    () for a state without the bound.  ``start_averaging(M, L)`` turns
+    the bound on once they are solved, and without L the link is
+    bounded by ``d_v`` alone.  The ``nodes`` of such a search include
+    the sub-queries'.
 
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
@@ -341,7 +345,6 @@ class _CountedState:
     implied: tuple[int, ...] = ()
     exclude_first_cards: frozenset[int] = frozenset()
     has_reach = False
-    sub_args: tuple[tuple, ...] = ()
 
     def __init__(self, nbits: int, masks: list[int]):
         self.nbits = nbits
@@ -401,6 +404,12 @@ class _CountedState:
 
     def bound_remaining(self) -> int:
         return self.free.bit_count()
+
+    @staticmethod
+    def sub_queries(*args) -> tuple[tuple, ...]:
+        """The builder arguments of the sub-queries a state built from
+        ``args`` needs for its bound; none by default."""
+        return ()
 
     def start_averaging(self, sub_optimum: int, link_cap: int | None = None) -> None:
         """Turn the vertex-deletion bound on, with M = ``sub_optimum`` and
@@ -651,9 +660,11 @@ class _UniformCapState(_CapState):
 
     def __init__(self, n, card, win, cap):
         super().__init__(n, (card,), win, cap)
+
+    @staticmethod
+    def sub_queries(n, card, win, cap):
         # with fewer points than a window there is no window to cap
-        if n - 1 >= max(card, win):
-            self.sub_args = ((n - 1, card, win, cap),)
+        return ((n - 1, card, win, cap),) if n - 1 >= max(card, win) else ()
 
 
 class _DownsetState(_CapState):
@@ -676,10 +687,14 @@ class _DownsetState(_CapState):
 
     def __init__(self, n, a, b):
         super().__init__(n, range(1, a), a, b - 2)
+
+    @staticmethod
+    def sub_queries(n, a, b):
         # with n-1 < a points there is no window to cap; b = 2 leaves
         # every candidate blocked
         if n - 1 >= a >= 2 and b >= 3:
-            self.sub_args = ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1))
+            return ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1))
+        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -926,11 +941,15 @@ def _build_antichain_state(n: int, k: int) -> _AntichainState:
 # ---------------------------------------------------------------------------
 # solving
 
+# share of a level's node and time budget that each level below it may spend
+_SUB_SHARE = 3 / 4
+
 
 def _solve_state(
     build: Callable[..., _CountedState],
     args: tuple,
     *,
+    sub_queries: Callable[..., tuple[tuple, ...]] = _CountedState.sub_queries,
     witness: Callable,
     recheck: Callable[..., bool],
     budget_nodes: int,
@@ -939,95 +958,73 @@ def _solve_state(
 ) -> SearchResult:
     """Maximize over the state ``build(*args)`` and certify the answer.
 
-    When the state declares sub-queries (``sub_args``, builder argument
-    tuples on n-1 points), they run first, in order, up to the first
-    that is not proved, under the same budget: one node count and one
-    deadline, so ``nodes`` includes them.  Together they may spend
-    ``_SUB_SHARE`` of the nodes and of the time still left; the search
-    on ``args`` always runs, with the rest.  A sub-query runs at most
-    once per query, wherever it is declared, and its own sub-queries
-    before it.  When every one proves, their optima turn the state's
-    bound on.  Otherwise the first one's witness, a family of the same
-    search on the first n-1 points, is the search's first incumbent.
+    ``sub_queries`` is the state class's declaration: the builder
+    arguments of the sub-queries on n-1 points that a state built from
+    given arguments needs for its bound.  With their own sub-queries,
+    down to the levels that declare none, they are the query's levels.
+    One loop runs each level once, each after the levels it declares,
+    in their declared order, and the query last; it builds a level's
+    state only when that level's turn comes.  All share one node count,
+    so ``nodes`` includes them.  A level d points below the query may
+    tick nodes up to ``_SUB_SHARE``**d of ``budget_nodes`` (rounded
+    down at each step) and run until ``_SUB_SHARE``**d of
+    ``budget_secs`` has passed since the start, so the query's own
+    search always has the rest.  When every level a level declares
+    proved, their optima turn its bound on.  Otherwise the first one's
+    witness, a family of the same search on the first n-1 points, is its
+    first incumbent.
 
-    The witness is ``witness(n, masks)``: ``masks`` are the state's
-    ``implied`` masks and the chosen ones, in the canonical member
-    order.  It is returned only if it has one member per mask and
-    ``recheck(witness, *args)``, with the arguments of its own search,
+    A level's witness is ``witness(n, masks)``: ``masks`` are the
+    state's ``implied`` masks and the chosen ones, in the canonical
+    member order.  It is kept only if it has one member per mask and
+    ``recheck(witness, *level)``, with the level's own arguments,
     accepts it; otherwise this raises RuntimeError.
     """
-    return _Query(
-        build, witness, recheck, _Budget(budget_nodes, budget_secs), use_symmetry
-    ).solve(args)
-
-
-class _Query:
-    """The searches of one ``_solve_state`` call: its own and the
-    sub-queries below it, which share its budget."""
-
-    def __init__(self, build, witness, recheck, budget, use_symmetry):
-        self.build, self.witness, self.recheck = build, witness, recheck
-        self.budget = budget
-        self.use_symmetry = use_symmetry
-        self.solved: dict[tuple, SearchResult] = {}  # sub-query args -> result
-
-    def solve(self, args: tuple) -> SearchResult:
-        t0 = perf_counter()
-        budget = self.budget
-        state = self.build(*args)
+    t0 = perf_counter()
+    budget = _Budget(budget_nodes, budget_secs)
+    solved: dict[tuple, SearchResult] = {}
+    for level, depth in _levels(sub_queries, args).items():
+        budget.limit = budget_nodes
+        for _ in range(depth):
+            budget.limit = int(budget.limit * _SUB_SHARE)
+        if budget_secs is not None:
+            budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
+        state = build(*level)
+        subs = [solved[sub] for sub in sub_queries(*level)]
         start = None
-        if state.sub_args:
-            subs = _sub_budgeted(budget, lambda: self._sub_queries(state.sub_args))
-            if len(subs) == len(state.sub_args) and subs[-1].proved_optimal:
-                state.start_averaging(*(r.optimum for r in subs))
-            else:
-                start = sum(
-                    state.bits[state.idx_of[m]]
-                    for m in subs[0].witness.members
-                    if m not in state.implied
-                )
-        searcher = _Searcher(state, budget, use_symmetry=self.use_symmetry)
+        if subs and all(r.proved_optimal for r in subs):
+            state.start_averaging(*(r.optimum for r in subs))
+        elif subs:
+            start = sum(
+                state.bits[state.idx_of[m]]
+                for m in subs[0].witness.members
+                if m not in state.implied
+            )
+        searcher = _Searcher(state, budget, use_symmetry=use_symmetry)
         if start is not None:
             searcher.best, searcher.best_bits = start.bit_count(), start
-        # a sub-query that ran out of nodes may have left none to tick
+        # a lower level that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
         best = searcher.best_bits
         chosen = [m for m, bit in zip(state.masks, state.bits) if best & bit]
         implied = state.implied
-        wit = self.witness(state.nbits, _canonicalize([*implied, *chosen]))
-        if len(wit) != len(implied) + len(chosen) or not self.recheck(wit, *args):
+        wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
+        if len(wit) != len(implied) + len(chosen) or not recheck(wit, *level):
             raise RuntimeError("witness failed independent re-verification")
-        return SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
-
-    def _sub_queries(self, sub_args) -> list[SearchResult]:
-        """The results of the sub-queries ``sub_args``, in order, up to the
-        first that is not proved."""
-        subs = []
-        for args in sub_args:
-            if args not in self.solved:
-                self.solved[args] = self.solve(args)
-            subs.append(self.solved[args])
-            if not subs[-1].proved_optimal:
-                break
-        return subs
+        solved[level] = SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
+    return solved[args]
 
 
-# share of the nodes and seconds still left that a state's sub-queries may spend
-_SUB_SHARE = 3 / 4
-
-
-def _sub_budgeted(budget: _Budget, run: Callable[[], SearchResult]) -> SearchResult:
-    """``run()`` with the budget's limits lowered to ``_SUB_SHARE`` of
-    what is left of them, and restored after."""
-    limit, deadline = budget.limit, budget.deadline
-    budget.limit = budget.nodes + int((limit - budget.nodes) * _SUB_SHARE)
-    if deadline is not None:
-        now = perf_counter()
-        budget.deadline = now + max(deadline - now, 0.0) * _SUB_SHARE
-    try:
-        return run()
-    finally:
-        budget.limit, budget.deadline = limit, deadline
+def _levels(sub_queries, args: tuple, depth: int = 0, levels=None) -> dict[tuple, int]:
+    """The levels of the query ``args`` and their depths below it, in
+    the order ``_solve_state`` runs them: each after the levels it
+    declares, in their declared order, and ``args`` last."""
+    levels = {} if levels is None else levels
+    for sub in sub_queries(*args):
+        if sub not in levels:
+            _levels(sub_queries, sub, depth + 1, levels)
+    levels[args] = depth
+    return levels
 
 
 def _canonicalize(masks) -> tuple[int, ...]:
@@ -1066,6 +1063,7 @@ def max_family(q: ArrowQuery) -> SearchResult:
     return _solve_state(
         _build_downset_state,
         (q.n, q.a, q.b),
+        sub_queries=_DownsetState.sub_queries,
         **_limits(q),
         witness=SetFamily.from_masks,
         recheck=lambda w, n, a, b: is_downset(w) and not arrows(w, a, b),

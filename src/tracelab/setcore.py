@@ -249,24 +249,6 @@ def delete(fam: SetFamily, i: int) -> SetFamily:
     return SetFamily.from_masks(fam.n, (m for m in fam.members if not m & bit))
 
 
-def pair_link(fam: SetFamily, i: int, j: int) -> SetFamily:
-    """{F - {i,j} : {i,j} subset of F}."""
-    bi, bj = _check_element(fam, i), _check_element(fam, j)
-    if i == j:
-        raise FamilyError("pair link needs two distinct elements")
-    both = bi | bj
-    return SetFamily.from_masks(fam.n, (m ^ both for m in fam.members if m & both == both))
-
-
-def pair_delete(fam: SetFamily, i: int, j: int) -> SetFamily:
-    """{F : F disjoint from {i,j}}."""
-    bi, bj = _check_element(fam, i), _check_element(fam, j)
-    if i == j:
-        raise FamilyError("pair delete needs two distinct elements")
-    both = bi | bj
-    return SetFamily.from_masks(fam.n, (m for m in fam.members if not m & both))
-
-
 def link_avoiding(fam: SetFamily, i: int, j: int) -> SetFamily:
     """{F - {i} : i in F, j not in F} -- the link of i among j-avoiders."""
     bi, bj = _check_element(fam, i), _check_element(fam, j)

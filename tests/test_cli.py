@@ -301,15 +301,6 @@ class TestVerifyTable:
         rows = last_json(out)["rows"]
         assert all(r["status"] == "PASS" for r in rows)
 
-    def test_row8_out_of_range_is_not_failure(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-table", "--rows", "8", "--n-min", "5", "--n-max", "5"
-        )
-        assert code == 0
-        rows = last_json(out)["rows"]
-        assert rows[0]["status"] == "formula-out-of-range"
-        assert rows[0]["searched"] >= 1
-
     def test_pretty_renders_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-table", "--rows", "1,2", "--n-min", "5", "--n-max", "5", "--pretty"
@@ -484,12 +475,14 @@ class TestEntryPoint:
         ["--n-min", "21", "--n-max", "22"],
         ["--n-max", "21"],
         ["--rows", "1", "--n-min", "17", "--n-max", "21"],
+        ["--rows", "8", "--n-min", "5", "--n-max", "5"],
     ],
-    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap"],
+    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap", "row-8"],
 )
 def test_verify_table_checks_range_before_searching(capsys, monkeypatch, flags):
-    # an n outside the search's or the formula table's range is refused
-    # before the first search runs: no search, no output
+    # an n outside the search's or the formula table's range, or row 8
+    # (its formula is claimed only for n >= 25, past the search's n <= 20),
+    # is refused before the first search runs: no search, no output
     def no_search(q):
         raise AssertionError(f"searched n={q.n}, c={q.c} before checking the range")
 
@@ -515,39 +508,44 @@ _TILDE_QUERY = {"mode": "tilde-complete", "n": 6, "c": 7}
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, flag",
     [
-        ["search", "--query", "q.json", "--n", "9", "--c", "3"],
-        ["search", "--query", "q.json", "--mode", "tilde"],
-        ["search", "--mode", "tilde", "--n", "6", "--c", "7", "--a", "3"],
-        ["search", "--n", "5", "--a", "3", "--b", "7", "--k", "2"],
-        ["search", "--mode", "antichain", "--n", "5", "--k", "2", "--c", "5"],
-        ["construct", "partite", "--n", "6", "--l", "3", "--r", "2", "--out", "f.json"],
-        ["construct", "special6", "--n", "9", "--out", "s.json"],
-        ["construct", "downclosure", "--input", "G.txt", "--n", "4", "--out", "d.json"],
-        ["cancellative", "--check", "G.txt", "--l", "2", "--n", "9"],
-        ["cancellative", "--check", "G.txt", "--l", "2", "--budget-nodes", "3"],
-        ["cancellative", "--check", "G.txt", "--l", "2", "--budget-secs", "1"],
-        ["verify-table", "--rows", ","],
-        ["verify-table", "--rows", "1", "--n-min", "7", "--n-max", "6"],
+        (["search", "--query", "q.json", "--n", "9", "--c", "3"], None),
+        (["search", "--query", "q.json", "--mode", "tilde"], None),
+        (["search"], "--n"),
+        (["search", "--mode", "tilde", "--n", "6", "--c", "7", "--a", "3"], "--a"),
+        (["search", "--n", "5", "--a", "3", "--b", "7", "--k", "2"], "--k"),
+        (["search", "--mode", "antichain", "--n", "5", "--k", "2", "--c", "5"], "--c"),
+        (["search", "--mode", "antichain", "--n", "5", "--k", "2", "--b", "7"], "--b"),
+        (["construct", "partite", "--n", "6", "--l", "3", "--r", "2", "--out", "f.json"], None),
+        (["construct", "special6", "--n", "9", "--out", "s.json"], None),
+        (["construct", "downclosure", "--input", "G.txt", "--n", "4", "--out", "d.json"], None),
+        (["cancellative", "--check", "G.txt", "--l", "2", "--n", "9"], None),
+        (["cancellative", "--check", "G.txt", "--l", "2", "--budget-nodes", "3"], None),
+        (["cancellative", "--check", "G.txt", "--l", "2", "--budget-secs", "1"], None),
+        (["verify-table", "--rows", ","], None),
+        (["verify-table", "--rows", "1", "--n-min", "7", "--n-max", "6"], None),
     ],
     ids=[
-        "search-query-and-flags", "search-query-and-mode", "search-tilde-a",
-        "search-downset-k", "search-antichain-c", "construct-partite-r",
+        "search-query-and-flags", "search-query-and-mode", "search-no-flags", "search-tilde-a",
+        "search-downset-k", "search-antichain-c", "search-antichain-b", "construct-partite-r",
         "construct-special6-n", "construct-downclosure-n", "cancellative-check-n",
         "cancellative-check-budget-nodes", "cancellative-check-budget-secs",
         "verify-table-no-rows", "verify-table-empty-n-range",
     ],
 )
-def test_unread_or_empty_command_line_exit_2(capsys, tmp_path, monkeypatch, args):
+def test_unread_or_empty_command_line_exit_2(capsys, tmp_path, monkeypatch, args, flag):
     # a flag the command (in its mode or kind) does not read, or a command
-    # line that leaves nothing to do, is a usage error: no output, no file
+    # line that leaves nothing to do, is a usage error: no output, no file.
+    # A search run from flags names the flag at fault.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "q.json").write_text(json.dumps(_TILDE_QUERY))
     (tmp_path / "G.txt").write_text("n=4\n1,2\n2,3\n")
     code, out, err = run_cli(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    if flag is not None:
+        assert flag in err.replace(",", " ").split(), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["G.txt", "q.json"]
 
 

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from tracelab import (
-    AsymptoticBounds,
     FamilyError,
     SetFamily,
     TildeFamily,
@@ -303,11 +302,9 @@ class TestFormulaTable:
         assert mtilde_formula(3, 7) == 5
         assert mtilde_formula(8, 27) == 9 * 9 * 9 + 1
 
-    def test_row4_is_symbolic(self):
-        val = mtilde_formula(4, 9)
-        assert isinstance(val, AsymptoticBounds)
-        lo, hi = val.evaluate_leading(9)
-        assert lo < hi
+    def test_row4_has_no_formula(self):
+        with pytest.raises(FamilyError, match="c=4"):
+            mtilde_formula(4, 9)
 
     def test_small_n_rejected(self):
         with pytest.raises(FamilyError):

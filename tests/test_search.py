@@ -418,7 +418,7 @@ def test_random_window_problems_match_bruteforce():
     import random
     from math import comb as _comb
 
-    from tracelab.search import _build_uniform_window_state, _solve_state
+    from tracelab.search import _UniformCapState, _build_uniform_window_state, _solve_state
 
     rng = random.Random(99)
     done = 0
@@ -457,6 +457,7 @@ def test_random_window_problems_match_bruteforce():
             res = _solve_state(
                 _build_uniform_window_state,
                 (n, card, win, cap),
+                sub_queries=_UniformCapState.sub_queries,
                 witness=SetFamily.from_masks,
                 recheck=within_caps,
                 budget_nodes=10**8,
@@ -467,28 +468,47 @@ def test_random_window_problems_match_bruteforce():
 
 
 def test_downset_query_is_one_search(monkeypatch):
-    # one build of the query's own state, first: no per-prefix subproblems.
-    # Every other build is a sub-query that an earlier build declared, on
-    # one point fewer, and no arguments are built twice.
+    # each level is built exactly once, after every level it declares, and
+    # the query's own state last: no per-prefix subproblems.  Every other
+    # build is a sub-query that some build declares.
+    declare = search_mod._DownsetState.sub_queries
     calls = []
-    declared = {}  # sub-query args -> the args of the build declaring it
     real = search_mod._build_downset_state
 
     def counting(*args):
-        assert args == (6, 4, 13) or args in declared, args
+        assert all(sub in calls for sub in declare(*args)), args
         calls.append(args)
-        st = real(*args)
-        for sub in st.sub_args:
-            declared.setdefault(sub, args)
-        return st
+        return real(*args)
 
     monkeypatch.setattr(search_mod, "_build_downset_state", counting)
     res = max_family(ArrowQuery.downset(6, 4, 13))
     assert (res.optimum, res.proved_optimal) == (27, True)
-    assert calls[0] == (6, 4, 13) and calls.count((6, 4, 13)) == 1
+    assert calls[-1] == (6, 4, 13)
     assert len(set(calls)) == len(calls)
-    assert all(declared[sub][0] - 1 == sub[0] for sub in calls[1:])
+    assert all(any(sub in declare(*args) for args in calls) for sub in calls[:-1])
     assert (5, 4, 13) in calls and (5, 3, 7) in calls  # deletion and link
+
+
+def test_levels_are_built_one_at_a_time(monkeypatch):
+    # a level's state is built only when its turn comes, after the states
+    # of the levels below it are done with: whenever a state is built, at
+    # most one other (the level just searched) is still alive
+    import weakref
+
+    alive = weakref.WeakSet()
+    at_build = []
+    real = search_mod._build_downset_state
+
+    def tracking(*args):
+        at_build.append(len(alive))
+        st = real(*args)
+        alive.add(st)
+        return st
+
+    monkeypatch.setattr(search_mod, "_build_downset_state", tracking)
+    res = max_family(ArrowQuery.downset(8, 4, 13))
+    assert (res.optimum, res.proved_optimal) == (48, True)
+    assert len(at_build) > 2 and max(at_build) <= 1
 
 
 def test_zero_node_budget_keeps_empty_set_witness():
@@ -864,8 +884,9 @@ def _averaged(build, args):
     declares no sub-query); also its conflicts."""
     st = build(*args)
     m = None
-    if st.sub_args:
-        (sub,) = st.sub_args
+    subs = type(st).sub_queries(*args)
+    if subs:
+        (sub,) = subs
         assert sub == (args[0] - 1, *args[1:])
         smaller = build(*sub)
         m = _brute_free_max(smaller, _conflicts(smaller))
@@ -929,12 +950,13 @@ def _bounded_downset(args):
     for M and L reach the same optima, with symmetry on and off."""
     n, a, b = args
     st = search_mod._build_downset_state(*args)
+    subs = search_mod._DownsetState.sub_queries(*args)
     if n - 1 < a:
-        assert st.sub_args == ()
+        assert subs == ()
         return st, None
-    assert st.sub_args == ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1)), args
-    optima = tuple(_brute_downset_max(*sub) for sub in st.sub_args)
-    for sub, opt in zip(st.sub_args, optima):
+    assert subs == ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1)), args
+    optima = tuple(_brute_downset_max(*sub) for sub in subs)
+    for sub, opt in zip(subs, optima):
         for sym in (True, False):
             res = max_family(ArrowQuery.downset(*sub, use_symmetry=sym))
             assert (res.optimum, res.proved_optimal) == (opt, True), (sub, sym)

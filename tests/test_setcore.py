@@ -23,8 +23,6 @@ from tracelab import (
     link_avoiding,
     mask_of,
     max_trace_over_ksets,
-    pair_delete,
-    pair_link,
     partite_family,
     shadow,
     special6,
@@ -210,11 +208,9 @@ class TestLinks:
 
     def test_pair_ops(self):
         fam = SetFamily.from_sets(3, [(1, 2), (1, 2, 3), (3,), (1,)])
-        assert pair_link(fam, 1, 2).sets() == [(), (3,)]
-        assert pair_delete(fam, 1, 2).sets() == [(3,)]
         assert link_avoiding(fam, 1, 2).sets() == [()]
         with pytest.raises(FamilyError):
-            pair_link(fam, 2, 2)
+            link_avoiding(fam, 2, 2)
 
     def test_downset_closed_under_links(self):
         rng = random.Random(11)
