@@ -185,6 +185,7 @@ class _CancellativeState(_CountedState):
 
     def __init__(self, n: int, l: int):
         super().__init__(n, _candidate_masks(n, [l]))
+        self.blocked = [0] * len(self.masks)
         self.diffs: dict[int, int] = {}
         self.cov2: dict[int, int] = {}
         # pair_subsets[i]: the 2-subsets of candidate i; with_pair[d]: the

@@ -18,12 +18,15 @@ search under the query's budget, lists the witness in the canonical
 member order (by cardinality, then mask; not relabeled) and re-checks
 it through the search's own independent predicate before it returns.
 
-The engine branches on candidate sets.  Every constraint state keeps an
-exact per-candidate count of what blocks the candidate in the current
-subtree, and two bitsets over the candidates: ``free``, the candidates
-still addable (undecided and unblocked: the *counted* ones), and
-``inbits``, the chosen ones.  The moves update those two bitsets, and
-all else the engine reads derives from them: the next candidate to
+The engine branches on candidate sets.  Every constraint state keeps
+two bitsets over the candidates: ``free``, the candidates still
+addable (undecided and unblocked: the *counted* ones), and ``inbits``,
+the chosen ones.  The antichain and cancellative states keep ``free``
+exact through a per-candidate count of what blocks the candidate in
+the current subtree; the window-cap states keep every window count in
+one packed int, block the candidates of the windows that fill, and
+undo a move by restoring a snapshot.  The moves update the two
+bitsets, and all else the engine reads derives from them: the next candidate to
 branch on, the counts per size, the incumbent and U, the chosen and
 counted candidates.  The bound for antichain and cancellative states is
 the number of counted candidates; window-cap states pack them into the
@@ -50,7 +53,7 @@ Disabling symmetry changes node counts, never optima.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, inf, isfinite
+from math import comb, factorial, inf, isfinite
 from time import perf_counter
 from typing import Callable
 
@@ -288,19 +291,26 @@ class _CountedState:
     orbit-exclusion child before inclusion (tilde's triples: it finds
     strong incumbents made of lower levels early).
 
-    ``blocked[i]`` counts the reasons, in the current subtree, why i
-    cannot be added; a subclass keeps it exact through ``_block`` and
-    ``_unblock``.  A candidate is *counted* while it is undecided and
-    unblocked.  Two bitsets over the candidate indices are all the rest
-    of the state: ``free`` holds the counted candidates and ``inbits``
-    the chosen ones (``bits[i]`` is candidate i's bit, ``card_bits[c]``
-    the bits of size c).  Everything else derives from them.  As the
+    A candidate is *counted* while it is undecided and nothing in the
+    current subtree blocks it.  Two bitsets over the candidate indices
+    are all the rest of the state the engine reads: ``free`` holds the
+    counted candidates and ``inbits`` the chosen ones (``bits[i]`` is
+    candidate i's bit, ``card_bits[c]`` the bits of size c).
+    Everything else derives from them.  As the
     index order is by size, then mask, ``pick_first()``, the
     highest-cardinality counted candidate with the smallest mask, is the
     lowest bit of ``free`` of the size of its top bit, or None when
     ``free`` is empty.  ``bound_remaining()`` is never below the largest
     number of candidates that can still be added (the subtree optimum);
     by default it is the number of counted candidates.
+
+    The antichain and cancellative states also keep ``blocked[i]``, the
+    number of reasons, in the current subtree, why i cannot be added;
+    they create it and keep it exact through ``_block`` and
+    ``_unblock``, and ``_set_status`` and the default ``mark_out`` and
+    ``unmark_out`` read it.  Window-cap states keep no such count: they
+    derive blocking from bitsets of the full windows and undo a move by
+    restoring a snapshot (``_CapState``).
 
     The vertex-deletion bound.  While ``has_reach`` is True, ``reach()``
     is a second bound that the engine chains after
@@ -334,9 +344,10 @@ class _CountedState:
     Every move has an exact inverse: ``undo_add_group(adds)`` restores the
     state that ``try_add_group`` found when it returned ``adds``, and
     ``unmark_out(i)`` undoes ``mark_out(i)``; the engine undoes moves in
-    reverse order.  ``try_add_group(i)`` puts i in together with whatever
-    else the constraint forces, or returns None and changes nothing when
-    i cannot be added in the current subtree.  The engine closes a node
+    reverse order, and none once the budget stops it.
+    ``try_add_group(i)`` puts i in together with whatever else the
+    constraint forces, or returns None and changes nothing when i cannot
+    be added in the current subtree.  The engine closes a node
     by the bound, by ``pick_first()`` returning None, or by exploring its
     children.  With symmetry on, the engine assumes the root state is
     invariant under every relabeling of the ground set.
@@ -357,7 +368,6 @@ class _CountedState:
         self.bits = [1 << i for i in range(len(self.masks))]
         self.card_bits = {c: sum(self.bits[i] for i in idxs) for c, idxs in self.by_card.items()}
         self.status = [0] * len(self.masks)   # 0 undecided, 1 in, 2 out
-        self.blocked = [0] * len(self.masks)
         self.free = (1 << len(self.masks)) - 1
         self.inbits = 0
 
@@ -455,59 +465,77 @@ class _CapState(_CountedState):
     ``cards``.
 
     The state derives its structure from these four values.  The windows
-    are the ``win``-subsets of [n]; ``window_cands[w]`` lists, in index
-    order, the candidates inside window w (its submasks that are
-    candidates) and ``cand_windows[i]`` the windows containing
-    candidate i.  ``below[i]`` lists every candidate strictly inside i and
-    ``children[i]`` the candidates one element larger than i.  Choosing i
-    adds the undecided members of ``below[i]`` with it, so a chosen set's
-    candidate subsets are always chosen; an excluded member makes the add
-    fail.  With one size, as in the uniform states, ``below`` is empty
-    and the constraint is the window cap alone.
+    are the ``win``-subsets of [n], ``windows[w]`` the w-th of them, and
+    ``window_bits[w]`` the bits of the candidates inside it.
+    ``below_bits[i]`` holds every candidate strictly inside i and
+    ``child_bits[i]`` the candidates one element larger than i.  Choosing
+    i adds the undecided members of ``below_bits[i]`` with it, so a chosen
+    set's candidate subsets are always chosen; an excluded member makes
+    the add fail.  With one size, as in the uniform states, ``below_bits``
+    is empty and the constraint is the window cap alone.
 
-    ``blocked[i]`` counts the full windows containing i plus its excluded
-    one-smaller subsets, and ``resid`` is the total free room over all
-    windows.  ``bound_remaining`` packs the counted candidates into
-    ``resid``, lightest window weight first.
+    The window counts live in one int, ``packed``: window w's count is
+    the ``width``-bit field at bit w * ``width``, stored biased by
+    2^(width-1) - 1 - cap, so the field's top bit (in ``high``) is set
+    exactly when the window holds more than ``cap``.  2^(width-1)
+    exceeds both ``cap`` and the most candidates a window holds, so the
+    bias is never negative and no count carries into the next field.
+    ``inc[i]`` has a 1 in the field of every window containing i, and
+    ``full`` the top bits of the windows at ``cap``.  ``resid`` is the
+    total free room over all windows; ``bound_remaining`` packs the
+    counted candidates into it, lightest window weight first.
 
-    A blocked candidate can never go in: a full window of its own would
-    overflow, and an excluded subset lies in ``below`` of every set
-    containing it.  So an add whose candidate or an undecided member of
-    ``below`` is blocked fails before it touches a window, and every
-    member of a successful add was counted.  Otherwise window counts
-    ``cnt`` are raised in place as the add walks its windows; at the
-    first window that would pass ``cap`` every increment made so far is
-    rolled back and the add fails with nothing changed.  An undo lowers
-    the same windows and unblocks the candidates of each window whose
-    count leaves ``cap``: exactly the windows the add filled, since a
-    window already at ``cap`` cannot take an add.  So once an undone
-    member's own windows are lowered it is unblocked again, and it goes
-    back to ``free``.
+    A candidate is counted while it is undecided, in no full window and
+    without an excluded one-smaller subset: ``mark_out(i)`` clears i and
+    ``child_bits[i]`` from ``free``, and an add clears the candidates of
+    each window it fills.  An add whose closure holds a candidate that
+    is not counted fails at once: it is out, or a full window or an
+    excluded subset of it lies in ``below_bits`` of the added set.  Every
+    other add sums its members' ``inc`` into a copy of ``packed`` and
+    fails if a top bit is set, so a failed add changes nothing.  Each
+    move pushes what it changes on ``trail`` and its inverse pops it,
+    which is exact because the engine undoes moves in reverse order.
     """
 
     def __init__(self, n, cards, win, cap):
         super().__init__(n, _candidate_masks(n, cards))
-        idx_of = self.idx_of
-        self.windows = list(kset_masks(n, win))
+        masks, bits, idx_of = self.masks, self.bits, self.idx_of
         self.cap = cap
-        self.cnt = [0] * len(self.windows)
-        self.window_cands = [
-            sorted(idx_of[s] for s in submasks(w) if s in idx_of) for w in self.windows
-        ]
-        self.cand_windows = [[] for _ in self.masks]
-        for wi, row in enumerate(self.window_cands):
-            for ci in row:
-                self.cand_windows[ci].append(wi)
-        self.n_windows = [len(ws) for ws in self.cand_windows]
-        self.below = [
-            [idx_of[s] for s in submasks(m) if s != m and s in idx_of] for m in self.masks
-        ]
-        self.children = [[] for _ in self.masks]
-        for ci, under in enumerate(self.below):
-            for j in under:
-                if self.cards[j] + 1 == self.cards[ci]:
-                    self.children[j].append(ci)
+        self.width = width = max(cap, sum(comb(win, c) for c in cards)).bit_length() + 1
+        self.windows = list(kset_masks(n, win))
+        self.inc = inc = [0] * len(masks)
+        self.window_bits = []
+        for w, window in enumerate(self.windows):
+            one, wbits = 1 << w * width, 0
+            for s in submasks(window):
+                if s in idx_of:
+                    j = idx_of[s]
+                    wbits |= bits[j]
+                    inc[j] |= one
+            self.window_bits.append(wbits)
+        # one-smaller subsets come first in index order, so below_bits[j]
+        # is complete when a set one larger reads it
+        self.below_bits = [0] * len(masks)
+        self.child_bits = [0] * len(masks)
+        for i, m in enumerate(masks):
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if m ^ low in idx_of:
+                    j = idx_of[m ^ low]
+                    self.below_bits[i] |= bits[j] | self.below_bits[j]
+                    self.child_bits[j] |= bits[i]
+        ones = sum(1 << w * width for w in range(len(self.windows)))
+        self.ones, self.high = ones, ones << width - 1
+        self.packed = ones * ((1 << width - 1) - 1 - cap)
+        self.full = (self.packed + ones) & self.high
+        if cap == 0:  # every window starts full
+            for wbits in self.window_bits:
+                self.free &= ~wbits
+        self.n_windows = [x.bit_count() for x in inc]
         self.resid = cap * len(self.windows)
+        self.trail = []
         # window weight per cardinality: minimum over candidates (uniform in
         # practice); used for the aggregate-capacity bound.  (bits of the
         # size, weight), lightest first: the greedy order of bound_remaining
@@ -518,122 +546,62 @@ class _CapState(_CountedState):
         self.by_weight = [
             (self.card_bits[c], w) for c, w in sorted(weight.items(), key=lambda cw: cw[1])
         ]
-        if cap == 0:  # every window starts full
-            for row in self.window_cands:
-                for ci in row:
-                    self._block(ci)
 
     # -- moves --------------------------------------------------------------
 
     def try_add_group(self, i) -> list[int] | None:
         """Choose candidate i together with the undecided candidates inside
-        it; None if one of those is out or blocked, or a window would pass
+        it; None if one of those is not counted, or a window would pass
         ``cap`` (then i stays unaddable in this subtree)."""
-        status, blocked = self.status, self.blocked
-        if status[i] or blocked[i]:
+        free, inbits = self.free, self.inbits
+        group = self.below_bits[i] & ~inbits | self.bits[i]
+        if group & ~free:
             return None
-        adds = [i]
-        for j in self.below[i]:
-            st = status[j]
-            if not st:
-                if blocked[j]:
-                    return None
-                adds.append(j)
-            elif st == 2:
-                return None
-        cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
-        filled = []
-        for j in adds:
-            for w in cand_windows[j]:
-                c = cnt[w]
-                if c >= cap:
-                    self._roll_back(adds, j, w)
-                    return None
-                c += 1
-                cnt[w] = c
-                if c == cap:
-                    filled.append(w)
-        # _set_status(j, 1) and _block inlined; every member of adds was
-        # counted, so it moves from free to inbits
-        n_windows, bits = self.n_windows, self.bits
-        group = 0
+        inc = self.inc
+        packed = self.packed
+        adds = []
+        rest = group
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            packed += inc[j]
+            adds.append(j)
+        if packed & self.high:
+            return None
+        status, n_windows = self.status, self.n_windows
+        resid = self.resid
         for j in adds:
             status[j] = 1
-            group |= bits[j]
-            self.resid -= n_windows[j]
-        self.inbits |= group
-        free = self.free ^ group
-        window_cands = self.window_cands
-        for w in filled:
-            for j2 in window_cands[w]:
-                b = blocked[j2]
-                blocked[j2] = b + 1
-                if not (b or status[j2]):
-                    free ^= bits[j2]
-        self.free = free
+            resid -= n_windows[j]
+        self.trail.append((self.packed, self.full, free, inbits, self.resid))
+        full = (packed + self.ones) & self.high
+        # the windows this add filled: their candidates are blocked
+        filled = full ^ self.full
+        free ^= group
+        width, window_bits = self.width, self.window_bits
+        while filled:
+            low = filled & -filled
+            filled ^= low
+            free &= ~window_bits[low.bit_length() // width - 1]
+        self.packed, self.full, self.free, self.inbits = packed, full, free, inbits | group
+        self.resid = resid
         return adds
 
-    def _roll_back(self, adds, stop_j, stop_w) -> None:
-        """Lower the windows ``try_add_group`` raised for ``adds`` before it
-        reached window ``stop_w`` of candidate ``stop_j``."""
-        cnt = self.cnt
-        for j in adds:
-            for w in self.cand_windows[j]:
-                if j == stop_j and w == stop_w:
-                    return
-                cnt[w] -= 1
-
     def undo_add_group(self, adds) -> None:
-        cap, cnt, cand_windows = self.cap, self.cnt, self.cand_windows
-        status, blocked = self.status, self.blocked
-        n_windows, window_cands, bits = self.n_windows, self.window_cands, self.bits
-        free = self.free
-        group = 0
-        # _unblock and _set_status(j, 0) inlined
+        self.packed, self.full, self.free, self.inbits, self.resid = self.trail.pop()
+        status = self.status
         for j in adds:
-            for w in cand_windows[j]:
-                c = cnt[w]
-                if c == cap:
-                    for j2 in window_cands[w]:
-                        b = blocked[j2] - 1
-                        blocked[j2] = b
-                        if not (b or status[j2]):
-                            free ^= bits[j2]
-                cnt[w] = c - 1
             status[j] = 0
-            group |= bits[j]
-            self.resid += n_windows[j]
-        self.inbits ^= group
-        self.free = free | group
 
     def mark_out(self, i) -> None:
-        # _set_status(i, 2) of an undecided i and _block over the children
-        # inlined
-        status, blocked, bits = self.status, self.blocked, self.bits
-        free = self.free
-        status[i] = 2
-        if not blocked[i]:
-            free ^= bits[i]
-        for t in self.children[i]:
-            b = blocked[t]
-            blocked[t] = b + 1
-            if not (b or status[t]):
-                free ^= bits[t]
-        self.free = free
+        self.trail.append(self.free)
+        self.status[i] = 2
+        self.free &= ~(self.bits[i] | self.child_bits[i])
 
     def unmark_out(self, i) -> None:
-        # _unblock over the children and _set_status(i, 0) inlined
-        status, blocked, bits = self.status, self.blocked, self.bits
-        free = self.free
-        for t in self.children[i]:
-            b = blocked[t] - 1
-            blocked[t] = b
-            if not (b or status[t]):
-                free ^= bits[t]
-        status[i] = 0
-        if not blocked[i]:
-            free ^= bits[i]
-        self.free = free
+        self.free = self.trail.pop()
+        self.status[i] = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -709,6 +677,9 @@ class _Searcher:
     makes it, and a ``_dfs`` frame is entered only for a node the bound
     leaves open.  The incumbent is ``best_bits``, the state's
     ``inbits`` when it was recorded.
+
+    Moves are undone in reverse order.  A budget stop undoes none: the
+    search is over, and only the incumbent is read after it.
 
     The state's ``reach()``, while it has one, is read only at nodes
     that its own ``bound_remaining`` leaves open.  The searcher holds it
@@ -791,45 +762,43 @@ class _Searcher:
         """Explore an open node; its parent has already opened it."""
         st = self.state
         trail = []
-        try:
-            while True:
-                if group is None:
-                    e = st.pick_first()
-                    orb = (e,)
-                else:
-                    e, orb = self._pick(group)
-                if e is None:
-                    return
-                if st.cards[e] in self.exclude_first_cards:
-                    outs = tuple(j for j in orb if st.status[j] == 0)
-                    for j in outs:
-                        st.mark_out(j)
+        while True:
+            if group is None:
+                e = st.pick_first()
+                orb = (e,)
+            else:
+                e, orb = self._pick(group)
+            if e is None:
+                break
+            if st.cards[e] in self.exclude_first_cards:
+                outs = tuple(j for j in orb if st.status[j] == 0)
+                for j in outs:
+                    st.mark_out(j)
+                if self._open():
+                    self._dfs(group)
+                for j in reversed(outs):
+                    st.unmark_out(j)
+                adds = st.try_add_group(e)
+                if adds is None:
+                    # orbit-free families were covered above; any family
+                    # meeting the orbit needs e, which cannot be added
+                    break
+                trail.append(("i", adds))
+                group = self._stabilize(group, e)
+            else:
+                adds = st.try_add_group(e)
+                if adds is not None:
                     if self._open():
-                        self._dfs(group)
-                    for j in reversed(outs):
-                        st.unmark_out(j)
-                    adds = st.try_add_group(e)
-                    if adds is None:
-                        # orbit-free families were covered above; any family
-                        # meeting the orbit needs e, which cannot be added
-                        return
-                    trail.append(("i", adds))
-                    group = self._stabilize(group, e)
-                else:
-                    adds = st.try_add_group(e)
-                    if adds is not None:
-                        if self._open():
-                            self._dfs(self._stabilize(group, e))
-                        st.undo_add_group(adds)
-                    outs = tuple(j for j in orb if st.status[j] == 0)
-                    for j in outs:
-                        st.mark_out(j)
-                    trail.append(("o", outs))
-                # the state stands at the last child, made in place: open it
-                if not self._open():
-                    return
-        finally:
-            self._unwind(trail)
+                        self._dfs(self._stabilize(group, e))
+                    st.undo_add_group(adds)
+                outs = tuple(j for j in orb if st.status[j] == 0)
+                for j in outs:
+                    st.mark_out(j)
+                trail.append(("o", outs))
+            # the state stands at the last child, made in place: open it
+            if not self._open():
+                break
+        self._unwind(trail)
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +847,7 @@ class _AntichainState(_CountedState):
 
     def __init__(self, n: int, k: int):
         super().__init__(n, sorted(range(1 << n), key=_canon_key))
+        self.blocked = [0] * len(self.masks)
         self.windows = list(kset_masks(n, k + 1))
         self.cap = (1 << (k + 1)) - 1
         self.seen = [dict() for _ in self.windows]  # projection -> multiplicity

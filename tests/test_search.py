@@ -675,6 +675,16 @@ _BUDGET_STOP_PINS = {
         (21, False, 301, "be08b7ab489583066019f4010507fbf98b0fe562fdfe003cdcb9d1359721c675"),
         (21, False, 301, "be08b7ab489583066019f4010507fbf98b0fe562fdfe003cdcb9d1359721c675"),
     ),
+    ("tilde-10-5", 3000): (
+        lambda s, b: max_tilde(ArrowQuery.tilde(10, 5, use_symmetry=s, budget_nodes=b)),
+        (20, False, 3001, "a7c7f4ec05355b73dbba35ff3d1ebd1f3a42f1bcdb528364e9ab9ebabbcd2554"),
+        (20, False, 3001, "a7c7f4ec05355b73dbba35ff3d1ebd1f3a42f1bcdb528364e9ab9ebabbcd2554"),
+    ),
+    ("downset-9-4-13", 3000): (
+        lambda s, b: max_family(ArrowQuery.downset(9, 4, 13, use_symmetry=s, budget_nodes=b)),
+        (54, False, 3001, "7f7d1adfa60b99fb8d80adf2df717a3071a0e6ed19277948506957f9ea73b98e"),
+        (54, False, 3001, "7f7d1adfa60b99fb8d80adf2df717a3071a0e6ed19277948506957f9ea73b98e"),
+    ),
     ("tilde-6-7", 0): (
         lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
         (0, False, 1, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
@@ -731,13 +741,40 @@ def _closure_ref(st, i):
     return adds
 
 
+def _window_fills(st):
+    """Chosen candidates per window of a ``_CapState``, recounted from the
+    chosen masks (``status == 1``)."""
+    chosen = [m for m, s in zip(st.masks, st.status) if s == 1]
+    return [sum(1 for m in chosen if m & w == m) for w in st.windows]
+
+
+def _decoded_fills(st):
+    """Per-window counts decoded from ``packed``: ``width``-bit fields,
+    each biased by 2^(width-1) - 1 - cap."""
+    field = (1 << st.width) - 1
+    bias = (1 << st.width - 1) - 1 - st.cap
+    return [(st.packed >> w * st.width & field) - bias for w in range(len(st.windows))]
+
+
+def _check_fields(st, where):
+    """The packed counters match the recount from the chosen masks, and
+    so do ``full`` (the top bits of the windows at cap) and ``resid``."""
+    fills = _window_fills(st)
+    assert _decoded_fills(st) == fills, where
+    top = 1 << st.width - 1
+    assert st.full == sum(top << w * st.width for w, c in enumerate(fills) if c == st.cap), where
+    assert st.resid == st.cap * len(st.windows) - sum(fills), where
+
+
 def _brute_counted(st):
     """Candidates of a ``_CapState`` that ``free`` should hold, from the
-    primary state (status, window counts, prerequisites) alone: undecided,
+    primary state (status, window fills, prerequisites) alone: undecided,
     in no full window, and with no excluded prerequisite."""
+    fills = _window_fills(st)
+
     def fits(i):
         m = st.masks[i]
-        return all(st.cnt[wi] < st.cap for wi, w in enumerate(st.windows) if m & w == m)
+        return all(fills[wi] < st.cap for wi, w in enumerate(st.windows) if m & w == m)
 
     return [
         i
@@ -756,7 +793,7 @@ def _brute_subtree_max(st):
         i: [wi for wi, w in enumerate(st.windows) if st.masks[i] & w == st.masks[i]]
         for i in undecided
     }
-    room = [st.cap - c for c in st.cnt]
+    room = [st.cap - c for c in _window_fills(st)]
     taken = set()
     best = 0
 
@@ -1051,12 +1088,13 @@ def test_all_in_matches_bruteforce_on_random_states():
         assert all(p < i for i in range(len(st.masks)) for p in _prereqs(st, i))
         # pick_first reads the index order as (size, mask)
         assert st.masks == sorted(st.masks, key=lambda m: (m.bit_count(), m))
-        start = (list(st.status), list(st.cnt), st.free, st.inbits, st.resid)
+        start = _cap_snapshot(st)
         for _walk in range(4):
             moves = []
             for _ in range(60):
                 where = (build.__name__, args, moves)
                 _check_cap_counted(st, where)
+                _check_fields(st, where)
                 best = _brute_subtree_max(st)
                 bound_now = st.bound_remaining()
                 assert bound_now >= best, where
@@ -1078,7 +1116,7 @@ def test_all_in_matches_bruteforce_on_random_states():
             reach_tight += _check_cap_u(st, bound, memo, (build.__name__, args, moves))
             for move in reversed(moves):
                 _undo(st, move)
-            assert (st.status, st.cnt, st.free, st.inbits, st.resid) == start
+            assert _cap_snapshot(st) == start
     assert tight, "no walk reached a state where the bound is exact"
     assert reach_tight, "no walk reached a state where the down-set bound is exact"
 
@@ -1091,7 +1129,7 @@ def test_all_in_matches_bruteforce_on_random_states():
         where = (build.__name__, args)
         st, pairs, m = _averaged(build, args)
         memo = {}
-        start = deepcopy((st.status, st.blocked, st.free, st.inbits))
+        start = _walk_snapshot(st)
         for _walk in range(2):
             moves = []
             tight += _check_averaging(st, pairs, m, memo, (*where, moves))
@@ -1109,36 +1147,43 @@ def test_all_in_matches_bruteforce_on_random_states():
                     st.mark_out(i)
                     moves.append(("out", i))
                 tight += _check_averaging(st, pairs, m, memo, (*where, moves))
+                if isinstance(st, search_mod._CapState):
+                    _check_fields(st, (*where, moves))
             for move in reversed(moves):
                 _undo(st, move)
-            assert deepcopy((st.status, st.blocked, st.free, st.inbits)) == start, where
+            assert _walk_snapshot(st) == start, where
     assert tight, "no walk reached a state where the averaging bound is exact"
 
 
 def _cap_snapshot(st):
-    return deepcopy((st.status, st.blocked, st.cnt, st.free, st.inbits, st.resid))
+    return deepcopy((st.status, st.packed, st.full, st.free, st.inbits, st.resid, st.trail))
 
 
-def _brute_blocked(st):
-    """``blocked`` recounted from the primary state: the full windows that
-    contain each candidate plus its excluded prerequisites."""
-    return [
-        sum(1 for wi, w in enumerate(st.windows) if m & w == m and st.cnt[wi] >= st.cap)
-        + sum(1 for p in _prereqs(st, i) if st.status[p] == 2)
-        for i, m in enumerate(st.masks)
-    ]
+def _walk_snapshot(st):
+    """The whole mutable state of a uniform window or cancellative state."""
+    return _cap_snapshot(st) if isinstance(st, search_mod._CapState) else _counted_snapshot(st)
+
+
+def _overflows(st, closure):
+    """Would adding ``closure`` put more than ``cap`` chosen candidates in
+    some window?  Recounted from the chosen masks."""
+    return any(
+        fill + sum(1 for j in closure if st.masks[j] & w == st.masks[j]) > st.cap
+        for fill, w in zip(_window_fills(st), st.windows)
+    )
 
 
 def test_cap_state_failed_add_changes_nothing():
-    # _CapState raises window counts in place while an add walks its
-    # closure, so a window that overflows on a later member must roll back
-    # every increment the earlier members made.  Seeded add/out/undo walks
-    # on down-set and tilde states, where closures hold several members,
-    # and on the uniform window states, whose U bitset and averaging bound
-    # are checked against brute force after every move; so are U on the
-    # down-set and tilde states, and the down-set bound.  An add whose
-    # closure has an excluded or a blocked member fails before it touches
-    # a window: it rolls nothing back.
+    # A _CapState add sums its closure's window increments into a copy of
+    # the packed counters, so an add that overflows a window on a later
+    # closure member must leave the state as it found it.  Seeded
+    # add/out/undo walks on down-set and tilde states, where closures hold
+    # several members, and on the uniform window states, whose U bitset
+    # and averaging bound are checked against brute force after every
+    # move; so are U on the down-set and tilde states, and the down-set
+    # bound.  An add fails exactly when its closure has an excluded or a
+    # blocked member (an early fail, before the counters are read) or
+    # overflows a window; both kinds occur, counted from _closure_ref.
     import random
 
     from tracelab.search import (
@@ -1156,7 +1201,7 @@ def test_cap_state_failed_add_changes_nothing():
     ]
     builds += [(b, args) for b, args in _UNIFORM_BUILDS if b is _build_uniform_window_state]
     rng = random.Random(707)
-    late_overflows = 0  # failed adds whose first member fits on its own
+    late_overflows = 0  # failed adds whose closure is counted but overflows
     early_fails = 0  # failed adds with a blocked closure member
     for build, args in builds:
         uniform = build is _build_uniform_window_state
@@ -1167,9 +1212,6 @@ def test_cap_state_failed_add_changes_nothing():
             st, bound = _bounded_downset(args)
         else:
             st, bound = build(*args), None
-        roll_backs = []
-        real_roll_back = st._roll_back
-        st._roll_back = lambda *a: (roll_backs.append(a), real_roll_back(*a))
         start = _cap_snapshot(st)
         for _walk in range(6):
             moves = []
@@ -1179,6 +1221,7 @@ def test_cap_state_failed_add_changes_nothing():
                     _check_averaging(st, pairs, m, memo, where)
                 else:
                     _check_cap_u(st, bound, memo, where)
+                _check_fields(st, where)
                 open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
                 r = rng.random()
                 if moves and (not open_ or r < 0.2):
@@ -1186,25 +1229,19 @@ def test_cap_state_failed_add_changes_nothing():
                 elif r < 0.8:
                     i = rng.choice(open_)
                     closure = _closure_ref(st, i)
-                    blocked = _brute_blocked(st)
-                    early = closure is None or any(blocked[j] for j in closure)
+                    counted = set(_brute_counted(st))
+                    early = closure is None or any(j not in counted for j in closure)
+                    overflow = not early and _overflows(st, closure)
                     before = _cap_snapshot(st)
-                    rolled = len(roll_backs)
                     adds = st.try_add_group(i)
+                    assert (adds is None) == (early or overflow), where
                     if adds is None:
                         assert _cap_snapshot(st) == before, where
-                        late_overflows += (
-                            closure is not None
-                            and len(closure) >= 2
-                            and all(st.cnt[w] < st.cap for w in st.cand_windows[i])
-                        )
-                        if early:
-                            assert len(roll_backs) == rolled, where
-                            early_fails += closure is not None
+                        late_overflows += overflow and len(closure) >= 2 and not _overflows(st, [i])
+                        early_fails += closure is not None and early
                     else:
-                        assert not early, where
                         assert sorted(adds) == sorted(closure), where
-                        assert st.blocked == _brute_blocked(st), where
+                        assert st.free == sum(1 << j for j in _brute_counted(st)), where
                         moves.append(("in", adds))
                 else:
                     i = rng.choice(open_)
@@ -1215,6 +1252,7 @@ def test_cap_state_failed_add_changes_nothing():
                 _check_averaging(st, pairs, m, memo, where)
             else:
                 _check_cap_u(st, bound, memo, where)
+            _check_fields(st, where)
             for move in reversed(moves):
                 _undo(st, move)
             assert _cap_snapshot(st) == start, (build.__name__, args)
@@ -1223,11 +1261,12 @@ def test_cap_state_failed_add_changes_nothing():
 
 
 def test_cap_state_structure_matches_bruteforce():
-    # _CapState derives its window incidence, children and below lists from
-    # (n, cards, win, cap); recount them by brute-force containment for
-    # every builder at n <= 6.  From the root, an add takes exactly the
-    # candidate and the candidates inside it, and its undo restores the
-    # state.  The caps are loose enough that no root add overflows.
+    # _CapState derives its window bitsets, window increments, child and
+    # below bitsets from (n, cards, win, cap); recount them by brute-force
+    # containment for every builder at n <= 6.  From the root, an add
+    # takes exactly the candidate and the candidates inside it, and its
+    # undo restores the state.  The caps are loose enough that no root add
+    # overflows.
     from tracelab.search import (
         _build_downset_state,
         _build_tilde_state,
@@ -1245,25 +1284,80 @@ def test_cap_state_structure_matches_bruteforce():
     for build, args in builds:
         st = build(*args)
         masks, where = st.masks, (build.__name__, args)
-        assert st.window_cands == [
-            [i for i, m in enumerate(masks) if m & w == m] for w in st.windows
+        assert st.window_bits == [
+            sum(1 << i for i, m in enumerate(masks) if m & w == m) for w in st.windows
         ], where
-        assert st.cand_windows == [
-            [wi for wi, w in enumerate(st.windows) if m & w == m] for m in masks
+        assert st.inc == [
+            sum(1 << wi * st.width for wi, w in enumerate(st.windows) if m & w == m) for m in masks
         ], where
-        assert st.children == [
-            [j for j, mj in enumerate(masks) if mi & mj == mi and mj.bit_count() == mi.bit_count() + 1]
+        assert st.child_bits == [
+            sum(1 << j for j, mj in enumerate(masks)
+                if mi & mj == mi and mj.bit_count() == mi.bit_count() + 1)
             for mi in masks
         ], where
-        assert [sorted(under) for under in st.below] == [
-            [j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi] for mi in masks
+        assert st.below_bits == [
+            sum(1 << j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi) for mi in masks
         ], where
+        _check_fields(st, where)
         start = _cap_snapshot(st)
         for i, mi in enumerate(masks):
             adds = st.try_add_group(i)
             assert adds is not None, where
             assert sorted(adds) == [j for j, mj in enumerate(masks) if mj & mi == mj], where
+            _check_fields(st, where)
             st.undo_add_group(adds)
+            assert _cap_snapshot(st) == start, where
+
+
+def test_cap_state_fields_hold_full_windows():
+    # The packed counters at their limits: each window is filled with the
+    # most members its cap allows (down-sets with b = 2^a take every
+    # candidate of the window, tilde with c = 10 all but one), then every
+    # undecided candidate is tried, so a tentative count reaches the most
+    # candidates a window holds; with cap = 0 every window starts full.
+    # After every move each decoded field equals the recount and free is
+    # the brute-force counted set; undo restores the state.
+    from tracelab.search import (
+        _build_downset_state,
+        _build_tilde_state,
+        _build_uniform_window_state,
+    )
+
+    builds = [(_build_downset_state, (a + 1, a, 1 << a)) for a in range(2, 6)]
+    builds += [(_build_tilde_state, (n, 10)) for n in (4, 5, 6)]
+    builds += [(_build_uniform_window_state, (n, card, win, 0))
+               for n, card, win in ((3, 2, 3), (4, 2, 3), (4, 3, 4), (5, 3, 4), (5, 2, 4))]
+    for build, args in builds:
+        st = build(*args)
+        start = _cap_snapshot(st)
+        for w, window in enumerate(st.windows):
+            inside = [i for i, m in enumerate(st.masks) if m & window == m]
+            moves = []
+            where = (build.__name__, args, window, moves)
+            # largest first, so every add but the first few is a closure
+            for i in sorted(inside, key=lambda i: -st.cards[i]):
+                if st.status[i] == 0:
+                    before = _cap_snapshot(st)
+                    adds = st.try_add_group(i)
+                    if adds is None:
+                        assert _cap_snapshot(st) == before, where
+                    else:
+                        moves.append(("in", adds))
+                    _check_fields(st, where)
+                    assert st.free == sum(1 << j for j in _brute_counted(st)), where
+            assert _window_fills(st)[w] == min(st.cap, len(inside)), where
+            for i in range(len(st.masks)):
+                if st.status[i] == 0:
+                    before = _cap_snapshot(st)
+                    adds = st.try_add_group(i)
+                    assert (adds is None) == _overflows(st, _closure_ref(st, i)), where
+                    if adds is not None:
+                        _check_fields(st, where)
+                        st.undo_add_group(adds)
+                    assert _cap_snapshot(st) == before, where
+            for move in reversed(moves):
+                _undo(st, move)
+                _check_fields(st, where)
             assert _cap_snapshot(st) == start, where
 
 
@@ -1376,3 +1470,16 @@ def test_counted_states_match_bruteforce_on_random_states():
             for move in reversed(moves):
                 _undo(st, move)
             assert _counted_snapshot(st) == start, (build.__name__, args)
+
+
+def test_budget_stop_inside_a_move_returns_the_incumbent():
+    # A budget stop can land between a move and its undo (inside the
+    # exclusion-first branch of tilde, or below an add).  The search ends
+    # there and returns its incumbent; the stopped state is not unwound,
+    # so its undo stack is never read out of order.
+    for n, c in ((5, 6), (6, 4), (6, 8)):
+        for budget in (5, 20, 60, 200, 500):
+            for sym in (True, False):
+                res = max_tilde(ArrowQuery.tilde(n, c, use_symmetry=sym, budget_nodes=budget))
+                assert res.proved_optimal or res.nodes == budget + 1, (n, c, budget, sym)
+                assert not hookarrow(res.witness, c)
