@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import time
@@ -89,6 +88,10 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 
 def _sha256(data: bytes) -> str:
+    # imported on first use: hashlib loads OpenSSL, about 3.5 MiB of
+    # resident memory that only the commands printing a digest need
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 

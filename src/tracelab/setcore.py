@@ -85,6 +85,9 @@ class SetFamily:
     ``members`` is sorted by (cardinality, numeric mask value); this
     ordering fixes all tie-breaking in witnesses and serialization.
     Instances are immutable values: every operation builds a new family.
+    What is derived from the members alone (the member set, whether the
+    family is a down-set) is computed on first use and kept on the object,
+    so it is computed at most once per family object.
     """
 
     n: int
@@ -94,18 +97,20 @@ class SetFamily:
         if not 1 <= self.n <= MAX_GROUND:
             raise FamilyError(f"ground-set size {self.n} outside [1..{MAX_GROUND}]")
         limit = 1 << self.n
-        prev_key = None
+        prev_key = (-1, -1)
         for m in self.members:
             if not 0 <= m < limit:
                 raise FamilyError(f"member mask {m:#x} has bits outside [1..{self.n}]")
-            key = _canon_key(m)
-            if prev_key is not None and key <= prev_key:
+            # the canonical key, inline: a call per member costs a third more
+            key = (m.bit_count(), m)
+            if key <= prev_key:
                 raise FamilyError("members not in canonical order / contain duplicates")
             prev_key = key
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        return cls(n, tuple(sorted(set(masks), key=_canon_key)))
+        # stable sorts: by mask, then by size, is the (size, mask) order
+        return cls(n, tuple(sorted(sorted(set(masks)), key=int.bit_count)))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -134,6 +139,10 @@ class SetFamily:
     @cached_property
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
+
+    @cached_property
+    def _is_downset(self) -> bool:
+        return _closed_down(self._member_set)
 
     def sets(self) -> list[tuple[int, ...]]:
         """Members as tuples of 1-indexed elements, canonical order."""
@@ -280,16 +289,23 @@ def shadow(fam3: SetFamily) -> SetFamily:
     return SetFamily.from_masks(fam3.n, masks)
 
 
-def is_downset(fam: SetFamily) -> bool:
-    """Closed under taking subsets; checked via single-element deletions."""
-    for m in fam.members:
+def _closed_down(masks: frozenset[int] | set[int]) -> bool:
+    """True iff every one-element deletion of a member of ``masks`` is in
+    ``masks``: the down-set scan, one set lookup per (member, element)."""
+    for m in masks:
         b = m
         while b:
             low = b & -b
-            if (m ^ low) not in fam:
+            if m ^ low not in masks:
                 return False
             b ^= low
     return True
+
+
+def is_downset(fam: SetFamily) -> bool:
+    """Closed under taking subsets, checked via one-element deletions.
+    The scan runs once per family object and its result is kept on it."""
+    return fam._is_downset
 
 
 def is_antichain(fam: SetFamily) -> bool:

@@ -5,7 +5,9 @@ All operations are pure functions on immutable :class:`SetFamily`
 values.  ``downset_compress`` (Frankl's compression) runs its shifts in
 place on one set of masks and builds a single family at the end; each
 shift follows the simultaneous rule of ``downshift``, so the fixpoint is
-the one iterated ``downshift`` reaches.  The two workhorse guarantees,
+the one iterated ``downshift`` reaches.  One pass of shifts always lands
+on a down-set, so a down-set input runs no shift and any other input one
+pass.  The two workhorse guarantees,
 proven by the accompanying test suite rather than assumed, are:
 
 * ``downset_compress`` preserves family size, lands on a down-set, and
@@ -20,6 +22,7 @@ from .setcore import (
     FamilyError,
     PartitionStructure,
     SetFamily,
+    _closed_down,
     elements_of,
     is_downset,
 )
@@ -54,24 +57,28 @@ def downshift(fam: SetFamily, i: int) -> SetFamily:
 
 
 def downset_compress(fam: SetFamily) -> SetFamily:
-    """Down-shift at i = 1..n, in that order, until a full pass changes
-    nothing: Frankl's compression.
+    """Down-shift at i = 1..n, in that order, unless the family is
+    already a down-set: Frankl's compression.
 
-    The same sequence of shifts as iterating :func:`downshift`, and the same
-    fixpoint member for member, but every shift works in place on one set
-    of masks and a single family is built at the end.  Cost per pass: n
-    sweeps over the members with one set lookup each.  Terminates because
-    the total member size strictly drops on every effective shift; the
-    fixpoint is a down-set of the same size.
+    The same effective shifts as iterating :func:`downshift` until a pass
+    changes nothing, and the same fixpoint member for member, but every
+    shift works in place on one set of masks and a single family is built
+    at the end.  One pass is enough: after the shift at i every member
+    holding i has its i-deletion in the family, and every later shift
+    keeps that so.  (If the shift at j moves A to A - j, then A - i, which
+    is there, moves to A - i - j unless that is there already; a member
+    that stays keeps its i-deletion, which is there and stays as well.)
+    So the family after one pass is the fixpoint, a down-set of the same
+    size, and the pass that would change nothing is never run.  Cost: one
+    down-set scan (a set lookup per member element; on a family that is
+    not a down-set it usually stops early), then n sweeps over the members
+    with one set lookup each; a down-set input costs the scan alone.
     """
     masks = set(fam.members)
-    while True:
-        changed = False
+    if not _closed_down(masks):
         for b in range(fam.n):
-            if _shift(masks, 1 << b):
-                changed = True
-        if not changed:
-            return SetFamily.from_masks(fam.n, masks)
+            _shift(masks, 1 << b)
+    return SetFamily.from_masks(fam.n, masks)
 
 
 def _pair_bits(fam: SetFamily, x: int, y: int) -> tuple[int, int]:
@@ -108,15 +115,17 @@ def symmetrize_if_profitable(fam: SetFamily, x: int, y: int) -> SetFamily:
     the degrees, x over y on a tie.
     """
     bx, by = _pair_bits(fam, x, y)
-    both = bx | by
+    deg_x = deg_y = 0
     for m in fam.members:
-        if m & both == both:
-            raise FamilyError(
-                f"member {set(elements_of(m))} contains both {x} and {y}; "
-                "symmetrization would not preserve traces"
-            )
-    deg_x = sum(1 for m in fam.members if m & bx)
-    deg_y = sum(1 for m in fam.members if m & by)
+        if m & bx:
+            if m & by:
+                raise FamilyError(
+                    f"member {set(elements_of(m))} contains both {x} and {y}; "
+                    "symmetrization would not preserve traces"
+                )
+            deg_x += 1
+        elif m & by:
+            deg_y += 1
     if deg_x >= deg_y:
         return symmetrize(fam, x, y)
     return symmetrize(fam, y, x)
@@ -128,26 +137,30 @@ def partition_classes(fam: SetFamily) -> PartitionStructure:
 
     Classes are ordered by size descending, then by smallest element.
     Each element's link {F - x : x in F in fam} is read off the members
-    as a set of masks, the key of its class, and the element's bit is
-    ORed into that class's mask.
+    as a tuple of masks, the key of its class, and the element's bit is
+    ORed into that class's mask.  A member's pattern is the pattern of the
+    member without its lowest element (an earlier member, as ``fam`` is a
+    down-set) ORed with that element's class bit, one table lookup each.
     """
     if not is_downset(fam):
         raise FamilyError("partition_classes requires a down-set")
-    class_mask: dict[frozenset[int], int] = {}
+    # a link comes out in canonical order, so equal links are equal tuples
+    class_mask: dict[tuple[int, ...], int] = {}
     for b in range(fam.n):
         bit = 1 << b
-        key = frozenset(m ^ bit for m in fam.members if m & bit)
+        key = tuple([m ^ bit for m in fam.members if m & bit])
         class_mask[key] = class_mask.get(key, 0) | bit
     masks = sorted(class_mask.values(), key=lambda z: (-z.bit_count(), z & -z))
-    r = len(masks)
-    patterns = set()
-    for m in fam.members:
-        pat = 0
-        for ci, z in enumerate(masks):
-            if m & z:
-                pat |= 1 << ci
-        patterns.add(pat)
-    return PartitionStructure(tuple(masks), SetFamily.from_masks(max(r, 1), patterns))
+    class_bit = [0] * fam.n
+    for ci, z in enumerate(masks):
+        for e in elements_of(z):
+            class_bit[e - 1] = 1 << ci
+    # the empty set heads a nonempty down-set, and m ^ low precedes m
+    pat = dict.fromkeys(fam.members[:1], 0)
+    for m in fam.members[1:]:
+        low = m & -m
+        pat[m] = pat[m ^ low] | class_bit[low.bit_length() - 1]
+    return PartitionStructure(tuple(masks), SetFamily.from_masks(max(len(masks), 1), pat.values()))
 
 
 def aux_triples_linear(ps: PartitionStructure) -> bool:

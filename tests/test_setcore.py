@@ -81,6 +81,38 @@ class TestSetFamily:
         with pytest.raises(FamilyError):
             SetFamily(3, (1, 1))
 
+    def test_refusal_messages(self):
+        cases = [
+            # the first offender in member order is named, not the largest
+            (lambda: SetFamily.from_masks(4, [0b100000, 0b10000, 0b11]), "member mask 0x10 has bits outside [1..4]"),
+            (lambda: SetFamily(4, (0b10000, 0b100000)), "member mask 0x10 has bits outside [1..4]"),
+            (lambda: SetFamily(3, (0, 8)), "member mask 0x8 has bits outside [1..3]"),
+            (lambda: SetFamily(3, (-1,)), "member mask -0x1 has bits outside [1..3]"),
+            (lambda: SetFamily.from_masks(3, [1, -2]), "member mask -0x2 has bits outside [1..3]"),
+            (lambda: SetFamily(64, (1 << 64,)), "member mask 0x10000000000000000 has bits outside [1..64]"),
+            (lambda: SetFamily(3, (1, 1)), "members not in canonical order / contain duplicates"),
+            (lambda: SetFamily(3, (3, 1)), "members not in canonical order / contain duplicates"),
+            (lambda: SetFamily(3, (2, 1)), "members not in canonical order / contain duplicates"),
+            # a misorder before an out-of-range member is reported first
+            (lambda: SetFamily(3, (3, 1, 8)), "members not in canonical order / contain duplicates"),
+            (lambda: SetFamily(3, (1, 16, 3, 2)), "member mask 0x10 has bits outside [1..3]"),
+            (lambda: SetFamily(0, ()), "ground-set size 0 outside [1..64]"),
+            (lambda: SetFamily(65, ()), "ground-set size 65 outside [1..64]"),
+            (lambda: SetFamily.from_masks(65, [1]), "ground-set size 65 outside [1..64]"),
+        ]
+        for build, message in cases:
+            with pytest.raises(FamilyError) as err:
+                build()
+            assert str(err.value) == message
+
+    def test_from_masks_inputs(self):
+        want = (0, 4, 1 << 63, 3, 5)
+        assert SetFamily.from_masks(64, (m for m in (5, 0, 1 << 63, 3, 4))).members == want
+        assert SetFamily.from_masks(64, {5, 0, 1 << 63, 3, 4}).members == want
+        assert SetFamily.from_masks(64, [3, 5, 3, 0, 4, 1 << 63, 0, 5]).members == want
+        assert SetFamily.from_masks(64, iter([])).members == ()
+        assert SetFamily.from_masks(64, want) == SetFamily(64, want)
+
     def test_membership_index(self):
         for n in (4, 24):
             fam = SetFamily.from_sets(n, [(1,), (2, 3), (n,)])

@@ -1,8 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
+import tracelab.setcore as setcore
+import tracelab.transforms as transforms
 from tracelab import (
     FamilyError,
     PartitionStructure,
@@ -16,6 +19,7 @@ from tracelab import (
     link,
     link_avoiding,
     mask_of,
+    max_trace_over_ksets,
     partite_family,
     partition_classes,
     symmetrize,
@@ -118,6 +122,131 @@ class TestCompress:
             before = all_window_trace_sizes(fam)
             after = all_window_trace_sizes(red)
             assert all(after[y] <= before[y] for y in before)
+
+
+def _ref_downset_compress(fam):
+    """Reference: down-shifts at i = 1..n in place on one set of masks,
+    pass after pass, until a full pass changes nothing."""
+    masks = set(fam.members)
+    while True:
+        changed = False
+        for b in range(fam.n):
+            bit = 1 << b
+            moved = [m for m in masks if m & bit and m ^ bit not in masks]
+            masks.difference_update(moved)
+            masks.update(m ^ bit for m in moved)
+            changed = changed or bool(moved)
+        if not changed:
+            return SetFamily.from_masks(fam.n, masks)
+
+
+class TestCompressOnePass:
+    # downset_compress runs one pass, or none on a down-set, where the
+    # loop above ends on a pass that changes nothing; the effective shifts,
+    # and so the result, are the same
+
+    def test_matches_quiet_pass_loop_on_every_family_up_to_n_3(self):
+        for n in (1, 2, 3):
+            for code in range(1 << (1 << n)):
+                fam = SetFamily.from_masks(n, (m for m in range(1 << n) if code >> m & 1))
+                assert downset_compress(fam).members == _ref_downset_compress(fam).members, fam
+
+    def test_matches_quiet_pass_loop_on_parity_families(self):
+        for _, fam in kernel_parity_families(seed=61):
+            assert downset_compress(fam).members == _ref_downset_compress(fam).members, fam
+
+    def test_matches_quiet_pass_loop_up_to_n_26(self):
+        rng = random.Random(67)
+        for n in range(2, 27):
+            for _ in range(6):
+                masks = set()
+                for _ in range(rng.randint(1, 12 * n)):
+                    masks.add(sum(1 << b for b in rng.sample(range(n), rng.randint(0, min(n, 7)))))
+                fam = SetFamily.from_masks(n, masks)
+                assert downset_compress(fam).members == _ref_downset_compress(fam).members, fam
+
+    def test_downset_input_runs_no_shift(self, monkeypatch):
+        calls = []
+        real = transforms._shift
+
+        def counted(masks, bit):
+            calls.append(bit)
+            return real(masks, bit)
+
+        monkeypatch.setattr(transforms, "_shift", counted)
+        for fam in (partite_family(9, 3), SetFamily.empty(4), SetFamily.from_sets(3, [()])):
+            assert downset_compress(fam) == fam
+        assert calls == []
+        downset_compress(SetFamily.from_sets(3, [(1, 2, 3)]))
+        assert calls
+
+
+class TestOneDownsetScan:
+    def test_chain_scans_red_once(self, monkeypatch):
+        scanned = []
+        real = setcore._closed_down
+
+        def counted(masks):
+            scanned.append(masks)
+            return real(masks)
+
+        monkeypatch.setattr(setcore, "_closed_down", counted)
+        fam = SetFamily.from_sets(5, [(1, 2, 3), (2, 4), (5,), (1, 4, 5)])
+        red = downset_compress(fam)
+        assert is_downset(red)
+        max_trace_over_ksets(red, 3)
+        partition_classes(red)
+        symmetrize_if_profitable(red, 2, 5)
+        assert len(scanned) == 1 and scanned[0] == frozenset(red.members)
+        # a fresh object with the same members is scanned again: the
+        # result is kept on the family object, not in the module
+        assert is_downset(SetFamily(red.n, red.members))
+        assert len(scanned) == 2
+
+
+def _pipeline_pin_inputs():
+    """120 random families on n = 10..16 (cycling), each of 30n draws of
+    members with 1..6 elements, with a pair (x, y) no member holds both
+    of, then partite_family(n, 3) for n = 20..26 with the pair (1, 2)."""
+    rng = random.Random(1)
+    out = []
+    for i in range(120):
+        n = 10 + i % 7
+        x, y = sorted(rng.sample(range(1, n + 1), 2))
+        both = (1 << (x - 1)) | (1 << (y - 1))
+        masks = set()
+        for _ in range(30 * n):
+            m = 0
+            for b in rng.sample(range(n), rng.randint(1, 6)):
+                m |= 1 << b
+            if m & both == both:
+                m ^= 1 << (y - 1)
+            masks.add(m)
+        out.append((SetFamily.from_masks(n, masks), x, y))
+    out += [(partite_family(n, 3), 1, 2) for n in range(20, 27)]
+    return out
+
+
+class TestPipelinePin:
+    def test_kernel_outputs_unchanged(self):
+        # compress -> is_downset -> trace scan -> partition -> symmetrize on
+        # the benchmark's family-pipeline inputs (seed 1); the digest was
+        # read from the plain implementations (a quiet pass closing every
+        # compression, a frozenset per link, every class tested per member)
+        h = hashlib.sha256()
+        for fam, x, y in _pipeline_pin_inputs():
+            red = downset_compress(fam)
+            ps = partition_classes(red)
+            out = (
+                red.members,
+                is_downset(red),
+                tuple(max_trace_over_ksets(red, 3)),
+                ps.classes,
+                ps.aux.members,
+                symmetrize_if_profitable(red, x, y).members,
+            )
+            h.update(repr(out).encode())
+        assert h.hexdigest() == "2b8fd20a0282dc8c5c4a8c9cd402a4b35c8597e45b101c5c62e8f4e642e47fad"
 
 
 class TestSymmetrize:
