@@ -19,14 +19,17 @@ from enum import Enum
 from math import comb
 from typing import NamedTuple
 
+from .constructions import ex3_k4_seed, max_cancellative_seed
 from .search import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECS,
+    _SEARCH_GROUND_CAP,
     SearchResult,
     _CountedState,
     _UniformCapState,
     _build_uniform_window_state,
     _candidate_masks,
+    _no_seed,
     _solve_state,
 )
 from .setcore import (
@@ -275,11 +278,12 @@ def max_cancellative(
     use_symmetry: bool = True,
 ) -> SearchResult:
     """Exact maximum size of a cancellative l-graph on [n] (l in {2, 3});
-    expected to match prod floor((n+i)/l) in the supported range."""
+    expected to match prod floor((n+i)/l) in the supported range.  Every
+    level starts from that construction, ``max_cancellative_seed``."""
     if l not in (2, 3):
         raise FamilyError(f"cancellative search supports l in {{2, 3}}, got l={l}")
-    if not l <= n <= 12:
-        raise FamilyError(f"need l <= n <= 12, got n={n}")
+    if not l <= n <= _SEARCH_GROUND_CAP:
+        raise FamilyError(f"need l <= n <= {_SEARCH_GROUND_CAP}, got n={n}")
     if l == 2:
         # triangle-free == cancellative for graphs: cap 2 edges per 3-window
         build, cls, args = _build_uniform_window_state, _UniformCapState, (n, 2, 3, 2)
@@ -291,6 +295,7 @@ def max_cancellative(
         sub_queries=cls.sub_queries,
         witness=SetFamily.from_masks,
         recheck=lambda w, *_: is_cancellative(w, l).ok,
+        seed=lambda n, *_: max_cancellative_seed(n, l),
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
         use_symmetry=use_symmetry,
@@ -306,15 +311,17 @@ def ex3(
 ) -> SearchResult:
     """Exact Turán number: most triples on [n] with every 4-window
     spanning at most the pattern's limit.  Values at these sizes are
-    computed data, not published constants."""
-    if not 4 <= n <= 12:
-        raise FamilyError(f"need 4 <= n <= 12, got n={n}")
+    computed data, not published constants.  For K4 every level starts
+    from Turán's construction (``ex3_k4_seed``); K4-minus starts empty."""
+    if not 4 <= n <= _SEARCH_GROUND_CAP:
+        raise FamilyError(f"need 4 <= n <= {_SEARCH_GROUND_CAP}, got n={n}")
     return _solve_state(
         _build_uniform_window_state,
         (n, 3, 4, pattern.window_limit(3)),
         sub_queries=_UniformCapState.sub_queries,
         witness=SetFamily.from_masks,
         recheck=lambda w, *_: pattern_free(w, 3, pattern),
+        seed=(lambda n, *_: ex3_k4_seed(n)) if pattern is Pattern.K_COMPLETE else _no_seed,
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
         use_symmetry=use_symmetry,

@@ -2,9 +2,10 @@
 
 Contents: the partite down-set families built from a partition of [n]
 into l blocks (each member meets every block at most once), Turán
-graphs and their edge counts, the exceptional 6-vertex pair/triple
-family, the closed-form table of hook-extremal values, arrow-threshold
-formulas, and the pairwise-product sum inequality check.
+graphs and their edge counts, the constructions that seed the searches,
+the exceptional 6-vertex pair/triple family, the closed-form table of
+hook-extremal values, arrow-threshold formulas, and the pairwise-product
+sum inequality check.
 
 The balanced split of [n] into l parts of sizes floor((n+i)/l), i < l
 (the paper's X_1, X_2, X_3 for l = 3) is computed in one place,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 from math import comb, prod
 from typing import NamedTuple
 
@@ -128,6 +129,67 @@ def turan_graph(r: int, n: int) -> SetFamily:
 def t_count(r: int, n: int) -> int:
     """Edge count of the balanced complete r-partite graph on [n]."""
     return comb(n, 2) - sum(comb(s, 2) for s in partite_sizes(n, r))
+
+
+# ---------------------------------------------------------------------------
+# search seeds
+#
+# One per public search, named after it and called with a search level's
+# builder arguments: the masks of a known construction on that level's
+# points, or None where none is known.  Each search level starts from it
+# as its first incumbent.  The search re-checks every seed with its own
+# predicate and refuses one that fails, so a seed only has to be
+# feasible; the optimality of a result still rests on the search alone.
+
+
+def _partite_levels(n: int, l: int, cards) -> tuple[int, ...]:
+    """The members of ``partite_family(n, l)`` with sizes in ``cards``."""
+    return tuple(m for m in partite_family(n, l).members if m.bit_count() in cards)
+
+
+def max_family_seed(n: int, a: int, b: int) -> tuple[int, ...] | None:
+    """``partite_family(n, a-1)`` (the paper's family at (4, 13)) when
+    b > 3 * 2^(a-2): an a-window meets some block twice, so its trace
+    is the sets meeting each block at most once, at most 3 * 2^(a-2)."""
+    if a >= 2 and b > 3 << (a - 2):
+        return partite_family(n, a - 1).members
+    return None
+
+
+def max_tilde_seed(n: int, c: int) -> tuple[int, ...] | None:
+    """Turán graphs, whose 4-sets span at most 4, 5 and 6 edges, for
+    c = 5, 6, 7; for c = 8, T(3, n) and its transversal triples, at
+    most 5 + 2 on a 4-set."""
+    if c in (5, 6, 7):
+        return turan_graph((2, 3, n)[c - 5], n).members
+    if c == 8:
+        return _partite_levels(n, 3, (2, 3))
+    return None
+
+
+def max_cancellative_seed(n: int, l: int) -> tuple[int, ...]:
+    """The transversal l-sets of the balanced l-partite split (T(2, n)
+    for l = 2): two edges meeting in l-1 points differ in one block,
+    where no edge holds two points."""
+    return _partite_levels(n, l, (l,))
+
+
+def ex3_k4_seed(n: int) -> tuple[int, ...]:
+    """Turán's K4-free triple system on the balanced 3-split: the
+    transversal triples and those with two points in block i and one in
+    block i+1 (mod 3), for the order of the block sizes that gives the
+    most triples (the first such order in sorted order)."""
+    best: tuple[int, ...] = ()
+    for sizes in sorted(set(permutations(_balanced_sizes(n, 3)))):
+        blocks = _blocks_from_sizes(n, list(sizes))
+        masks = []
+        for t in kset_masks(n, 3):
+            meet = [(t & blk).bit_count() for blk in blocks]
+            if meet == [1, 1, 1] or any(meet[i] == 2 and meet[(i + 1) % 3] == 1 for i in range(3)):
+                masks.append(t)
+        if len(masks) > len(best):
+            best = tuple(masks)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +350,10 @@ def mtilde_formula(c: int, n: int):
 THRESHOLD_KINDS = (
     "sauer_shelah",      # 1 + sum_{i<k} C(n,i), forces a k-window trace of 2^k
     "three_seven",       # floor(n^2/4) + n + 2, forces a 3-window trace of 7
-    "partite_nonarrow",  # partite_family_size(n, l): largest size avoiding (l+1, 3*2^(l-1)+1)
+    # partite_family_size(n, l): a size avoiding (l+1, 3*2^(l-1)+1) (the
+    # search seeds rely on that alone); not the largest for l = 4, where
+    # M(6,5,25) = 39 > 36 and M(7,5,25) = 57 > 54
+    "partite_nonarrow",
     "partite_arrow",     # one more than the above (conjectured forcing size)
     "four_thirteen",     # triple-level bound + lower levels, forces (4,13)
     "five_twentyfive",   # quadruple-level analogue, forces (5,25)

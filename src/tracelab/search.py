@@ -43,7 +43,13 @@ bottom up, one level after another: each at most once per query, after
 the levels it declares and before the level declaring it, on a share
 of the query's budget that shrinks with its depth, so a result's
 ``nodes`` includes them; the search on n points always runs, last.
-Each level's state is built only when its turn comes.  Symmetry is
+Each level's state is built only when its turn comes.  Each level also
+starts from a known construction on its points, the seed of
+:mod:`tracelab.constructions` named after its public search, when that
+is larger than its other first incumbent.  A seed is re-checked like a
+witness and refused (RuntimeError) unless it passes; it only raises
+the incumbent, so ``proved_optimal`` still rests on the exhausted
+tree.  Symmetry is
 exploited by orbital branching: at a node whose chosen and excluded
 candidates are stabilized by a permutation group G of the ground set,
 either a representative e goes in, or its entire G-orbit goes out.
@@ -55,10 +61,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial, inf, isfinite
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable
 
 from ._perm import apply_perm, mask_stabilizer
-from .constructions import TildeFamily, hookarrow, tilde_to_json_obj
+from .constructions import (
+    TildeFamily,
+    hookarrow,
+    max_family_seed,
+    max_tilde_seed,
+    tilde_to_json_obj,
+)
 from .setcore import (
     FamilyError,
     SetFamily,
@@ -915,6 +927,10 @@ def _build_antichain_state(n: int, k: int) -> _AntichainState:
 _SUB_SHARE = 3 / 4
 
 
+def _no_seed(*level) -> None:
+    return None
+
+
 def _solve_state(
     build: Callable[..., _CountedState],
     args: tuple,
@@ -922,6 +938,7 @@ def _solve_state(
     sub_queries: Callable[..., tuple[tuple, ...]] = _CountedState.sub_queries,
     witness: Callable,
     recheck: Callable[..., bool],
+    seed: Callable[..., Iterable[int] | None] = _no_seed,
     budget_nodes: int,
     budget_secs: float | None,
     use_symmetry: bool,
@@ -944,6 +961,16 @@ def _solve_state(
     witness, a family of the same search on the first n-1 points, is its
     first incumbent.
 
+    ``seed(*level)`` gives the masks of a known construction on a
+    level's points, or None.  Every mask must be a candidate or an
+    ``implied`` member, and the seed must pass the same re-check as a
+    witness; otherwise this raises RuntimeError, because a seed that is
+    not feasible would let the bound prune the true optimum.  A level
+    starts from the seed when it has more members than the first
+    incumbent above (or there is none).  A seed only raises the
+    incumbent: ``proved_optimal`` still means that the search exhausted
+    its tree.
+
     A level's witness is ``witness(n, masks)``: ``masks`` are the
     state's ``implied`` masks and the chosen ones, in the canonical
     member order.  It is kept only if it has one member per mask and
@@ -961,28 +988,47 @@ def _solve_state(
             budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
         state = build(*level)
         subs = [solved[sub] for sub in sub_queries(*level)]
-        start = None
+        start = 0
         if subs and all(r.proved_optimal for r in subs):
             state.start_averaging(*(r.optimum for r in subs))
         elif subs:
-            start = sum(
-                state.bits[state.idx_of[m]]
-                for m in subs[0].witness.members
-                if m not in state.implied
-            )
+            start = _bits_of(state, subs[0].witness.members)
+        masks = seed(*level)
+        if masks is not None:
+            seeded = _bits_of(state, masks)
+            _certify(state, seeded, witness, recheck, level, "seed")
+            if seeded.bit_count() > start.bit_count():
+                start = seeded
         searcher = _Searcher(state, budget, use_symmetry=use_symmetry)
-        if start is not None:
-            searcher.best, searcher.best_bits = start.bit_count(), start
+        searcher.best, searcher.best_bits = start.bit_count(), start
         # a lower level that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
-        best = searcher.best_bits
-        chosen = [m for m, bit in zip(state.masks, state.bits) if best & bit]
-        implied = state.implied
-        wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
-        if len(wit) != len(implied) + len(chosen) or not recheck(wit, *level):
-            raise RuntimeError("witness failed independent re-verification")
+        wit = _certify(state, searcher.best_bits, witness, recheck, level)
         solved[level] = SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
     return solved[args]
+
+
+def _bits_of(state: _CountedState, masks) -> int:
+    """The candidate bits of a family's masks; implied masks are skipped,
+    and any other mask that is not a candidate raises RuntimeError."""
+    bits = 0
+    for m in masks:
+        if m in state.idx_of:
+            bits |= state.bits[state.idx_of[m]]
+        elif m not in state.implied:
+            raise RuntimeError(f"member {m:#b} is not a candidate of this search")
+    return bits
+
+
+def _certify(state: _CountedState, bits: int, witness, recheck, level: tuple, what="witness"):
+    """The witness of the chosen candidates ``bits`` plus the implied
+    members, re-checked; RuntimeError if it fails."""
+    chosen = [m for m, bit in zip(state.masks, state.bits) if bits & bit]
+    implied = state.implied
+    wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
+    if len(wit) != len(implied) + len(chosen) or not recheck(wit, *level):
+        raise RuntimeError(f"{what} failed independent re-verification")
+    return wit
 
 
 def _levels(sub_queries, args: tuple, depth: int = 0, levels=None) -> dict[tuple, int]:
@@ -1025,7 +1071,8 @@ def max_family(q: ArrowQuery) -> SearchResult:
     over the sets of size 1..a-1 decides the singletons with the rest;
     the empty set is added to its witness.  The deletion and link
     queries of its bound run first, on n-1 points (``_DownsetState``),
-    and their nodes count in the result's.
+    and their nodes count in the result's.  Every level starts from
+    ``max_family_seed``, the partite family, where b > 3 * 2^(a-2).
     """
     q.validate()
     if q.mode != MODE_DOWNSET:
@@ -1037,6 +1084,7 @@ def max_family(q: ArrowQuery) -> SearchResult:
         **_limits(q),
         witness=SetFamily.from_masks,
         recheck=lambda w, n, a, b: is_downset(w) and not arrows(w, a, b),
+        seed=max_family_seed,
     )
 
 
@@ -1048,7 +1096,8 @@ def _tilde_witness(n: int, masks) -> TildeFamily:
 
 def max_tilde(q: ArrowQuery) -> SearchResult:
     """Largest complete pair/triple family on [n] in which every 4-set
-    carries fewer than c members across both levels."""
+    carries fewer than c members across both levels; for c = 5..8 the
+    search starts from ``max_tilde_seed``."""
     q.validate()
     if q.mode != MODE_TILDE:
         raise FamilyError(f"max_tilde needs mode {MODE_TILDE!r}")
@@ -1058,6 +1107,7 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
         **_limits(q),
         witness=_tilde_witness,
         recheck=lambda w, n, c: w.complete and not hookarrow(w, c),
+        seed=max_tilde_seed,
     )
 
 

@@ -210,11 +210,18 @@ class TestMaxCancellative:
         assert is_cancellative(res.witness, 3).ok
         assert len(res.witness) == res.optimum
 
+    def test_triangle_free_to_the_ground_cap(self):
+        # from its seed T(2, n), every level of the chain closes at once
+        for n, nodes in ((16, 14), (20, 18)):
+            res = max_cancellative(n, 2)
+            assert (res.optimum, res.proved_optimal, res.nodes) == (n * n // 4, True, nodes)
+            assert is_cancellative(res.witness, 2).ok
+
     def test_l_validation(self):
         with pytest.raises(FamilyError):
             max_cancellative(6, 4)
         with pytest.raises(FamilyError):
-            max_cancellative(13, 2)
+            max_cancellative(21, 2)
 
     def test_symmetry_off_same(self):
         assert (

@@ -7,6 +7,7 @@ import pytest
 
 from tracelab import (
     FamilyError,
+    Pattern,
     SetFamily,
     TildeFamily,
     arrows,
@@ -14,6 +15,7 @@ from tracelab import (
     full_to_tilde,
     hook_count_max,
     hookarrow,
+    is_cancellative,
     is_downset,
     max_trace_over_ksets,
     mtilde_formula,
@@ -21,6 +23,7 @@ from tracelab import (
     partite_family,
     partite_family_size,
     partite_sizes,
+    pattern_free,
     shadow,
     special6,
     t_count,
@@ -29,6 +32,12 @@ from tracelab import (
     tilde_to_full,
     tilde_to_json,
     turan_graph,
+)
+from tracelab.constructions import (
+    ex3_k4_seed,
+    max_cancellative_seed,
+    max_family_seed,
+    max_tilde_seed,
 )
 
 
@@ -381,3 +390,51 @@ class TestTildeFamilyType:
         assert not tf.complete
         assert [elements_of(m) for m in tf.missing_shadow] == [(2, 3)]
         assert shadow(g3).members != g2.members
+
+
+class TestSearchSeeds:
+    # each search seed passes the predicate its search re-checks it with,
+    # and has the size of its construction; the searches refuse a seed
+    # that does not (tests/test_search.py)
+
+    def test_downset_seed_is_the_partite_family(self):
+        for n in range(1, 8):
+            for a in range(1, n + 1):
+                for b in range(2, (1 << a) + 1):
+                    masks = max_family_seed(n, a, b)
+                    if a < 2 or b <= 3 << (a - 2):
+                        assert masks is None, (n, a, b)
+                        continue
+                    fam = SetFamily.from_masks(n, masks)
+                    assert fam == partite_family(n, a - 1)
+                    assert is_downset(fam) and not arrows(fam, a, b), (n, a, b)
+
+    def test_tilde_seeds(self):
+        for n in range(4, 10):
+            sizes = {5: t_count(2, n), 6: t_count(3, n), 7: math.comb(n, 2),
+                     8: t_count(3, n) + math.prod(partite_sizes(n, 3))}
+            for c in range(1, 11):
+                masks = max_tilde_seed(n, c)
+                if c not in sizes:
+                    assert masks is None
+                    continue
+                g2 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 2])
+                g3 = SetFamily.from_masks(n, [m for m in masks if m.bit_count() == 3])
+                tf = TildeFamily(n, g2, g3)
+                assert len(tf) == len(masks) == sizes[c], (n, c)
+                assert tf.complete and not hookarrow(tf, c), (n, c)
+
+    def test_cancellative_seeds(self):
+        for l in (2, 3):
+            for n in range(l, 13):
+                fam = SetFamily.from_masks(n, max_cancellative_seed(n, l))
+                assert len(fam) == math.prod(partite_sizes(n, l)), (n, l)
+                assert is_cancellative(fam, l).ok, (n, l)
+
+    def test_ex3_k4_seed_is_turans_construction(self):
+        sizes = {4: 3, 5: 7, 6: 14, 7: 23, 8: 36, 9: 54}
+        for n in range(4, 12):
+            fam = SetFamily.from_masks(n, ex3_k4_seed(n))
+            assert pattern_free(fam, 3, Pattern.K_COMPLETE), n
+            if n in sizes:
+                assert len(fam) == sizes[n], n

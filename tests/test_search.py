@@ -25,6 +25,7 @@ from tracelab import (
     max_family,
     max_tilde,
     mtilde_formula,
+    partite_family,
     partite_family_size,
     run_query,
     threshold,
@@ -225,7 +226,8 @@ class TestDownsetSearch:
             (30, lambda b: max_tilde(ArrowQuery.tilde(7, 5, budget_nodes=b))),
             (30, lambda b: max_antichain(ArrowQuery.antichain(6, 2, budget_nodes=b))),
             (30, lambda b: max_cancellative(8, 3, budget_nodes=b)),
-            (30, lambda b: max_cancellative(9, 2, budget_nodes=b)),
+            # proves in 7 nodes from its seed, T(2, 9)
+            (5, lambda b: max_cancellative(9, 2, budget_nodes=b)),
             (30, lambda b: ex3(7, Pattern.K_COMPLETE, budget_nodes=b)),
         ]:
             res = run(budget)
@@ -512,9 +514,13 @@ def test_levels_are_built_one_at_a_time(monkeypatch):
 
 
 def test_zero_node_budget_keeps_empty_set_witness():
+    # a run stopped before its first node returns the level's re-checked
+    # seed, unproved: the 2-partite family on 5 points, 3 * 4 members,
+    # the empty set among them
     res = max_family(ArrowQuery.downset(5, 3, 7, budget_nodes=0))
-    assert (res.optimum, res.proved_optimal) == (1, False)
-    assert res.witness.members == (0,)
+    assert (res.optimum, res.proved_optimal) == (12, False)
+    assert res.witness == partite_family(5, 2)
+    assert 0 in res.witness.members
 
 
 def test_search_is_deterministic():
@@ -606,23 +612,23 @@ def test_finished_search_leaves_no_reference_cycles(run):
 # leave every triple exactly as it is.
 _NODE_PINS = {
     "downset-6-4-13": (lambda s: max_family(ArrowQuery.downset(6, 4, 13, use_symmetry=s)),
-                       (27, True, 135), (27, True, 1066)),
+                       (27, True, 59), (27, True, 972)),
     "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
-                      (16, True, 97), (16, True, 147)),
+                      (16, True, 23), (16, True, 71)),
     "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
-                  (12, True, 63), (12, True, 1592)),
+                  (12, True, 21), (12, True, 1550)),
     "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
-                  (16, True, 56), (16, True, 1599)),
+                  (16, True, 26), (16, True, 1567)),
     "antichain-5-2": (lambda s: max_antichain(ArrowQuery.antichain(5, 2, use_symmetry=s)),
                       (10, True, 95), (10, True, 497)),
     "antichain-5-1": (lambda s: max_antichain(ArrowQuery.antichain(5, 1, use_symmetry=s)),
                       (5, True, 79), (5, True, 1375)),
     "cancellative-2-7": (lambda s: max_cancellative(7, 2, use_symmetry=s),
-                         (12, True, 101), (12, True, 105)),
+                         (12, True, 5), (12, True, 5)),
     "cancellative-3-6": (lambda s: max_cancellative(6, 3, use_symmetry=s),
-                         (8, True, 48), (8, True, 80)),
+                         (8, True, 16), (8, True, 46)),
     "ex3-k4-6": (lambda s: ex3(6, Pattern.K_COMPLETE, use_symmetry=s),
-                 (14, True, 135), (14, True, 135)),
+                 (14, True, 3), (14, True, 3)),
     "ex3-k4minus-6": (lambda s: ex3(6, Pattern.K_MINUS, use_symmetry=s),
                       (10, True, 147), (10, True, 203)),
 }
@@ -648,52 +654,59 @@ def _witness_sha256(witness):
 # the witness masks) with symmetry on and off.  Where the budget stops the
 # search, and which incumbent it leaves, depends on the order in which
 # nodes are ticked and incumbents recorded, so these pin that order.
-# trianglefree-10 now proves within 3000 nodes; 300 still stops it.
+# Every level starts from its re-checked seed, so a stopped run keeps at
+# least the seed (tilde-6-7 at 0 nodes: K6, 15 members).  trianglefree-10
+# now proves within 300 nodes, from T(2, 10); 5 still stops it.
 _BUDGET_STOP_PINS = {
     ("tilde-9-5", 3000): (
         lambda s, b: max_tilde(ArrowQuery.tilde(9, 5, use_symmetry=s, budget_nodes=b)),
-        (18, False, 3001, "cd48c763b6a8544f781343c9ad3c29e62c65f5575bd152aad8bf663d9063527b"),
-        (17, False, 3001, "2e4ff3767e8252f1708d3ee210eae3a7ea5d477e6a3115c98f37b3a84dde461f"),
+        (20, False, 3001, "c5a31ace89f1c91a91a30fd2e223646df5fdcdfc1f54108313c7abc006fd461f"),
+        (20, False, 3001, "c5a31ace89f1c91a91a30fd2e223646df5fdcdfc1f54108313c7abc006fd461f"),
     ),
     ("downset-8-4-13", 3000): (
         lambda s, b: max_family(ArrowQuery.downset(8, 4, 13, use_symmetry=s, budget_nodes=b)),
-        (48, False, 3001, "b853df5c74f41c71ffffbc3e264b9552cf7a1dd1c2d5d1470c72b3a8a0b32611"),
-        (45, False, 3001, "76309765f147b19d7df0b0ff8bf797c7c5df15ea205d329b309be4bf1b2b2112"),
+        (48, False, 3001, "db54379c374fd7ebc802f979c596f69ab3ac8166fb6e4700af33ef93a087a00d"),
+        (48, False, 3001, "db54379c374fd7ebc802f979c596f69ab3ac8166fb6e4700af33ef93a087a00d"),
     ),
     ("ex3-k4-7", 3000): (
         lambda s, b: ex3(7, Pattern.K_COMPLETE, use_symmetry=s, budget_nodes=b),
-        (23, False, 3001, "508e06b5032d13fb61cabaa06fe38df6a6364ed2704bbcd1c645339336f48d74"),
-        (23, False, 3001, "508e06b5032d13fb61cabaa06fe38df6a6364ed2704bbcd1c645339336f48d74"),
+        (23, False, 3001, "b2ff29ef8949e51a49afcc919fb9d0da25001dce4cda40f9e895899acc12c7d2"),
+        (23, False, 3001, "b2ff29ef8949e51a49afcc919fb9d0da25001dce4cda40f9e895899acc12c7d2"),
     ),
     ("trianglefree-10", 3000): (
         lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
-        (25, True, 472, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
-        (25, True, 494, "e2029d31c1b37e04daadb3a9140ce47638694e5c664ffac2707f3b6f797c9c16"),
+        (25, True, 8, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
+        (25, True, 8, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
     ),
     ("trianglefree-10", 300): (
         lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
-        (21, False, 301, "be08b7ab489583066019f4010507fbf98b0fe562fdfe003cdcb9d1359721c675"),
-        (21, False, 301, "be08b7ab489583066019f4010507fbf98b0fe562fdfe003cdcb9d1359721c675"),
+        (25, True, 8, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
+        (25, True, 8, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
+    ),
+    ("trianglefree-10", 5): (
+        lambda s, b: max_cancellative(10, 2, use_symmetry=s, budget_nodes=b),
+        (25, False, 6, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
+        (25, False, 6, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
     ),
     ("tilde-10-5", 3000): (
         lambda s, b: max_tilde(ArrowQuery.tilde(10, 5, use_symmetry=s, budget_nodes=b)),
-        (20, False, 3001, "a7c7f4ec05355b73dbba35ff3d1ebd1f3a42f1bcdb528364e9ab9ebabbcd2554"),
-        (20, False, 3001, "a7c7f4ec05355b73dbba35ff3d1ebd1f3a42f1bcdb528364e9ab9ebabbcd2554"),
+        (25, False, 3001, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
+        (25, False, 3001, "ca4f41cdeebfc55abe552ac639cda12daa0e8f21bb30387ff9f5f75e7f02b8d9"),
     ),
     ("downset-9-4-13", 3000): (
         lambda s, b: max_family(ArrowQuery.downset(9, 4, 13, use_symmetry=s, budget_nodes=b)),
-        (54, False, 3001, "7f7d1adfa60b99fb8d80adf2df717a3071a0e6ed19277948506957f9ea73b98e"),
-        (54, False, 3001, "7f7d1adfa60b99fb8d80adf2df717a3071a0e6ed19277948506957f9ea73b98e"),
+        (64, False, 3001, "de58f6372500f7ab13e74787ef49464346b9b99fa80d568647d0ad5e79384dcb"),
+        (64, False, 3001, "de58f6372500f7ab13e74787ef49464346b9b99fa80d568647d0ad5e79384dcb"),
     ),
     ("tilde-6-7", 0): (
         lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
-        (0, False, 1, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-        (0, False, 1, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (15, False, 1, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
+        (15, False, 1, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
     ),
     ("tilde-6-7", 1): (
         lambda s, b: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s, budget_nodes=b)),
-        (0, False, 2, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-        (0, False, 2, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (15, False, 2, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
+        (15, False, 2, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
     ),
 }
 
@@ -1483,3 +1496,143 @@ def test_budget_stop_inside_a_move_returns_the_incumbent():
                 res = max_tilde(ArrowQuery.tilde(n, c, use_symmetry=sym, budget_nodes=budget))
                 assert res.proved_optimal or res.nodes == budget + 1, (n, c, budget, sym)
                 assert not hookarrow(res.witness, c)
+
+
+# ---------------------------------------------------------------------------
+# seeds: every search level starts from a re-checked construction
+
+
+def _mutated_seed(monkeypatch, module, name, query_args, mutate):
+    """Replace the seed ``module.name`` at the query's own level by
+    ``mutate(level, seed masks)``; the levels below keep the real seed."""
+    real = getattr(module, name)
+
+    def mutant(*level):
+        masks = real(*level)
+        return mutate(level, list(masks)) if level == query_args else masks
+
+    monkeypatch.setattr(module, name, mutant)
+
+
+def test_seed_one_member_too_many_raises(monkeypatch):
+    # the 2-partite family is optimal at (5, 3, 7), so any extra
+    # candidate makes the seed infeasible
+    def plus_one(level, masks):
+        st = search_mod._build_downset_state(*level)
+        return masks + [next(m for m in st.masks if m not in masks)]
+
+    _mutated_seed(monkeypatch, search_mod, "max_family_seed", (5, 3, 7), plus_one)
+    with pytest.raises(RuntimeError, match="seed failed independent re-verification"):
+        max_family(ArrowQuery.downset(5, 3, 7))
+
+
+def test_seed_member_breaking_the_constraint_raises(monkeypatch):
+    # K_{3,3} with its last edge moved inside a part: same size, but the
+    # 4-set {1, 2, 4, 5} now spans 5 edges
+    def swap(level, masks):
+        return masks[:-1] + [0b11]
+
+    _mutated_seed(monkeypatch, search_mod, "max_tilde_seed", (6, 5), swap)
+    with pytest.raises(RuntimeError, match="seed failed independent re-verification"):
+        max_tilde(ArrowQuery.tilde(6, 5))
+
+
+def test_seed_mask_outside_the_candidates_raises(monkeypatch):
+    # a construction built for 7 points has members the 6-point search
+    # cannot hold
+    _mutated_seed(
+        monkeypatch, canc_mod, "ex3_k4_seed", (6,), lambda level, masks: canc_mod.ex3_k4_seed(7)
+    )
+    with pytest.raises(RuntimeError, match="not a candidate"):
+        ex3(6, Pattern.K_COMPLETE)
+
+
+def test_seed_applies_to_every_level(monkeypatch):
+    # the sub-query levels start from their own seeds too: each level of
+    # (6, 4, 13), the query's included, asks for one, once
+    asked = []
+    real = search_mod.max_family_seed
+
+    def counting(*level):
+        asked.append(level)
+        return real(*level)
+
+    monkeypatch.setattr(search_mod, "max_family_seed", counting)
+    max_family(ArrowQuery.downset(6, 4, 13))
+    levels = search_mod._levels(search_mod._DownsetState.sub_queries, (6, 4, 13))
+    assert asked == list(levels)
+
+
+def _seed_parity_queries(small: bool):
+    """(name, run(sym)) for the seed parity sweep: the queries with n <= 6
+    when ``small``, else those with n >= 7."""
+    budget = 20_000
+    ns = range(1, 7) if small else (7,)
+    for n in ns:
+        for a in range(1, n + 1):
+            for b in range(2, (1 << a) + 1):
+                yield f"downset-{n}-{a}-{b}", lambda s, q=(n, a, b): max_family(
+                    ArrowQuery.downset(*q, use_symmetry=s, budget_nodes=budget))
+        if n < 4:
+            continue
+        for c in range(1, 11):
+            yield f"tilde-{n}-{c}", lambda s, q=(n, c): max_tilde(
+                ArrowQuery.tilde(*q, use_symmetry=s, budget_nodes=budget))
+        for p in Pattern:
+            yield f"ex3-{p.value}-{n}", lambda s, n=n, p=p: ex3(
+                n, p, use_symmetry=s, budget_nodes=budget)
+    for l, top in ((2, 9), (3, 8)):
+        for n in range(l, top + 1):
+            if (n <= 6) == small:
+                yield f"cancellative-{l}-{n}", lambda s, n=n, l=l: max_cancellative(
+                    n, l, use_symmetry=s, budget_nodes=budget)
+
+
+def _check_seed_parity(monkeypatch, small, sym):
+    # each query runs seeded and with seed=lambda *level: None.  Where the
+    # unseeded search proves, the seeded one proves the same optimum;
+    # where it stops, the seeded incumbent is no smaller; and the seeded
+    # search never ticks more nodes
+    real = search_mod._solve_state
+
+    def unseeded(*args, **kw):
+        return real(*args, **{**kw, "seed": lambda *level: None})
+
+    for name, run in _seed_parity_queries(small):
+        seeded = run(sym)
+        with monkeypatch.context() as m:
+            m.setattr(search_mod, "_solve_state", unseeded)
+            m.setattr(canc_mod, "_solve_state", unseeded)
+            plain = run(sym)
+        assert seeded.nodes <= plain.nodes, name
+        if plain.proved_optimal:
+            assert (seeded.optimum, seeded.proved_optimal) == (plain.optimum, True), name
+        else:
+            assert seeded.optimum >= plain.optimum, name
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_seeds_keep_every_optimum(monkeypatch, sym):
+    _check_seed_parity(monkeypatch, True, sym)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_seeds_keep_every_optimum_n7(monkeypatch, sym):
+    _check_seed_parity(monkeypatch, False, sym)
+
+
+def test_seeded_pins():
+    # ex3(9, K4) proves Turán's 54: its n = 8 and n = 9 levels close at
+    # the root.  45,000 nodes do not suffice, because the n = 7 level,
+    # two points below the query, may tick only (3/4)^2 of the budget
+    # (25,312 nodes) and needs 33,282
+    res = ex3(9, Pattern.K_COMPLETE, budget_nodes=60_000)
+    assert (res.optimum, res.proved_optimal, res.nodes) == (54, True, 33_284)
+    res = ex3(9, Pattern.K_COMPLETE, budget_nodes=45_000)
+    assert (res.optimum, res.proved_optimal) == (54, False)
+    # without symmetry, the sub-queries of (9, 4, 13) use up 50,000 nodes,
+    # but the query level still starts from the paper's family
+    res = max_family(ArrowQuery.downset(9, 4, 13, budget_nodes=50_000, use_symmetry=False))
+    assert (res.optimum, res.proved_optimal) == (64, False)
+    assert res.witness == partite_family(9, 3)
