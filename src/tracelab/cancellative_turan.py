@@ -16,6 +16,7 @@ family size forcing a 4-window trace of 2^4 - 1 resp. 2^4 - 2.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -138,9 +139,11 @@ def pattern_free(h: SetFamily, k: int, pattern: Pattern) -> bool:
     if h.n < k + 1:
         return len(h) <= pattern.window_limit(k)
     limit = pattern.window_limit(k)
-    ms = h.members
-    for w in kset_masks(h.n, k + 1):
-        if sum(1 for m in ms if m & w == m) > limit:
+    members = h._member_set
+    # a window's k-subsets are the window less one of its points
+    for window in combinations([1 << x for x in range(h.n)], k + 1):
+        w = sum(window)
+        if sum(w ^ p in members for p in window) > limit:
             return False
     return True
 

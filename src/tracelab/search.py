@@ -54,6 +54,14 @@ exploited by orbital branching: at a node whose chosen and excluded
 candidates are stabilized by a permutation group G of the ground set,
 either a representative e goes in, or its entire G-orbit goes out.
 Disabling symmetry changes node counts, never optima.
+
+The engine branches on a largest counted candidate.  Where the
+vertex-deletion bound runs, it takes one that contains the first vertex
+of least degree in U, where that bound's link term is smallest (fail
+first); elsewhere, and where no such candidate exists, the one of
+smallest mask.  Either child split, "e in" or "e's orbit out", covers
+every family for any choice of e, so the order changes node counts and
+witnesses, never an optimum or ``proved_optimal``.
 """
 
 from __future__ import annotations
@@ -308,13 +316,21 @@ class _CountedState:
     are all the rest of the state the engine reads: ``free`` holds the
     counted candidates and ``inbits`` the chosen ones (``bits[i]`` is
     candidate i's bit, ``card_bits[c]`` the bits of size c).
-    Everything else derives from them.  As the
-    index order is by size, then mask, ``pick_first()``, the
-    highest-cardinality counted candidate with the smallest mask, is the
-    lowest bit of ``free`` of the size of its top bit, or None when
-    ``free`` is empty.  ``bound_remaining()`` is never below the largest
-    number of candidates that can still be added (the subtree optimum);
-    by default it is the number of counted candidates.
+    Everything else derives from them.  ``bound_remaining()`` is never
+    below the largest number of candidates that can still be added (the
+    subtree optimum); by default it is the number of counted candidates.
+
+    ``pick_first()`` is the candidate the engine branches on, or None
+    when ``free`` is empty.  As the index order is by size, then mask,
+    the counted candidates of the top size are the bits of ``free`` of
+    the size of its top bit.  The pick is the lowest of them inside
+    ``lean``, or the lowest of them when none is.  ``lean`` holds the
+    bits of the candidates that contain the vertex the last ``reach()``
+    found with the least degree (the first such vertex); it is -1, all
+    candidates, in a state without that bound, so there the pick is the
+    highest-cardinality counted candidate with the smallest mask.  The
+    engine calls ``reach()`` on every node it opens and branches on, so
+    ``lean`` is never stale when read.
 
     The antichain and cancellative states also keep ``blocked[i]``, the
     number of reasons, in the current subtree, why i cannot be added;
@@ -344,7 +360,9 @@ class _CountedState:
     candidate size), (n - k)|F| <= sum_v min(M, |U| + |I| - d_v)
     (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
     ``reach()`` is the lesser of the least per-vertex bound and the
-    average, less |I|: it counts candidates, as the engine does.  A
+    average, less |I|: it counts candidates, as the engine does.  It
+    also sets ``lean`` to the candidates at the first vertex of least
+    ``d_v``, where the link term is smallest.  A
     state class declares the sub-queries that give M (and L, where
     searched) as a pure function of its builder arguments:
     ``sub_queries(*args)`` is their builder arguments, in order, and
@@ -368,6 +386,7 @@ class _CountedState:
     implied: tuple[int, ...] = ()
     exclude_first_cards: frozenset[int] = frozenset()
     has_reach = False
+    lean = -1
 
     def __init__(self, nbits: int, masks: list[int]):
         self.nbits = nbits
@@ -417,11 +436,13 @@ class _CountedState:
     # -- queries ------------------------------------------------------------
 
     def pick_first(self) -> int | None:
-        """Highest-cardinality counted candidate, smallest mask first."""
+        """Highest-cardinality counted candidate, smallest mask first,
+        among those inside ``lean`` if any is."""
         free = self.free
         if not free:
             return None
-        low = free & self.card_bits[self.cards[free.bit_length() - 1]]
+        top = free & self.card_bits[self.cards[free.bit_length() - 1]]
+        low = top & self.lean or top
         return (low & -low).bit_length() - 1
 
     def bound_remaining(self) -> int:
@@ -455,8 +476,11 @@ class _CountedState:
         m, link = self.sub_optimum, self.link_cap
         total = 0
         best = size
+        least = size + 1
         for vb in self.vbits:
             d = (u & vb).bit_count()
+            if d < least:
+                least, lean = d, vb
             rest = size - d
             if rest > m:
                 rest = m
@@ -464,6 +488,7 @@ class _CountedState:
             rest += d if d < link else link
             if rest < best:
                 best = rest
+        self.lean = lean
         return min(total // self.spare, best) - implied
 
 

@@ -144,6 +144,25 @@ class TestPatternFree:
         two = SetFamily.from_sets(5, [(1, 2, 3), (1, 2, 4)])
         assert pattern_free(two, 3, Pattern.K_MINUS)
 
+    def test_matches_member_scan_on_random_triple_systems(self):
+        # pattern_free looks up each 4-window's triples; the reference
+        # counts, for every window, the members inside it
+        rng = random.Random(20)
+        verdicts = set()
+        for n in range(3, 10):
+            triples = [sum(1 << x for x in c) for c in combinations(range(n), 3)]
+            for _ in range(30):
+                h = SetFamily.from_masks(n, [t for t in triples if rng.random() < rng.random()])
+                for p in Pattern:
+                    limit = p.window_limit(3)
+                    scan = all(
+                        sum(1 for m in h.members if m & w == m) <= limit
+                        for w in (sum(1 << x for x in c) for c in combinations(range(n), 4))
+                    ) if n >= 4 else len(h) <= limit
+                    assert pattern_free(h, 3, p) == scan, (n, h.members, p)
+                    verdicts.add(scan)
+        assert verdicts == {True, False}
+
 
 class TestArrowVsPattern:
     def test_full_four_triples(self):
@@ -196,10 +215,13 @@ class TestMaxCancellative:
             assert res.proved_optimal and res.optimum == expected, n
 
     def test_unproved_sub_query_still_searches_n_points(self):
-        # cancellative-3-7 without symmetry does not prove within its share
-        # of 20,000 nodes; the 8-point search must still run on the rest
-        res = max_cancellative(8, 3, budget_nodes=20_000, use_symmetry=False)
-        assert not res.proved_optimal and res.nodes <= 20_001
+        # cancellative-3-7 without symmetry needs 2,351 nodes, more than its
+        # share (1,500) of 2,000; the 8-point search must still run on the
+        # rest, up to the query's own limit
+        sub = max_cancellative(7, 3, budget_nodes=1_500, use_symmetry=False)
+        assert (sub.proved_optimal, sub.nodes) == (False, 1_501)
+        res = max_cancellative(8, 3, budget_nodes=2_000, use_symmetry=False)
+        assert (res.proved_optimal, res.nodes) == (False, 2_001)
         assert res.optimum >= 18
         assert any(m >> 7 & 1 for m in res.witness.members)
         assert is_cancellative(res.witness, 3).ok

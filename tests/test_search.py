@@ -612,9 +612,9 @@ def test_finished_search_leaves_no_reference_cycles(run):
 # leave every triple exactly as it is.
 _NODE_PINS = {
     "downset-6-4-13": (lambda s: max_family(ArrowQuery.downset(6, 4, 13, use_symmetry=s)),
-                       (27, True, 59), (27, True, 972)),
+                       (27, True, 48), (27, True, 483)),
     "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
-                      (16, True, 23), (16, True, 71)),
+                      (16, True, 27), (16, True, 47)),
     "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
                   (12, True, 21), (12, True, 1550)),
     "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
@@ -626,11 +626,11 @@ _NODE_PINS = {
     "cancellative-2-7": (lambda s: max_cancellative(7, 2, use_symmetry=s),
                          (12, True, 5), (12, True, 5)),
     "cancellative-3-6": (lambda s: max_cancellative(6, 3, use_symmetry=s),
-                         (8, True, 16), (8, True, 46)),
+                         (8, True, 14), (8, True, 44)),
     "ex3-k4-6": (lambda s: ex3(6, Pattern.K_COMPLETE, use_symmetry=s),
                  (14, True, 3), (14, True, 3)),
     "ex3-k4minus-6": (lambda s: ex3(6, Pattern.K_MINUS, use_symmetry=s),
-                      (10, True, 147), (10, True, 203)),
+                      (10, True, 69), (10, True, 69)),
 }
 
 
@@ -959,6 +959,8 @@ def _check_averaging(st, pairs, m, memo, where):
         memo[key] = _brute_free_max(st, pairs)
     reach = st.reach()
     assert reach == _reach_ref(st, u, m, None, 0), where
+    counted = [i for i in range(len(st.masks)) if (u & ~chosen) >> i & 1]
+    assert st.pick_first() == _pick_ref(st, counted, u), where
     assert reach >= memo[key], where
     return reach == memo[key]
 
@@ -1041,13 +1043,35 @@ def _check_cap_u(st, bound, memo, where):
     return reach == memo[key]
 
 
+def _pick_ref(st, counted, u):
+    """What ``pick_first()`` returns: the largest counted candidate, the
+    smallest index first within a size; after ``reach()`` on U = ``u``
+    (None: the state has no bound), the smallest-index counted candidate
+    of that size that contains the first vertex of least degree in U,
+    where one does."""
+    first = max(counted, key=lambda i: (st.cards[i], -i), default=None)
+    if first is None or u is None:
+        return first
+    members = [mask for i, mask in enumerate(st.masks) if u >> i & 1]
+    degrees = [sum(1 for mask in members if mask >> v & 1) for v in range(st.nbits)]
+    v = degrees.index(min(degrees))
+    at_v = [i for i in counted if st.cards[i] == st.cards[first] and st.masks[i] >> v & 1]
+    return min(at_v, default=first)
+
+
 def _check_cap_counted(st, where):
-    """``free`` holds the counted candidates, and ``pick_first()`` is the
-    largest of them, the smallest index first within a size."""
+    """``free`` holds the counted candidates, and ``pick_first()`` picks
+    among them by ``_pick_ref``: after ``reach()`` where the state has the
+    bound, else the largest, the smallest index first within a size."""
     counted = _brute_counted(st)
     assert st.free == sum(1 << i for i in counted), where
-    first = max(counted, key=lambda i: (st.cards[i], -i), default=None)
-    assert st.pick_first() == first, where
+    u = None
+    if st.has_reach:
+        st.reach()
+        u = _brute_cap_u(st)
+    else:
+        assert st.lean == -1, where
+    assert st.pick_first() == _pick_ref(st, counted, u), where
 
 
 # ex3 (K4, K4-), triangle-free, cancellative l=3
@@ -1065,7 +1089,9 @@ def test_all_in_matches_bruteforce_on_random_states():
     # the all-in shortcut this test used to check.)  After every move,
     # failed adds included, U is exact on every state, and on down-sets
     # the vertex-deletion bound, with M and L by brute force, is its
-    # definition and covers the subtree optimum.
+    # definition and covers the subtree optimum.  The branching pick is
+    # recomputed too: after reach(), at the first least-degree vertex of
+    # U; on the tilde and unbounded states, the largest counted candidate.
     import random
 
     from tracelab.search import (
@@ -1135,7 +1161,8 @@ def test_all_in_matches_bruteforce_on_random_states():
 
     # The uniform states carry the averaging bound over U (chosen and
     # counted candidates): after every move, failed adds included, U
-    # matches brute force and the bound covers the optimum.
+    # matches brute force, the bound covers the optimum and the pick
+    # after it is at the first least-degree vertex.
     rng = random.Random(3)
     tight = 0
     for build, args in _UNIFORM_BUILDS:
@@ -1563,29 +1590,35 @@ def test_seed_applies_to_every_level(monkeypatch):
     assert asked == list(levels)
 
 
-def _seed_parity_queries(small: bool):
-    """(name, run(sym)) for the seed parity sweep: the queries with n <= 6
-    when ``small``, else those with n >= 7."""
+def _parity_queries(small: bool, *, tilde: bool, ex3_top: int, cancellative_tops):
+    """(name, run(sym)) for a parity sweep at 20,000 nodes: down-sets on
+    n <= 7 points with every a, b; tilde on n = 4..7 with c = 1..10, if
+    ``tilde``; ex3 on n = 4..``ex3_top`` with both patterns; cancellative
+    for each (l, top) in ``cancellative_tops`` on n = l..top.  Only the
+    queries on n <= 6 points when ``small``, else only the rest."""
     budget = 20_000
-    ns = range(1, 7) if small else (7,)
-    for n in ns:
+
+    def points(first, last):
+        return (n for n in range(first, last + 1) if (n <= 6) == small)
+
+    for n in points(1, 7):
         for a in range(1, n + 1):
             for b in range(2, (1 << a) + 1):
                 yield f"downset-{n}-{a}-{b}", lambda s, q=(n, a, b): max_family(
                     ArrowQuery.downset(*q, use_symmetry=s, budget_nodes=budget))
-        if n < 4:
-            continue
-        for c in range(1, 11):
-            yield f"tilde-{n}-{c}", lambda s, q=(n, c): max_tilde(
-                ArrowQuery.tilde(*q, use_symmetry=s, budget_nodes=budget))
+    if tilde:
+        for n in points(4, 7):
+            for c in range(1, 11):
+                yield f"tilde-{n}-{c}", lambda s, q=(n, c): max_tilde(
+                    ArrowQuery.tilde(*q, use_symmetry=s, budget_nodes=budget))
+    for n in points(4, ex3_top):
         for p in Pattern:
             yield f"ex3-{p.value}-{n}", lambda s, n=n, p=p: ex3(
                 n, p, use_symmetry=s, budget_nodes=budget)
-    for l, top in ((2, 9), (3, 8)):
-        for n in range(l, top + 1):
-            if (n <= 6) == small:
-                yield f"cancellative-{l}-{n}", lambda s, n=n, l=l: max_cancellative(
-                    n, l, use_symmetry=s, budget_nodes=budget)
+    for l, top in cancellative_tops:
+        for n in points(l, top):
+            yield f"cancellative-{l}-{n}", lambda s, n=n, l=l: max_cancellative(
+                n, l, use_symmetry=s, budget_nodes=budget)
 
 
 def _check_seed_parity(monkeypatch, small, sym):
@@ -1598,7 +1631,8 @@ def _check_seed_parity(monkeypatch, small, sym):
     def unseeded(*args, **kw):
         return real(*args, **{**kw, "seed": lambda *level: None})
 
-    for name, run in _seed_parity_queries(small):
+    queries = _parity_queries(small, tilde=True, ex3_top=7, cancellative_tops=((2, 9), (3, 8)))
+    for name, run in queries:
         seeded = run(sym)
         with monkeypatch.context() as m:
             m.setattr(search_mod, "_solve_state", unseeded)
@@ -1624,15 +1658,71 @@ def test_seeds_keep_every_optimum_n7(monkeypatch, sym):
 
 def test_seeded_pins():
     # ex3(9, K4) proves Turán's 54: its n = 8 and n = 9 levels close at
-    # the root.  45,000 nodes do not suffice, because the n = 7 level,
-    # two points below the query, may tick only (3/4)^2 of the budget
-    # (25,312 nodes) and needs 33,282
-    res = ex3(9, Pattern.K_COMPLETE, budget_nodes=60_000)
-    assert (res.optimum, res.proved_optimal, res.nodes) == (54, True, 33_284)
-    res = ex3(9, Pattern.K_COMPLETE, budget_nodes=45_000)
+    # the root.  The n = 7 level, two points below the query, needs 7,086
+    # nodes and may tick only (3/4)^2 of the budget, rounded down at each
+    # step: 7,087 of 12,600 nodes, but 6,750 of 12,000, which stop it
+    res = ex3(9, Pattern.K_COMPLETE, budget_nodes=12_600)
+    assert (res.optimum, res.proved_optimal, res.nodes) == (54, True, 7_088)
+    res = ex3(9, Pattern.K_COMPLETE, budget_nodes=12_000)
     assert (res.optimum, res.proved_optimal) == (54, False)
     # without symmetry, the sub-queries of (9, 4, 13) use up 50,000 nodes,
     # but the query level still starts from the paper's family
     res = max_family(ArrowQuery.downset(9, 4, 13, budget_nodes=50_000, use_symmetry=False))
     assert (res.optimum, res.proved_optimal) == (64, False)
     assert res.witness == partite_family(9, 3)
+
+
+def _first_counted_pick(self):
+    """``pick_first`` without the least-degree rule: the highest-cardinality
+    counted candidate, smallest mask first."""
+    free = self.free
+    if not free:
+        return None
+    low = free & self.card_bits[self.cards[free.bit_length() - 1]]
+    return (low & -low).bit_length() - 1
+
+
+def _check_order_parity(monkeypatch, small, sym):
+    # each query runs with the least-degree pick and with the first
+    # counted candidate.  Any branching order covers every family, so
+    # where the plain order proves, the least-degree one proves the same
+    # optimum, and where only it proves, its optimum is no smaller.  The
+    # sweep covers every search the least-degree rule reaches (tilde keeps
+    # the plain order)
+    queries = _parity_queries(small, tilde=False, ex3_top=8, cancellative_tops=((2, 10), (3, 9)))
+    for name, run in queries:
+        lean = run(sym)
+        with monkeypatch.context() as m:
+            m.setattr(search_mod._CountedState, "pick_first", _first_counted_pick)
+            plain = run(sym)
+        if plain.proved_optimal:
+            assert (lean.optimum, lean.proved_optimal) == (plain.optimum, True), name
+        elif lean.proved_optimal:
+            assert lean.optimum >= plain.optimum, name
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_branching_order_keeps_every_optimum(monkeypatch, sym):
+    _check_order_parity(monkeypatch, True, sym)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_branching_order_keeps_every_optimum_n7(monkeypatch, sym):
+    _check_order_parity(monkeypatch, False, sym)
+
+
+def test_least_degree_pins():
+    # the paper's family is optimal at n = 9, and cancellative-3-10 proves
+    # the balanced product
+    res = max_family(ArrowQuery.downset(9, 4, 13))
+    assert (res.optimum, res.proved_optimal, res.nodes) == (64, True, 24_288)
+    assert res.witness == partite_family(9, 3)
+    res = max_cancellative(10, 3)
+    assert (res.optimum, res.proved_optimal, res.nodes) == (36, True, 1_208)
+
+
+@pytest.mark.slow
+def test_least_degree_pins_slow():
+    res = ex3(8, Pattern.K_MINUS)
+    assert (res.optimum, res.proved_optimal, res.nodes) == (22, True, 376_937)
