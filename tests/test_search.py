@@ -708,6 +708,16 @@ _BUDGET_STOP_PINS = {
         (15, False, 2, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
         (15, False, 2, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
     ),
+    ("antichain-6-2", 300): (
+        lambda s, b: max_antichain(ArrowQuery.antichain(6, 2, use_symmetry=s, budget_nodes=b)),
+        (15, False, 301, "d7363eb17b1f0eaeb35d617386b899fd4741536e362be3674a4d33ac8e320da6"),
+        (11, False, 301, "3fdf2ed01d895442f12dc9a34fa41b1843626cb6da2aed4d9f139eabe4200e83"),
+    ),
+    ("cancellative-3-8", 3000): (
+        lambda s, b: max_cancellative(8, 3, use_symmetry=s, budget_nodes=b),
+        (18, True, 114, "70324605b3888fbad743f6214d456ae2663a6102baf649ac5954341408f26dff"),
+        (18, False, 3001, "70324605b3888fbad743f6214d456ae2663a6102baf649ac5954341408f26dff"),
+    ),
 }
 
 
