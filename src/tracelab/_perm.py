@@ -8,6 +8,7 @@ it to small ground sets.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import itemgetter
 
 
 def apply_perm(perm: tuple[int, ...], mask: int) -> int:
@@ -22,15 +23,15 @@ def apply_perm(perm: tuple[int, ...], mask: int) -> int:
 
 def mask_stabilizer(mask: int, n: int) -> list[tuple[int, ...]]:
     """All permutations of range(n) mapping ``mask`` onto itself (setwise)."""
+    if n <= 1:
+        return [tuple(range(n))]
     inside = [b for b in range(n) if mask >> b & 1]
     outside = [b for b in range(n) if not mask >> b & 1]
-    out = []
-    for pi in permutations(inside):
-        for po in permutations(outside):
-            perm = [0] * n
-            for src, dst in zip(inside, pi):
-                perm[src] = dst
-            for src, dst in zip(outside, po):
-                perm[src] = dst
-            out.append(tuple(perm))
-    return out
+    # pos[src]: src's position in inside + outside, so that the image of
+    # src under the pair (pi, po) is (pi + po)[pos[src]]
+    pos = [0] * n
+    for k, src in enumerate(inside + outside):
+        pos[src] = k
+    image = itemgetter(*pos)
+    outs = list(permutations(outside))
+    return [image(pi + po) for pi in permutations(inside) for po in outs]

@@ -176,97 +176,94 @@ def arrow_vs_pattern(fam: SetFamily, k: int, pattern: Pattern) -> ArrowPatternVe
 class _CancellativeState(_CountedState):
     """Incremental cancellative feasibility for l >= 3, with the
     averaging bound (the property survives deleting a vertex), M from
-    the same search on n-1 points.  The moves are the base ones
-    (``_set_status``, ``_block``, ``_unblock``), which keep ``free`` and
-    ``inbits``.
+    the same search on n-1 points.
 
-    Bookkeeping: ``diffs`` counts symmetric differences of chosen pairs
-    meeting in l-1 points (future edges must avoid covering them) and
-    ``cov2`` counts 2-subsets covered by chosen edges (new co-(l-1)
-    pairs must not have their difference already covered).
-    ``blocked[i]`` counts the 2-subsets of i in ``diffs`` plus the chosen
-    partners of i (edges meeting it in l-1 points) whose difference with
-    i is in ``cov2``.
+    A configuration is two edges meeting in l-1 points, so that their
+    difference d is a pair, and a third edge covering d.  The pairs of
+    [n] are indexed in ``pairs`` order, and two bitsets over them join
+    the three common ones in the snapshot: ``diffs`` holds the
+    differences of chosen partners (edges meeting in l-1 points), which
+    no further edge may cover, and ``cov`` the pairs that chosen edges
+    cover, which no further partner pair may differ in.
+    ``pair_bits[i]`` holds the pairs inside candidate i and ``touch[i]``
+    those it holds exactly one point of; for those, ``swap[i][p]`` is
+    the bit of the partner i ^ pairs[p] (0 elsewhere).
+
+    An add of e walks the pairs d in ``touch``: where the partner e ^ d
+    is chosen, d becomes a difference and the candidates covering it
+    (``with_pair[d]``) leave ``free``; where d is covered, the partner
+    leaves ``free``.  Then for each pair d that e newly covers, so does
+    the edge f ^ d for every chosen f holding exactly one point of d
+    (``split[d]``).
     """
 
     def __init__(self, n: int, l: int):
         super().__init__(n, _candidate_masks(n, [l]))
-        self.blocked = [0] * len(self.masks)
-        self.diffs: dict[int, int] = {}
-        self.cov2: dict[int, int] = {}
-        # pair_subsets[i]: the 2-subsets of candidate i; with_pair[d]: the
-        # candidates containing the pair d
-        self.with_pair = {d: [] for d in kset_masks(n, 2)}
-        self.pair_subsets = [[] for _ in self.masks]
-        for d, row in self.with_pair.items():
-            for i, m in enumerate(self.masks):
-                if d & m == d:
-                    row.append(i)
-                    self.pair_subsets[i].append(d)
-        # partners[i]: the candidates meeting i in l-1 points;
-        # pair_partners[d]: the (candidate, partner) pairs differing in d
-        self.partners = [[] for _ in self.masks]
-        # (keyed by every pair: at n = l there are no partners at all)
-        self.pair_partners = {d: [] for d in self.with_pair}
-        for i, e in enumerate(self.masks):
-            for j, f in enumerate(self.masks):
-                if (e & f).bit_count() == l - 1:
-                    self.partners[i].append(j)
-                    self.pair_partners[e ^ f].append((i, j))
+        masks, bits, idx_of = self.masks, self.bits, self.idx_of
+        self.pairs = list(kset_masks(n, 2))
+        vb = [sum(bits[i] for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+        ends = [[v for v in range(n) if d >> v & 1] for d in self.pairs]
+        # the candidates holding both, and exactly one, of a pair's points
+        self.with_pair = [vb[x] & vb[y] for x, y in ends]
+        self.split = [vb[x] ^ vb[y] for x, y in ends]
+        # the pairs inside each candidate, and those it holds one point of
+        self.pair_bits = [0] * len(masks)
+        self.touch = [0] * len(masks)
+        self.swap = [[0] * len(self.pairs) for _ in masks]
+        for i, e in enumerate(masks):
+            for p, d in enumerate(self.pairs):
+                if d & e == d:
+                    self.pair_bits[i] |= 1 << p
+                elif d & e:
+                    self.touch[i] |= 1 << p
+                    self.swap[i][p] = bits[idx_of[e ^ d]]
+        self.diffs = 0
+        self.cov = 0
 
     @staticmethod
     def sub_queries(n: int, l: int):
         return ((n - 1, l),) if n - 1 >= l else ()
 
-    def try_add_group(self, i: int):
-        if self.status[i] or self.blocked[i]:
-            return None
-        e = self.masks[i]
-        status, masks, diffs, cov2 = self.status, self.masks, self.diffs, self.cov2
-        for j in self.partners[i]:
-            if status[j] == 1:
-                d = e ^ masks[j]
-                diffs[d] = diffs.get(d, 0) + 1
-                if diffs[d] == 1:
-                    for g in self.with_pair[d]:
-                        self._block(g)
-        for d in self.pair_subsets[i]:
-            cov2[d] = cov2.get(d, 0) + 1
-            if cov2[d] == 1:
-                for g, f in self.pair_partners[d]:
-                    if status[f] == 1:
-                        self._block(g)
-        self._set_status(i, 1)
-        for g in self.partners[i]:
-            if e ^ masks[g] in cov2:
-                self._block(g)
-        return [i]
+    def snapshot(self) -> tuple:
+        return self.free, self.inbits, self.outbits, self.diffs, self.cov
 
-    def undo_add_group(self, adds) -> None:
-        (i,) = adds
-        e = self.masks[i]
-        status, masks, diffs, cov2 = self.status, self.masks, self.diffs, self.cov2
-        for g in self.partners[i]:
-            if e ^ masks[g] in cov2:
-                self._unblock(g)
-        self._set_status(i, 0)
-        for d in self.pair_subsets[i]:
-            if cov2[d] == 1:
-                del cov2[d]
-                for g, f in self.pair_partners[d]:
-                    if status[f] == 1:
-                        self._unblock(g)
-            else:
-                cov2[d] -= 1
-        for j in self.partners[i]:
-            if status[j] == 1:
-                d = e ^ masks[j]
-                if diffs[d] == 1:
-                    del diffs[d]
-                    for g in self.with_pair[d]:
-                        self._unblock(g)
-                else:
-                    diffs[d] -= 1
+    def restore(self, s: tuple) -> None:
+        self.free, self.inbits, self.outbits, self.diffs, self.cov = s
+
+    def try_add_group(self, i: int) -> bool:
+        bit = self.bits[i]
+        free = self.free
+        if not free & bit:
+            return False
+        free ^= bit
+        inbits, diffs, cov = self.inbits, self.diffs, self.cov
+        swap, with_pair = self.swap, self.with_pair
+        swap_e = swap[i]
+        rest = self.touch[i]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            if swap_e[p] & inbits:
+                if not diffs & low:
+                    diffs |= low
+                    free &= ~with_pair[p]
+            elif cov & low:
+                free &= ~swap_e[p]
+        new = self.pair_bits[i] & ~cov
+        cov |= new
+        split = self.split
+        while new:
+            low = new & -new
+            new ^= low
+            p = low.bit_length() - 1
+            rest = split[p] & inbits
+            while rest:
+                f = rest & -rest
+                rest ^= f
+                free &= ~swap[f.bit_length() - 1][p]
+        self.free, self.inbits, self.diffs, self.cov = free, inbits | bit, diffs, cov
+        return True
 
 
 def _build_cancellative_state(n: int, l: int) -> _CancellativeState:

@@ -18,19 +18,23 @@ search under the query's budget, lists the witness in the canonical
 member order (by cardinality, then mask; not relabeled) and re-checks
 it through the search's own independent predicate before it returns.
 
-The engine branches on candidate sets.  Every constraint state keeps
-two bitsets over the candidates: ``free``, the candidates still
-addable (undecided and unblocked: the *counted* ones), and ``inbits``,
-the chosen ones.  The antichain and cancellative states keep ``free``
-exact through a per-candidate count of what blocks the candidate in
-the current subtree; the window-cap states keep every window count in
-one packed int, block the candidates of the windows that fill, and
-undo a move by restoring a snapshot.  The moves update the two
-bitsets, and all else the engine reads derives from them: the next candidate to
-branch on, the counts per size, the incumbent and U, the chosen and
-counted candidates.  The bound for antichain and cancellative states is
-the number of counted candidates; window-cap states pack them into the
-free window room.  The down-set, ex3, triangle-free and cancellative
+The engine branches on candidate sets, and every constraint state
+speaks one protocol: the state is a few ints.  Three are bitsets over
+the candidates: ``inbits``, the chosen ones, ``outbits``, the
+excluded ones, and ``free``, those still addable (undecided and not
+ruled out by the chosen ones: the *counted* ones).  The others hold
+what the chosen sets show: the window-cap states pack every window
+count into one int, the antichain state one bit per projection seen
+on each window, the cancellative state the pair differences and the
+covered pairs.  A move only goes forward: ``try_add_group(i)`` adds i
+with what it forces or changes nothing, and ``mark_out(i)`` excludes
+i.  The engine takes ``snapshot()`` before each child's move and
+hands it to ``restore`` after that child's subtree; nothing is undone
+move by move.  All else the engine reads derives from the ints: the
+next candidate to branch on, its undecided orbit, the counts per
+size, the incumbent and U.  The bound for antichain and cancellative
+states is the number of counted candidates; window-cap states pack
+them into the free window room.  The down-set, ex3, triangle-free and cancellative
 searches chain a second bound, read only where the first fails to
 prune (``_CountedState.reach``): over U, each vertex v splits a family
 into its members avoiding v, at most M, the optimum of a deletion
@@ -300,25 +304,32 @@ class _CountedState:
 
     Candidates are the indices ``0 .. len(masks)-1``, in the canonical
     member order (by size, then mask); ``masks[i]`` is the candidate's
-    bitmask over ``nbits`` ground elements, ``cards[i]`` its size,
-    ``by_card[c]`` the candidates of size c in ascending mask order and
-    ``idx_of`` the inverse of ``masks``.  ``status[i]`` is 0 while
-    candidate i is undecided, 1 once it is in and 2 once it is out.  The
-    empty selection is feasible, so every state admits a family.
-    ``implied`` lists the masks every family of the search has outside
-    the candidates (the down-set's empty set).  At candidates of the
-    sizes in ``exclude_first_cards`` the engine explores the
-    orbit-exclusion child before inclusion (tilde's triples: it finds
-    strong incumbents made of lower levels early).
+    bitmask over ``nbits`` ground elements, ``cards[i]`` its size and
+    ``idx_of`` the inverse of ``masks``.  The empty selection is
+    feasible, so every state admits a family.  ``implied`` lists the
+    masks every family of the search has outside the candidates (the
+    down-set's empty set).  At candidates of the sizes in
+    ``exclude_first_cards`` the engine explores the orbit-exclusion
+    child before inclusion (tilde's triples: it finds strong incumbents
+    made of lower levels early).
 
-    A candidate is *counted* while it is undecided and nothing in the
-    current subtree blocks it.  Two bitsets over the candidate indices
-    are all the rest of the state the engine reads: ``free`` holds the
-    counted candidates and ``inbits`` the chosen ones (``bits[i]`` is
-    candidate i's bit, ``card_bits[c]`` the bits of size c).
-    Everything else derives from them.  ``bound_remaining()`` is never
-    below the largest number of candidates that can still be added (the
-    subtree optimum); by default it is the number of counted candidates.
+    One protocol serves every state: the whole state is a few ints.
+    Three bitsets over the candidate indices are common to all of them
+    (``bits[i]`` is candidate i's bit, ``card_bits[c]`` the bits of size
+    c): ``inbits`` holds the chosen candidates, ``outbits`` the excluded
+    ones, and ``free`` the *counted* ones, undecided and not ruled out
+    by the chosen ones in the current subtree; a subclass adds the ints its
+    constraint needs.  ``snapshot()`` returns them all as a tuple and
+    ``restore(s)`` sets them back, which undoes every move made since
+    ``s`` was taken.  The two moves only go forward:
+    ``try_add_group(i)`` puts i in together with whatever else the
+    constraint forces and returns True, or returns False and changes
+    nothing when i cannot be added in the current subtree;
+    ``mark_out(i)`` excludes an undecided candidate i.  Everything else
+    the engine reads derives from the ints.  ``bound_remaining()`` is
+    never below the largest number of candidates that can still be added
+    (the subtree optimum); by default it is the number of counted
+    candidates.
 
     ``pick_first()`` is the candidate the engine branches on, or None
     when ``free`` is empty.  As the index order is by size, then mask,
@@ -331,14 +342,6 @@ class _CountedState:
     highest-cardinality counted candidate with the smallest mask.  The
     engine calls ``reach()`` on every node it opens and branches on, so
     ``lean`` is never stale when read.
-
-    The antichain and cancellative states also keep ``blocked[i]``, the
-    number of reasons, in the current subtree, why i cannot be added;
-    they create it and keep it exact through ``_block`` and
-    ``_unblock``, and ``_set_status`` and the default ``mark_out`` and
-    ``unmark_out`` read it.  Window-cap states keep no such count: they
-    derive blocking from bitsets of the full windows and undo a move by
-    restoring a snapshot (``_CapState``).
 
     The vertex-deletion bound.  While ``has_reach`` is True, ``reach()``
     is a second bound that the engine chains after
@@ -369,18 +372,8 @@ class _CountedState:
     () for a state without the bound.  ``start_averaging(M, L)`` turns
     the bound on once they are solved, and without L the link is
     bounded by ``d_v`` alone.  The ``nodes`` of such a search include
-    the sub-queries'.
-
-    Every move has an exact inverse: ``undo_add_group(adds)`` restores the
-    state that ``try_add_group`` found when it returned ``adds``, and
-    ``unmark_out(i)`` undoes ``mark_out(i)``; the engine undoes moves in
-    reverse order, and none once the budget stops it.
-    ``try_add_group(i)`` puts i in together with whatever else the
-    constraint forces, or returns None and changes nothing when i cannot
-    be added in the current subtree.  The engine closes a node
-    by the bound, by ``pick_first()`` returning None, or by exploring its
-    children.  With symmetry on, the engine assumes the root state is
-    invariant under every relabeling of the ground set.
+    the sub-queries'.  With symmetry on, the engine assumes the root
+    state is invariant under every relabeling of the ground set.
     """
 
     implied: tuple[int, ...] = ()
@@ -393,45 +386,26 @@ class _CountedState:
         self.masks = list(masks)
         self.cards = [m.bit_count() for m in self.masks]
         self.idx_of = {m: i for i, m in enumerate(self.masks)}
-        self.by_card: dict[int, list[int]] = {}
-        for i, c in enumerate(self.cards):
-            self.by_card.setdefault(c, []).append(i)
         self.bits = [1 << i for i in range(len(self.masks))]
-        self.card_bits = {c: sum(self.bits[i] for i in idxs) for c, idxs in self.by_card.items()}
-        self.status = [0] * len(self.masks)   # 0 undecided, 1 in, 2 out
+        self.card_bits: dict[int, int] = {}
+        for bit, c in zip(self.bits, self.cards):
+            self.card_bits[c] = self.card_bits.get(c, 0) | bit
         self.free = (1 << len(self.masks)) - 1
         self.inbits = 0
+        self.outbits = 0
 
-    # -- counted-candidate bookkeeping ------------------------------------
+    # -- moves (try_add_group is the subclass's) --------------------------
 
-    def _set_status(self, i: int, value: int) -> None:
-        """Move i between undecided and decided (one side must be 0)."""
-        bit = self.bits[i]
-        if value == 1 or self.status[i] == 1:
-            self.inbits ^= bit
-        if not self.blocked[i]:
-            self.free ^= bit
-        self.status[i] = value
+    def snapshot(self) -> tuple:
+        return self.free, self.inbits, self.outbits
 
-    def _block(self, i: int) -> None:
-        b = self.blocked[i]
-        self.blocked[i] = b + 1
-        if not (b or self.status[i]):
-            self.free ^= self.bits[i]
-
-    def _unblock(self, i: int) -> None:
-        b = self.blocked[i] - 1
-        self.blocked[i] = b
-        if not (b or self.status[i]):
-            self.free ^= self.bits[i]
-
-    # -- moves (try_add_group and undo_add_group are the subclass's) ---------
+    def restore(self, s: tuple) -> None:
+        self.free, self.inbits, self.outbits = s
 
     def mark_out(self, i: int) -> None:
-        self._set_status(i, 2)
-
-    def unmark_out(self, i: int) -> None:
-        self._set_status(i, 0)
+        bit = self.bits[i]
+        self.outbits |= bit
+        self.free &= ~bit
 
     # -- queries ------------------------------------------------------------
 
@@ -529,9 +503,9 @@ class _CapState(_CountedState):
     is not counted fails at once: it is out, or a full window or an
     excluded subset of it lies in ``below_bits`` of the added set.  Every
     other add sums its members' ``inc`` into a copy of ``packed`` and
-    fails if a top bit is set, so a failed add changes nothing.  Each
-    move pushes what it changes on ``trail`` and its inverse pops it,
-    which is exact because the engine undoes moves in reverse order.
+    fails if a top bit is set, so a failed add changes nothing.  The
+    snapshot adds ``packed``, ``full`` and ``resid`` to the three
+    common bitsets.
     """
 
     def __init__(self, n, cards, win, cap):
@@ -572,48 +546,44 @@ class _CapState(_CountedState):
                 self.free &= ~wbits
         self.n_windows = [x.bit_count() for x in inc]
         self.resid = cap * len(self.windows)
-        self.trail = []
-        # window weight per cardinality: minimum over candidates (uniform in
-        # practice); used for the aggregate-capacity bound.  (bits of the
-        # size, weight), lightest first: the greedy order of bound_remaining
-        weight = {
-            c: min((self.n_windows[i] for i in idxs), default=0)
-            for c, idxs in self.by_card.items()
-        }
-        self.by_weight = [
-            (self.card_bits[c], w) for c, w in sorted(weight.items(), key=lambda cw: cw[1])
-        ]
+        # every c-set lies in C(n-c, win-c) windows: (bits of the size,
+        # that weight), lightest first, is the greedy order of
+        # bound_remaining
+        self.by_weight = sorted(
+            ((cbits, self.n_windows[(cbits & -cbits).bit_length() - 1])
+             for cbits in self.card_bits.values()),
+            key=lambda cw: cw[1],
+        )
 
     # -- moves --------------------------------------------------------------
 
-    def try_add_group(self, i) -> list[int] | None:
+    def snapshot(self) -> tuple:
+        return self.free, self.inbits, self.outbits, self.packed, self.full, self.resid
+
+    def restore(self, s: tuple) -> None:
+        self.free, self.inbits, self.outbits, self.packed, self.full, self.resid = s
+
+    def try_add_group(self, i) -> bool:
         """Choose candidate i together with the undecided candidates inside
-        it; None if one of those is not counted, or a window would pass
+        it; False if one of those is not counted, or a window would pass
         ``cap`` (then i stays unaddable in this subtree)."""
-        free, inbits = self.free, self.inbits
-        group = self.below_bits[i] & ~inbits | self.bits[i]
+        free = self.free
+        group = self.below_bits[i] & ~self.inbits | self.bits[i]
         if group & ~free:
-            return None
-        inc = self.inc
-        packed = self.packed
-        adds = []
+            return False
+        inc, n_windows = self.inc, self.n_windows
+        packed, resid = self.packed, self.resid
         rest = group
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
             packed += inc[j]
-            adds.append(j)
-        if packed & self.high:
-            return None
-        status, n_windows = self.status, self.n_windows
-        resid = self.resid
-        for j in adds:
-            status[j] = 1
             resid -= n_windows[j]
-        self.trail.append((self.packed, self.full, free, inbits, self.resid))
+        if packed & self.high:
+            return False
         full = (packed + self.ones) & self.high
-        # the windows this add filled: their candidates are blocked
+        # the windows this add filled: their candidates leave free
         filled = full ^ self.full
         free ^= group
         width, window_bits = self.width, self.window_bits
@@ -621,24 +591,13 @@ class _CapState(_CountedState):
             low = filled & -filled
             filled ^= low
             free &= ~window_bits[low.bit_length() // width - 1]
-        self.packed, self.full, self.free, self.inbits = packed, full, free, inbits | group
-        self.resid = resid
-        return adds
-
-    def undo_add_group(self, adds) -> None:
-        self.packed, self.full, self.free, self.inbits, self.resid = self.trail.pop()
-        status = self.status
-        for j in adds:
-            status[j] = 0
+        self.packed, self.full, self.free, self.resid = packed, full, free, resid
+        self.inbits |= group
+        return True
 
     def mark_out(self, i) -> None:
-        self.trail.append(self.free)
-        self.status[i] = 2
+        self.outbits |= self.bits[i]
         self.free &= ~(self.bits[i] | self.child_bits[i])
-
-    def unmark_out(self, i) -> None:
-        self.free = self.trail.pop()
-        self.status[i] = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -696,7 +655,7 @@ class _DownsetState(_CapState):
     @staticmethod
     def sub_queries(n, a, b):
         # with n-1 < a points there is no window to cap; b = 2 leaves
-        # every candidate blocked
+        # no candidate addable
         if n - 1 >= a >= 2 and b >= 3:
             return ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1))
         return ()
@@ -715,8 +674,10 @@ class _Searcher:
     leaves open.  The incumbent is ``best_bits``, the state's
     ``inbits`` when it was recorded.
 
-    Moves are undone in reverse order.  A budget stop undoes none: the
-    search is over, and only the incumbent is read after it.
+    A frame takes a snapshot of the state before each child's move and
+    restores it once that child's subtree is done; it does not restore
+    on exit, because its caller does.  A budget stop restores nothing:
+    the search is over, and only the incumbent is read after it.
 
     The state's ``reach()``, while it has one, is read only at nodes
     that its own ``bound_remaining`` leaves open.  The searcher holds it
@@ -755,30 +716,28 @@ class _Searcher:
             return False
         return self.reach is None or self.reach() > self.best
 
-    def _unwind(self, trail) -> None:
-        for step, payload in reversed(trail):
-            if step == "i":
-                self.state.undo_add_group(payload)
-            else:
-                for j in reversed(payload):
-                    self.state.unmark_out(j)
-
     def _pick(self, group):
+        """The candidate to branch on and its undecided orbit under
+        ``group``."""
         st = self.state
         e = st.pick_first()
         if e is None:
             return None, ()
+        decided = st.inbits | st.outbits
         if group == "FULL":
-            card = st.cards[e]
-            orb = [j for j in st.by_card[card] if st.status[j] == 0]
+            rest = st.card_bits[st.cards[e]] & ~decided
+            orb = []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                orb.append(low.bit_length() - 1)
             return e, orb
         mask = st.masks[e]
-        idx_of = st.idx_of
+        idx_of, bits = st.idx_of, st.bits
         orbset = {e}
         for perm in group:
             orbset.add(idx_of[apply_perm(perm, mask)])
-        orb = sorted(j for j in orbset if st.status[j] == 0)
-        return e, orb
+        return e, [j for j in orbset if not decided & bits[j]]
 
     def _stabilize(self, group, e):
         if group is None:
@@ -798,7 +757,6 @@ class _Searcher:
     def _dfs(self, group) -> None:
         """Explore an open node; its parent has already opened it."""
         st = self.state
-        trail = []
         while True:
             if group is None:
                 e = st.pick_first()
@@ -806,36 +764,29 @@ class _Searcher:
             else:
                 e, orb = self._pick(group)
             if e is None:
-                break
+                return
+            here = st.snapshot()
             if st.cards[e] in self.exclude_first_cards:
-                outs = tuple(j for j in orb if st.status[j] == 0)
-                for j in outs:
+                for j in orb:
                     st.mark_out(j)
                 if self._open():
                     self._dfs(group)
-                for j in reversed(outs):
-                    st.unmark_out(j)
-                adds = st.try_add_group(e)
-                if adds is None:
+                st.restore(here)
+                if not st.try_add_group(e):
                     # orbit-free families were covered above; any family
                     # meeting the orbit needs e, which cannot be added
-                    break
-                trail.append(("i", adds))
+                    return
                 group = self._stabilize(group, e)
             else:
-                adds = st.try_add_group(e)
-                if adds is not None:
+                if st.try_add_group(e):
                     if self._open():
                         self._dfs(self._stabilize(group, e))
-                    st.undo_add_group(adds)
-                outs = tuple(j for j in orb if st.status[j] == 0)
-                for j in outs:
+                    st.restore(here)
+                for j in orb:
                     st.mark_out(j)
-                trail.append(("o", outs))
             # the state stands at the last child, made in place: open it
             if not self._open():
-                break
-        self._unwind(trail)
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -877,68 +828,77 @@ class _AntichainState(_CountedState):
 
     Candidates are all subsets of [n].  Adding F is allowed when F is
     incomparable with everything chosen and no window would see its
-    2^(k+1)-th distinct projection.  ``blocked[i]`` counts the chosen
-    sets comparable with i plus the full windows (showing 2^(k+1)-1
-    distinct projections) whose one missing projection is i's.
+    2^(k+1)-th distinct projection.  ``comp_bits[i]`` holds the
+    candidates strictly comparable with i.  The windows are the
+    (k+1)-subsets of [n]; window w owns the ``field``-bit field of
+    ``seen`` at bit w * ``field`` (``field`` = 2^(k+1)), one bit per
+    projection onto it, set once a chosen set has that projection.
+    ``proj[i]`` holds candidate i's projection bit in every field, and
+    ``by_proj[s]`` the candidates whose projection bit is bit s.
+
+    An add clears the comparable candidates from ``free`` and sets the
+    added set's projection bits in ``seen``; once a window's field holds
+    2^(k+1) - 1 bits, the candidates with the missing projection are
+    cleared too.  The snapshot adds ``seen`` to the three common bitsets.
     """
 
     def __init__(self, n: int, k: int):
         super().__init__(n, sorted(range(1 << n), key=_canon_key))
-        self.blocked = [0] * len(self.masks)
+        masks, bits, idx_of = self.masks, self.bits, self.idx_of
+        top = (1 << n) - 1
         self.windows = list(kset_masks(n, k + 1))
-        self.cap = (1 << (k + 1)) - 1
-        self.seen = [dict() for _ in self.windows]  # projection -> multiplicity
-        # by_proj[w][p]: the candidates whose trace on window w is p
-        self.by_proj = [{} for _ in self.windows]
-        for wi, w in enumerate(self.windows):
-            for i, m in enumerate(self.masks):
-                self.by_proj[wi].setdefault(m & w, []).append(i)
-        # the strictly comparable candidates of each candidate
-        self.comp = [
-            [j for j, mj in enumerate(self.masks) if mi != mj and mi & mj in (mi, mj)]
-            for mi in self.masks
-        ]
+        self.field = field = 1 << (k + 1)
+        self.seen = 0
+        # a window's projections are its submasks: the candidates with
+        # projection p onto it are p plus any set outside it
+        self.proj = proj = [0] * len(masks)
+        self.by_proj = []
+        for w, window in enumerate(self.windows):
+            outside = list(submasks(top ^ window))
+            for t, p in enumerate(submasks(window)):
+                slot, pbits = 1 << w * field + t, 0
+                for r in outside:
+                    j = idx_of[p | r]
+                    proj[j] |= slot
+                    pbits |= bits[j]
+                self.by_proj.append(pbits)
+        self.comp_bits = []
+        for i, m in enumerate(masks):
+            cbits = 0
+            for r in submasks(m):
+                cbits |= bits[idx_of[r]]
+            for r in submasks(top ^ m):
+                cbits |= bits[idx_of[m | r]]
+            self.comp_bits.append(cbits ^ bits[i])
 
-    def _missing(self, wi: int) -> int:
-        """The one projection a full window has not seen."""
-        seen = self.seen[wi]
-        return next(p for p in self.by_proj[wi] if p not in seen)
+    def snapshot(self) -> tuple:
+        return self.free, self.inbits, self.outbits, self.seen
 
-    def try_add_group(self, i: int):
-        if self.status[i] or self.blocked[i]:
-            return None
-        self._set_status(i, 1)
-        for j in self.comp[i]:
-            self._block(j)
-        m = self.masks[i]
-        cap = self.cap
-        for wi, w in enumerate(self.windows):
-            p = m & w
-            seen = self.seen[wi]
-            mult = seen.get(p, 0)
-            seen[p] = mult + 1
-            if not mult and len(seen) == cap:
-                for j in self.by_proj[wi][self._missing(wi)]:
-                    self._block(j)
-        return [i]
+    def restore(self, s: tuple) -> None:
+        self.free, self.inbits, self.outbits, self.seen = s
 
-    def undo_add_group(self, adds) -> None:
-        (i,) = adds
-        m = self.masks[i]
-        cap = self.cap
-        for wi, w in enumerate(self.windows):
-            p = m & w
-            seen = self.seen[wi]
-            if seen[p] == 1:
-                if len(seen) == cap:
-                    for j in self.by_proj[wi][self._missing(wi)]:
-                        self._unblock(j)
-                del seen[p]
-            else:
-                seen[p] -= 1
-        for j in self.comp[i]:
-            self._unblock(j)
-        self._set_status(i, 0)
+    def try_add_group(self, i: int) -> bool:
+        bit = self.bits[i]
+        free = self.free
+        if not free & bit:
+            return False
+        seen = self.seen
+        new = self.proj[i] & ~seen
+        self.seen = seen = seen | new
+        free &= ~(bit | self.comp_bits[i])
+        field, by_proj = self.field, self.by_proj
+        mask = (1 << field) - 1
+        # only a window this add showed a new projection can have filled
+        while new:
+            low = new & -new
+            new ^= low
+            base = low.bit_length() - 1 & -field
+            hole = ~seen >> base & mask
+            if not hole & hole - 1:
+                free &= ~by_proj[base + hole.bit_length() - 1]
+        self.free = free
+        self.inbits |= bit
+        return True
 
 
 def _build_antichain_state(n: int, k: int) -> _AntichainState:
@@ -1000,7 +960,9 @@ def _solve_state(
     state's ``implied`` masks and the chosen ones, in the canonical
     member order.  It is kept only if it has one member per mask and
     ``recheck(witness, *level)``, with the level's own arguments,
-    accepts it; otherwise this raises RuntimeError.
+    accepts it; otherwise this raises RuntimeError.  A level that ends
+    on its seed's own members returns the seed's witness, so each
+    returned family is re-checked once.
     """
     t0 = perf_counter()
     budget = _Budget(budget_nodes, budget_secs)
@@ -1019,16 +981,20 @@ def _solve_state(
         elif subs:
             start = _bits_of(state, subs[0].witness.members)
         masks = seed(*level)
+        seeded = None
         if masks is not None:
             seeded = _bits_of(state, masks)
-            _certify(state, seeded, witness, recheck, level, "seed")
+            seed_wit = _certify(state, seeded, witness, recheck, level, "seed")
             if seeded.bit_count() > start.bit_count():
                 start = seeded
         searcher = _Searcher(state, budget, use_symmetry=use_symmetry)
         searcher.best, searcher.best_bits = start.bit_count(), start
         # a lower level that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
-        wit = _certify(state, searcher.best_bits, witness, recheck, level)
+        if searcher.best_bits == seeded:  # the seed's witness, re-checked above
+            wit = seed_wit
+        else:
+            wit = _certify(state, searcher.best_bits, witness, recheck, level)
         solved[level] = SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
     return solved[args]
 

@@ -37,6 +37,7 @@ from tracelab.search import (
     MODE_TILDE,
     ArrowQuery,
 )
+from tracelab.setcore import _canon_key, submasks
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +744,36 @@ def _prereqs(st, i):
     ]
 
 
+def _chosen(st, j):
+    return st.inbits >> j & 1
+
+
+def _excluded(st, j):
+    return st.outbits >> j & 1
+
+
+def _undecided(st):
+    """The candidates neither chosen nor excluded."""
+    decided = st.inbits | st.outbits
+    return [i for i in range(len(st.masks)) if not decided >> i & 1]
+
+
+def _chosen_masks(st):
+    return [m for j, m in enumerate(st.masks) if _chosen(st, j)]
+
+
+def _frozen(st):
+    """Every attribute of a state but ``lean`` (which ``reach()`` sets),
+    deep-copied: equal before and after a move only if the move changed
+    nothing, and after ``restore`` only if the snapshot holds all a move
+    changes."""
+    return deepcopy({k: v for k, v in vars(st).items() if k != "lean"})
+
+
 def _closure_ref(st, i):
     """i plus its transitively missing one-smaller subsets, walked one
     level at a time; None if any of them is out.  The reference for the
-    candidates ``try_add_group`` adds."""
+    candidates ``try_add_group`` adds, the change in ``inbits``."""
     adds = []
     stack = [i]
     seen = set()
@@ -755,9 +782,9 @@ def _closure_ref(st, i):
         if j in seen:
             continue
         seen.add(j)
-        if st.status[j] == 1:
+        if _chosen(st, j):
             continue
-        if st.status[j] == 2:
+        if _excluded(st, j):
             return None
         adds.append(j)
         stack.extend(_prereqs(st, j))
@@ -766,8 +793,8 @@ def _closure_ref(st, i):
 
 def _window_fills(st):
     """Chosen candidates per window of a ``_CapState``, recounted from the
-    chosen masks (``status == 1``)."""
-    chosen = [m for m, s in zip(st.masks, st.status) if s == 1]
+    chosen masks (the bits of ``inbits``)."""
+    chosen = _chosen_masks(st)
     return [sum(1 for m in chosen if m & w == m) for w in st.windows]
 
 
@@ -791,8 +818,9 @@ def _check_fields(st, where):
 
 def _brute_counted(st):
     """Candidates of a ``_CapState`` that ``free`` should hold, from the
-    primary state (status, window fills, prerequisites) alone: undecided,
-    in no full window, and with no excluded prerequisite."""
+    chosen and excluded candidates, the window fills and the prerequisites
+    alone: undecided, in no full window, and with no excluded
+    prerequisite."""
     fills = _window_fills(st)
 
     def fits(i):
@@ -801,8 +829,8 @@ def _brute_counted(st):
 
     return [
         i
-        for i in range(len(st.masks))
-        if st.status[i] == 0 and fits(i) and all(st.status[p] != 2 for p in _prereqs(st, i))
+        for i in _undecided(st)
+        if fits(i) and not any(_excluded(st, p) for p in _prereqs(st, i))
     ]
 
 
@@ -811,7 +839,7 @@ def _brute_subtree_max(st):
     under prerequisites (each one chosen already or added too) and within
     every window cap.  Subsets are grown in index order, in which every
     prerequisite (one element smaller) precedes the sets that need it."""
-    undecided = [i for i in range(len(st.masks)) if st.status[i] == 0]
+    undecided = _undecided(st)
     wins = {
         i: [wi for wi, w in enumerate(st.windows) if st.masks[i] & w == st.masks[i]]
         for i in undecided
@@ -825,7 +853,7 @@ def _brute_subtree_max(st):
         best = max(best, len(taken))
         for k in range(pos, len(undecided)):
             i = undecided[k]
-            if all(st.status[p] == 1 or p in taken for p in _prereqs(st, i)) and all(
+            if all(_chosen(st, p) or p in taken for p in _prereqs(st, i)) and all(
                 room[w] > 0 for w in wins[i]
             ):
                 taken.add(i)
@@ -840,12 +868,11 @@ def _brute_subtree_max(st):
     return best
 
 
-def _undo(st, move):
-    kind, payload = move
-    if kind == "in":
-        st.undo_add_group(payload)
-    else:
-        st.unmark_out(payload)
+def _undo(st, moves):
+    """Restore the snapshot taken before the last move of ``moves``."""
+    _, here = moves.pop()
+    st.restore(here)
+    assert st.snapshot() == here
 
 
 # Reference for the uniform states (ex3, triangle-free, cancellative):
@@ -878,10 +905,6 @@ def _conflicts(st):
     return pairs
 
 
-def _chosen_bits(st):
-    return sum(1 << i for i, s in enumerate(st.status) if s == 1)
-
-
 def _addable(pairs, chosen, idxs):
     """The candidates of ``idxs`` that no forbidden configuration blocks
     once the chosen bitset is in."""
@@ -892,9 +915,8 @@ def _addable(pairs, chosen, idxs):
 def _brute_u(st, pairs):
     """U from the primary state: the chosen candidates plus the undecided
     ones that can still be added."""
-    chosen = _chosen_bits(st)
-    undecided = [i for i, s in enumerate(st.status) if s == 0]
-    return chosen | sum(1 << i for i in _addable(pairs, chosen, undecided))
+    chosen = st.inbits
+    return chosen | sum(1 << i for i in _addable(pairs, chosen, _undecided(st)))
 
 
 def _brute_free_max(st, pairs):
@@ -915,9 +937,8 @@ def _brute_free_max(st, pairs):
             later = [j for j in cands[k + 1:] if not any(r & grown == r for r in pairs[i][j])]
             grow(later, grown, taken + 1)
 
-    chosen = _chosen_bits(st)
-    undecided = [i for i, s in enumerate(st.status) if s == 0]
-    grow(_addable(pairs, chosen, undecided), chosen, chosen.bit_count())
+    chosen = st.inbits
+    grow(_addable(pairs, chosen, _undecided(st)), chosen, chosen.bit_count())
     return best
 
 
@@ -957,19 +978,18 @@ def _averaged(build, args):
 def _check_averaging(st, pairs, m, memo, where):
     """U is exact, and the averaging bound is its definition and covers
     the subtree optimum; True when it meets it.  ``memo`` caches optima
-    by status."""
+    by the chosen and excluded candidates."""
     u = _brute_u(st, pairs)
-    chosen = _chosen_bits(st)
-    assert (st.free, st.inbits) == (u & ~chosen, chosen), where
+    assert st.free == u & ~st.inbits and not st.inbits & st.outbits, where
     if m is None:  # too few points for the bound
         assert not st.has_reach, where
         return False
-    key = tuple(st.status)
+    key = st.inbits, st.outbits
     if key not in memo:
         memo[key] = _brute_free_max(st, pairs)
     reach = st.reach()
     assert reach == _reach_ref(st, u, m, None, 0), where
-    counted = [i for i in range(len(st.masks)) if (u & ~chosen) >> i & 1]
+    counted = [i for i in range(len(st.masks)) if (u & ~st.inbits) >> i & 1]
     assert st.pick_first() == _pick_ref(st, counted, u), where
     assert reach >= memo[key], where
     return reach == memo[key]
@@ -1027,26 +1047,25 @@ def _bounded_downset(args):
 
 
 def _brute_cap_u(st):
-    """U of a ``_CapState`` from the primary state: the chosen candidates
-    plus the counted ones."""
-    chosen = sum(1 << i for i, s in enumerate(st.status) if s == 1)
-    return chosen | sum(1 << i for i in _brute_counted(st))
+    """U of a ``_CapState`` from its chosen and excluded candidates: the
+    chosen candidates plus the counted ones."""
+    return st.inbits | sum(1 << i for i in _brute_counted(st))
 
 
 def _check_cap_u(st, bound, memo, where):
     """After a move on a down-set or tilde state: U is exact and, where
     the state carries the down-set bound with (M, L) = ``bound``,
     ``reach()`` is the bound's definition and covers the subtree optimum
-    (``memo`` caches it by status); True when it meets it."""
+    (``memo`` caches it by the chosen and excluded candidates); True when
+    it meets it."""
     u = _brute_cap_u(st)
-    chosen = _chosen_bits(st)
-    assert (st.free, st.inbits) == (u & ~chosen, chosen), where
+    assert st.free == u & ~st.inbits and not st.inbits & st.outbits, where
     if bound is None:
         assert not st.has_reach, where
         return False
-    key = tuple(st.status)
+    key = st.inbits, st.outbits
     if key not in memo:
-        memo[key] = st.status.count(1) + _brute_subtree_max(st)
+        memo[key] = st.inbits.bit_count() + _brute_subtree_max(st)
     reach = st.reach()
     assert reach == _reach_ref(st, u, *bound, 1), where
     assert reach >= memo[key], where
@@ -1093,15 +1112,43 @@ _UNIFORM_BUILDS = [
 ]
 
 
+def _random_move(st, rng, moves, undo, add, counted_only=False):
+    """One step of a seeded walk.  With probability ``undo``, or when no
+    candidate is undecided, restore the snapshot taken before the last
+    move; else with probability ``add`` try to add an undecided
+    candidate (a counted one, with ``counted_only``), and else exclude
+    one.  ``moves`` holds each move with the snapshot before it; a
+    failed add changes nothing and is not kept."""
+    open_ = _undecided(st)
+    pool = [i for i in open_ if st.free >> i & 1] if counted_only else open_
+    r = rng.random()
+    if moves and (not open_ or r < undo):
+        _undo(st, moves)
+    elif pool and r < add:
+        i = rng.choice(pool)
+        here = st.snapshot()
+        if st.try_add_group(i):
+            moves.append((("in", i), here))
+        else:
+            assert st.snapshot() == here, ("in", i)
+    elif open_:
+        i = rng.choice(open_)
+        here = st.snapshot()
+        st.mark_out(i)
+        moves.append((("out", i), here))
+
+
 def test_all_in_matches_bruteforce_on_random_states():
     # Bound soundness of _CapState on small states, checked against brute
-    # force along seeded random add/out/undo walks.  (The name is kept from
-    # the all-in shortcut this test used to check.)  After every move,
-    # failed adds included, U is exact on every state, and on down-sets
-    # the vertex-deletion bound, with M and L by brute force, is its
+    # force along seeded random add/out/undo walks, where an undo restores
+    # the snapshot taken before the move.  (The name is kept from the
+    # all-in shortcut this test used to check.)  After every move, failed
+    # adds included, U is exact on every state, and on down-sets the
+    # vertex-deletion bound, with M and L by brute force, is its
     # definition and covers the subtree optimum.  The branching pick is
     # recomputed too: after reach(), at the first least-degree vertex of
     # U; on the tilde and unbounded states, the largest counted candidate.
+    # Undoing a whole walk leaves every attribute as it was.
     import random
 
     from tracelab.search import (
@@ -1137,7 +1184,7 @@ def test_all_in_matches_bruteforce_on_random_states():
         assert all(p < i for i in range(len(st.masks)) for p in _prereqs(st, i))
         # pick_first reads the index order as (size, mask)
         assert st.masks == sorted(st.masks, key=lambda m: (m.bit_count(), m))
-        start = _cap_snapshot(st)
+        start = _frozen(st)
         for _walk in range(4):
             moves = []
             for _ in range(60):
@@ -1149,23 +1196,12 @@ def test_all_in_matches_bruteforce_on_random_states():
                 assert bound_now >= best, where
                 tight += bound_now == best
                 reach_tight += _check_cap_u(st, bound, memo, where)
-                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
-                r = rng.random()
-                if moves and (not open_ or r < 0.2):
-                    _undo(st, moves.pop())
-                elif r < 0.65:
-                    adds = st.try_add_group(rng.choice(open_))
-                    if adds is not None:
-                        moves.append(("in", adds))
-                else:
-                    i = rng.choice(open_)
-                    st.mark_out(i)
-                    moves.append(("out", i))
+                _random_move(st, rng, moves, 0.2, 0.65)
             _check_cap_counted(st, (build.__name__, args, moves))
             reach_tight += _check_cap_u(st, bound, memo, (build.__name__, args, moves))
-            for move in reversed(moves):
-                _undo(st, move)
-            assert _cap_snapshot(st) == start
+            while moves:
+                _undo(st, moves)
+            assert _frozen(st) == start
     assert tight, "no walk reached a state where the bound is exact"
     assert reach_tight, "no walk reached a state where the down-set bound is exact"
 
@@ -1179,39 +1215,21 @@ def test_all_in_matches_bruteforce_on_random_states():
         where = (build.__name__, args)
         st, pairs, m = _averaged(build, args)
         memo = {}
-        start = _walk_snapshot(st)
+        start = _frozen(st)
         for _walk in range(2):
             moves = []
             tight += _check_averaging(st, pairs, m, memo, (*where, moves))
             for _ in range(30):
-                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
-                r = rng.random()
-                if moves and (not open_ or r < 0.2):
-                    _undo(st, moves.pop())
-                elif r < 0.65:
-                    adds = st.try_add_group(rng.choice(open_))
-                    if adds is not None:
-                        moves.append(("in", adds))
-                else:
-                    i = rng.choice(open_)
-                    st.mark_out(i)
-                    moves.append(("out", i))
+                _random_move(st, rng, moves, 0.2, 0.65)
                 tight += _check_averaging(st, pairs, m, memo, (*where, moves))
                 if isinstance(st, search_mod._CapState):
                     _check_fields(st, (*where, moves))
-            for move in reversed(moves):
-                _undo(st, move)
-            assert _walk_snapshot(st) == start, where
+                else:
+                    _check_counted_fields(st, (*where, moves))
+            while moves:
+                _undo(st, moves)
+            assert _frozen(st) == start, where
     assert tight, "no walk reached a state where the averaging bound is exact"
-
-
-def _cap_snapshot(st):
-    return deepcopy((st.status, st.packed, st.full, st.free, st.inbits, st.resid, st.trail))
-
-
-def _walk_snapshot(st):
-    """The whole mutable state of a uniform window or cancellative state."""
-    return _cap_snapshot(st) if isinstance(st, search_mod._CapState) else _counted_snapshot(st)
 
 
 def _overflows(st, closure):
@@ -1223,17 +1241,23 @@ def _overflows(st, closure):
     )
 
 
+def _bits(idxs):
+    return sum(1 << j for j in idxs)
+
+
 def test_cap_state_failed_add_changes_nothing():
     # A _CapState add sums its closure's window increments into a copy of
     # the packed counters, so an add that overflows a window on a later
-    # closure member must leave the state as it found it.  Seeded
-    # add/out/undo walks on down-set and tilde states, where closures hold
-    # several members, and on the uniform window states, whose U bitset
-    # and averaging bound are checked against brute force after every
-    # move; so are U on the down-set and tilde states, and the down-set
-    # bound.  An add fails exactly when its closure has an excluded or a
-    # blocked member (an early fail, before the counters are read) or
-    # overflows a window; both kinds occur, counted from _closure_ref.
+    # closure member must leave the state as it found it: the snapshot
+    # and every other attribute.  Seeded add/out/undo walks on down-set
+    # and tilde states, where closures hold several members, and on the
+    # uniform window states, whose U bitset and averaging bound are
+    # checked against brute force after every move; so are U on the
+    # down-set and tilde states, and the down-set bound.  An add fails
+    # exactly when its closure has an excluded or a blocked member (an
+    # early fail, before the counters are read) or overflows a window;
+    # both kinds occur, counted from _closure_ref.  A successful add
+    # chooses exactly the closure: the change in inbits.
     import random
 
     from tracelab.search import (
@@ -1262,7 +1286,7 @@ def test_cap_state_failed_add_changes_nothing():
             st, bound = _bounded_downset(args)
         else:
             st, bound = build(*args), None
-        start = _cap_snapshot(st)
+        start = _frozen(st)
         for _walk in range(6):
             moves = []
             for _ in range(50):
@@ -1272,40 +1296,41 @@ def test_cap_state_failed_add_changes_nothing():
                 else:
                     _check_cap_u(st, bound, memo, where)
                 _check_fields(st, where)
-                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
+                open_ = _undecided(st)
                 r = rng.random()
                 if moves and (not open_ or r < 0.2):
-                    _undo(st, moves.pop())
+                    _undo(st, moves)
                 elif r < 0.8:
                     i = rng.choice(open_)
                     closure = _closure_ref(st, i)
                     counted = set(_brute_counted(st))
                     early = closure is None or any(j not in counted for j in closure)
                     overflow = not early and _overflows(st, closure)
-                    before = _cap_snapshot(st)
-                    adds = st.try_add_group(i)
-                    assert (adds is None) == (early or overflow), where
-                    if adds is None:
-                        assert _cap_snapshot(st) == before, where
+                    before, here = _frozen(st), st.snapshot()
+                    added = st.try_add_group(i)
+                    assert added != (early or overflow), where
+                    if not added:
+                        assert st.snapshot() == here and _frozen(st) == before, where
                         late_overflows += overflow and len(closure) >= 2 and not _overflows(st, [i])
                         early_fails += closure is not None and early
                     else:
-                        assert sorted(adds) == sorted(closure), where
-                        assert st.free == sum(1 << j for j in _brute_counted(st)), where
-                        moves.append(("in", adds))
+                        assert st.inbits ^ before["inbits"] == _bits(closure), where
+                        assert st.free == _bits(_brute_counted(st)), where
+                        moves.append((("in", i), here))
                 else:
                     i = rng.choice(open_)
+                    here = st.snapshot()
                     st.mark_out(i)
-                    moves.append(("out", i))
+                    moves.append((("out", i), here))
             where = (build.__name__, args, moves)
             if uniform:
                 _check_averaging(st, pairs, m, memo, where)
             else:
                 _check_cap_u(st, bound, memo, where)
             _check_fields(st, where)
-            for move in reversed(moves):
-                _undo(st, move)
-            assert _cap_snapshot(st) == start, (build.__name__, args)
+            while moves:
+                _undo(st, moves)
+            assert _frozen(st) == start, (build.__name__, args)
     assert late_overflows, "no add overflowed on a closure member after the first"
     assert early_fails, "no add failed on a blocked closure member"
 
@@ -1314,9 +1339,9 @@ def test_cap_state_structure_matches_bruteforce():
     # _CapState derives its window bitsets, window increments, child and
     # below bitsets from (n, cards, win, cap); recount them by brute-force
     # containment for every builder at n <= 6.  From the root, an add
-    # takes exactly the candidate and the candidates inside it, and its
-    # undo restores the state.  The caps are loose enough that no root add
-    # overflows.
+    # chooses exactly the candidate and the candidates inside it (the
+    # change in inbits), and restoring the root snapshot restores every
+    # attribute.  The caps are loose enough that no root add overflows.
     from tracelab.search import (
         _build_downset_state,
         _build_tilde_state,
@@ -1349,14 +1374,13 @@ def test_cap_state_structure_matches_bruteforce():
             sum(1 << j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi) for mi in masks
         ], where
         _check_fields(st, where)
-        start = _cap_snapshot(st)
+        start, root = _frozen(st), st.snapshot()
         for i, mi in enumerate(masks):
-            adds = st.try_add_group(i)
-            assert adds is not None, where
-            assert sorted(adds) == [j for j, mj in enumerate(masks) if mj & mi == mj], where
+            assert st.try_add_group(i), where
+            assert st.inbits == _bits(j for j, mj in enumerate(masks) if mj & mi == mj), where
             _check_fields(st, where)
-            st.undo_add_group(adds)
-            assert _cap_snapshot(st) == start, where
+            st.restore(root)
+            assert _frozen(st) == start, where
 
 
 def test_cap_state_fields_hold_full_windows():
@@ -1366,7 +1390,8 @@ def test_cap_state_fields_hold_full_windows():
     # undecided candidate is tried, so a tentative count reaches the most
     # candidates a window holds; with cap = 0 every window starts full.
     # After every move each decoded field equals the recount and free is
-    # the brute-force counted set; undo restores the state.
+    # the brute-force counted set; a failed add changes no attribute, and
+    # restoring a snapshot restores every attribute.
     from tracelab.search import (
         _build_downset_state,
         _build_tilde_state,
@@ -1379,36 +1404,34 @@ def test_cap_state_fields_hold_full_windows():
                for n, card, win in ((3, 2, 3), (4, 2, 3), (4, 3, 4), (5, 3, 4), (5, 2, 4))]
     for build, args in builds:
         st = build(*args)
-        start = _cap_snapshot(st)
+        start = _frozen(st)
         for w, window in enumerate(st.windows):
             inside = [i for i, m in enumerate(st.masks) if m & window == m]
             moves = []
             where = (build.__name__, args, window, moves)
             # largest first, so every add but the first few is a closure
             for i in sorted(inside, key=lambda i: -st.cards[i]):
-                if st.status[i] == 0:
-                    before = _cap_snapshot(st)
-                    adds = st.try_add_group(i)
-                    if adds is None:
-                        assert _cap_snapshot(st) == before, where
+                if i in _undecided(st):
+                    before, here = _frozen(st), st.snapshot()
+                    if st.try_add_group(i):
+                        moves.append((("in", i), here))
                     else:
-                        moves.append(("in", adds))
+                        assert _frozen(st) == before, where
                     _check_fields(st, where)
-                    assert st.free == sum(1 << j for j in _brute_counted(st)), where
+                    assert st.free == _bits(_brute_counted(st)), where
             assert _window_fills(st)[w] == min(st.cap, len(inside)), where
-            for i in range(len(st.masks)):
-                if st.status[i] == 0:
-                    before = _cap_snapshot(st)
-                    adds = st.try_add_group(i)
-                    assert (adds is None) == _overflows(st, _closure_ref(st, i)), where
-                    if adds is not None:
-                        _check_fields(st, where)
-                        st.undo_add_group(adds)
-                    assert _cap_snapshot(st) == before, where
-            for move in reversed(moves):
-                _undo(st, move)
+            for i in _undecided(st):
+                before, here = _frozen(st), st.snapshot()
+                added = st.try_add_group(i)
+                assert added != _overflows(st, _closure_ref(st, i)), where
+                if added:
+                    _check_fields(st, where)
+                    st.restore(here)
+                assert _frozen(st) == before, where
+            while moves:
+                _undo(st, moves)
                 _check_fields(st, where)
-            assert _cap_snapshot(st) == start, where
+            assert _frozen(st) == start, where
 
 
 # Reference addability for the antichain and cancellative states, from the
@@ -1422,7 +1445,7 @@ def _antichain_addable(st, chosen, i):
         return False
     for w in st.windows:
         seen = {f & w for f in chosen}
-        if (m & w) not in seen and len(seen) >= st.cap:
+        if (m & w) not in seen and len(seen) >= (1 << w.bit_count()) - 1:
             return False
     return True
 
@@ -1443,15 +1466,15 @@ def _pairs(m):
 
 
 def _addable_set(st, addable):
-    chosen = [st.masks[j] for j in range(len(st.masks)) if st.status[j] == 1]
-    return [i for i in range(len(st.masks)) if st.status[i] == 0 and addable(st, chosen, i)]
+    chosen = _chosen_masks(st)
+    return [i for i in _undecided(st) if addable(st, chosen, i)]
 
 
 def _brute_counted_max(st, addable):
     """Most undecided candidates addable together, by exhaustive growth in
     index order (both constraints are hereditary), pruned by a count bound."""
-    undecided = [i for i in range(len(st.masks)) if st.status[i] == 0]
-    chosen = [st.masks[j] for j in range(len(st.masks)) if st.status[j] == 1]
+    undecided = _undecided(st)
+    chosen = _chosen_masks(st)
     best = 0
 
     def grow(pos, taken):
@@ -1470,56 +1493,94 @@ def _brute_counted_max(st, addable):
     return best
 
 
-def _counted_snapshot(st):
-    extra = st.seen if hasattr(st, "seen") else (st.diffs, st.cov2)
-    return deepcopy((st.status, st.blocked, st.free, st.inbits, extra))
+def _check_counted_fields(st, where):
+    """Decode the bitsets an antichain or cancellative state adds to the
+    common three, against the chosen masks.  Antichain: bit t of window
+    w's field of ``seen`` is set exactly when a chosen set's projection
+    onto the window is its t-th submask (in ``submasks`` order), and no
+    bit lies above the last field.  Cancellative: bit p of ``diffs`` is
+    set exactly when pairs[p] is the difference of two chosen edges
+    meeting in l-1 points, and of ``cov`` when a chosen edge covers it.
+    Returns the number of antichain windows that are full (one
+    projection short of shattered)."""
+    chosen = _chosen_masks(st)
+    full = 0
+    if isinstance(st, search_mod._AntichainState):
+        assert st.seen >> len(st.windows) * st.field == 0, where
+        for w, window in enumerate(st.windows):
+            field = st.seen >> w * st.field & (1 << st.field) - 1
+            shown = {p for t, p in enumerate(submasks(window)) if field >> t & 1}
+            assert shown == {f & window for f in chosen}, where
+            full += len(shown) == st.field - 1
+    else:
+        lm1 = st.cards[0] - 1
+        diffs = {f ^ g for f, g in combinations(chosen, 2) if (f & g).bit_count() == lm1}
+        cov = {d for f in chosen for d in _pairs(f)}
+        assert st.diffs == _bits(p for p, d in enumerate(st.pairs) if d in diffs), where
+        assert st.cov == _bits(p for p, d in enumerate(st.pairs) if d in cov), where
+    return full
+
+
+def _check_counted_walks(builds, seed, walks, steps, brute_max):
+    """Seeded add/out/undo walks on antichain and cancellative states:
+    after every move ``free`` is exactly the addable candidates of the
+    reference, ``pick_first()`` the largest of them (smallest index
+    first), the added bitsets decode to the chosen masks and, with
+    ``brute_max``, the bound covers the subtree optimum.  Undoing a walk
+    restores every attribute.  Without ``brute_max`` the walks add
+    counted candidates only, so they grow large families.  Returns the
+    number of full antichain windows met, summed over the states."""
+    import random
+
+    rng = random.Random(seed)
+    full = 0
+    for build, args, addable in builds:
+        st = build(*args)
+        start = _frozen(st)
+        for _walk in range(walks):
+            moves = []
+            for _ in range(steps):
+                where = (build.__name__, args, moves)
+                ref = _addable_set(st, addable)
+                assert st.free == _bits(ref) and not st.inbits & st.outbits, where
+                first = max(ref, key=lambda i: (st.cards[i], -i), default=None)
+                assert st.pick_first() == first, where
+                full += _check_counted_fields(st, where)
+                if brute_max:
+                    assert st.bound_remaining() >= _brute_counted_max(st, addable), where
+                _random_move(st, rng, moves, 0.25, 0.75, counted_only=not brute_max)
+            while moves:
+                _undo(st, moves)
+            assert _frozen(st) == start, (build.__name__, args)
+    return full
 
 
 def test_counted_states_match_bruteforce_on_random_states():
-    # The antichain and cancellative states keep a per-candidate blocked
-    # count instead of re-testing addability.  Along seeded add/out/undo
-    # walks, the counted candidates must be exactly the addable ones, the
-    # bound must cover the subtree optimum, and undo must restore the state.
-    import random
-
+    # The antichain and cancellative states keep free exact by bitsets of
+    # what the chosen sets show (projections, differences, covered pairs)
+    # instead of re-testing addability.  Along seeded add/out/undo walks,
+    # the counted candidates must be exactly the addable ones, the bound
+    # must cover the subtree optimum, and restoring snapshots must
+    # restore the state.
     from tracelab.cancellative_turan import _build_cancellative_state
     from tracelab.search import _build_antichain_state
 
     builds = [(_build_antichain_state, (n, k), _antichain_addable)
               for n in (3, 4) for k in range(n)]
     builds += [(_build_cancellative_state, (n, 3), _cancellative_addable) for n in range(3, 7)]
-    rng = random.Random(606)
-    for build, args, addable in builds:
-        st = build(*args)
-        start = _counted_snapshot(st)
-        for _walk in range(3):
-            moves = []
-            for _ in range(40):
-                where = (build.__name__, args, moves)
-                ref = _addable_set(st, addable)
-                counted = [i for i in range(len(st.masks)) if not (st.status[i] or st.blocked[i])]
-                assert counted == ref, where
-                assert (st.free, st.inbits) == (sum(1 << i for i in ref), _chosen_bits(st)), where
-                first = max(ref, key=lambda i: (st.cards[i], -i), default=None)
-                assert st.pick_first() == first, where
-                assert st.bound_remaining() >= _brute_counted_max(st, addable), where
-                open_ = [i for i in range(len(st.masks)) if st.status[i] == 0]
-                r = rng.random()
-                if moves and (not open_ or r < 0.25):
-                    _undo(st, moves.pop())
-                elif open_ and r < 0.75:
-                    i = rng.choice(open_)
-                    adds = st.try_add_group(i)
-                    assert (adds is not None) == (i in ref), where
-                    if adds is not None:
-                        moves.append(("in", adds))
-                elif open_:
-                    i = rng.choice(open_)
-                    st.mark_out(i)
-                    moves.append(("out", i))
-            for move in reversed(moves):
-                _undo(st, move)
-            assert _counted_snapshot(st) == start, (build.__name__, args)
+    assert _check_counted_walks(builds, 606, 3, 40, True), "no antichain window filled"
+
+
+@pytest.mark.slow
+def test_counted_states_match_bruteforce_n7():
+    # the same walks at n = 7, growing large families: free against the
+    # reference after every move, and windows that fill (k = 1, 2)
+    from tracelab.cancellative_turan import _build_cancellative_state
+    from tracelab.search import _build_antichain_state
+
+    builds = [(_build_antichain_state, (7, k), _antichain_addable) for k in (1, 2, 3)]
+    builds.append((_build_cancellative_state, (7, 3), _cancellative_addable))
+    assert _check_counted_walks(builds, 77, 2, 60, False), "no antichain window filled"
 
 
 def test_budget_stop_inside_a_move_returns_the_incumbent():
@@ -1598,6 +1659,39 @@ def test_seed_applies_to_every_level(monkeypatch):
     max_family(ArrowQuery.downset(6, 4, 13))
     levels = search_mod._levels(search_mod._DownsetState.sub_queries, (6, 4, 13))
     assert asked == list(levels)
+
+
+def _counted_pattern_free(monkeypatch):
+    """The ground-set sizes of the families ``pattern_free`` checks."""
+    checked = []
+    real = canc_mod.pattern_free
+
+    def counting(h, *args):
+        checked.append(h.n)
+        return real(h, *args)
+
+    monkeypatch.setattr(canc_mod, "pattern_free", counting)
+    return checked
+
+
+def test_a_level_ending_on_its_seed_is_rechecked_once(monkeypatch):
+    # with no node to tick, every level of ex3(20, K4) ends on its seed,
+    # which is re-checked once, when it is certified: one pattern_free
+    # call per level, n = 4..20
+    checked = _counted_pattern_free(monkeypatch)
+    res = ex3(20, Pattern.K_COMPLETE, budget_nodes=0)
+    assert checked == list(range(4, 21))
+    assert list(res.witness.members) == sorted(canc_mod.ex3_k4_seed(20), key=_canon_key)
+
+
+def test_a_level_beating_its_seed_rechecks_its_result(monkeypatch):
+    # the n = 6 seed one member short: the search finds a larger family
+    # there, which is re-checked too
+    checked = _counted_pattern_free(monkeypatch)
+    _mutated_seed(monkeypatch, canc_mod, "ex3_k4_seed", (6,), lambda level, masks: masks[:-1])
+    res = ex3(6, Pattern.K_COMPLETE)
+    assert (res.optimum, res.proved_optimal) == (14, True)
+    assert checked == [4, 5, 6, 6]
 
 
 def _parity_queries(small: bool, *, tilde: bool, ex3_top: int, cancellative_tops):
