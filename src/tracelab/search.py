@@ -318,10 +318,10 @@ class _CountedState:
     (``bits[i]`` is candidate i's bit, ``card_bits[c]`` the bits of size
     c): ``inbits`` holds the chosen candidates, ``outbits`` the excluded
     ones, and ``free`` the *counted* ones, undecided and not ruled out
-    by the chosen ones in the current subtree; a subclass adds the ints its
-    constraint needs.  ``snapshot()`` returns them all as a tuple and
-    ``restore(s)`` sets them back, which undoes every move made since
-    ``s`` was taken.  The two moves only go forward:
+    by the chosen ones in the current subtree.  Each state class adds the
+    ints its constraint needs, and its ``snapshot()`` returns them all as
+    a tuple; ``restore(s)`` sets them back, which undoes every move made
+    since ``s`` was taken.  The two moves only go forward:
     ``try_add_group(i)`` puts i in together with whatever else the
     constraint forces and returns True, or returns False and changes
     nothing when i cannot be added in the current subtree;
@@ -394,13 +394,7 @@ class _CountedState:
         self.inbits = 0
         self.outbits = 0
 
-    # -- moves (try_add_group is the subclass's) --------------------------
-
-    def snapshot(self) -> tuple:
-        return self.free, self.inbits, self.outbits
-
-    def restore(self, s: tuple) -> None:
-        self.free, self.inbits, self.outbits = s
+    # -- moves (snapshot, restore and try_add_group are the subclass's) ----
 
     def mark_out(self, i: int) -> None:
         bit = self.bits[i]

@@ -1584,10 +1584,10 @@ def test_counted_states_match_bruteforce_n7():
 
 
 def test_budget_stop_inside_a_move_returns_the_incumbent():
-    # A budget stop can land between a move and its undo (inside the
-    # exclusion-first branch of tilde, or below an add).  The search ends
-    # there and returns its incumbent; the stopped state is not unwound,
-    # so its undo stack is never read out of order.
+    # A budget stop can land between a move and the restore of the
+    # snapshot before it (inside the exclusion-first branch of tilde, or
+    # below an add).  The search ends there and returns its incumbent;
+    # the stopped state is not restored, and only the incumbent is read.
     for n, c in ((5, 6), (6, 4), (6, 8)):
         for budget in (5, 20, 60, 200, 500):
             for sym in (True, False):
