@@ -1118,7 +1118,8 @@ def _random_move(st, rng, moves, undo, add, counted_only=False):
     move; else with probability ``add`` try to add an undecided
     candidate (a counted one, with ``counted_only``), and else exclude
     one.  ``moves`` holds each move with the snapshot before it; a
-    failed add changes nothing and is not kept."""
+    failed add changes nothing and is not kept.  Returns ``(i, added)``
+    for an add attempt, else None."""
     open_ = _undecided(st)
     pool = [i for i in open_ if st.free >> i & 1] if counted_only else open_
     r = rng.random()
@@ -1127,10 +1128,12 @@ def _random_move(st, rng, moves, undo, add, counted_only=False):
     elif pool and r < add:
         i = rng.choice(pool)
         here = st.snapshot()
-        if st.try_add_group(i):
+        added = st.try_add_group(i)
+        if added:
             moves.append((("in", i), here))
         else:
             assert st.snapshot() == here, ("in", i)
+        return i, added
     elif open_:
         i = rng.choice(open_)
         here = st.snapshot()
@@ -1524,12 +1527,14 @@ def _check_counted_fields(st, where):
 def _check_counted_walks(builds, seed, walks, steps, brute_max):
     """Seeded add/out/undo walks on antichain and cancellative states:
     after every move ``free`` is exactly the addable candidates of the
-    reference, ``pick_first()`` the largest of them (smallest index
-    first), the added bitsets decode to the chosen masks and, with
-    ``brute_max``, the bound covers the subtree optimum.  Undoing a walk
-    restores every attribute.  Without ``brute_max`` the walks add
-    counted candidates only, so they grow large families.  Returns the
-    number of full antichain windows met, summed over the states."""
+    reference, an add of an undecided candidate succeeds exactly when
+    the reference can add it, ``pick_first()`` picks the largest addable
+    one (smallest index first), the added bitsets decode to the chosen
+    masks and, with ``brute_max``, the bound covers the subtree optimum.
+    Undoing a walk restores every attribute.  Without ``brute_max`` the
+    walks add counted candidates only, so they grow large families.
+    Returns the number of full antichain windows met, summed over the
+    states."""
     import random
 
     rng = random.Random(seed)
@@ -1548,7 +1553,10 @@ def _check_counted_walks(builds, seed, walks, steps, brute_max):
                 full += _check_counted_fields(st, where)
                 if brute_max:
                     assert st.bound_remaining() >= _brute_counted_max(st, addable), where
-                _random_move(st, rng, moves, 0.25, 0.75, counted_only=not brute_max)
+                move = _random_move(st, rng, moves, 0.25, 0.75, counted_only=not brute_max)
+                if move is not None:
+                    i, added = move
+                    assert added == (i in ref), where
             while moves:
                 _undo(st, moves)
             assert _frozen(st) == start, (build.__name__, args)
