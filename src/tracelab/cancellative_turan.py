@@ -181,7 +181,7 @@ class _CancellativeState(_CountedState):
     A configuration is two edges meeting in l-1 points, so that their
     difference d is a pair, and a third edge covering d.  The pairs of
     [n] are indexed in ``pairs`` order, and two bitsets over them join
-    the three common ones in the snapshot: ``diffs`` holds the
+    the two common ones in the snapshot: ``diffs`` holds the
     differences of chosen partners (edges meeting in l-1 points), which
     no further edge may cover, and ``cov`` the pairs that chosen edges
     cover, which no further partner pair may differ in.
@@ -225,10 +225,10 @@ class _CancellativeState(_CountedState):
         return ((n - 1, l),) if n - 1 >= l else ()
 
     def snapshot(self) -> tuple:
-        return self.free, self.inbits, self.outbits, self.diffs, self.cov
+        return self.free, self.inbits, self.diffs, self.cov
 
     def restore(self, s: tuple) -> None:
-        self.free, self.inbits, self.outbits, self.diffs, self.cov = s
+        self.free, self.inbits, self.diffs, self.cov = s
 
     def try_add_group(self, i: int) -> bool:
         bit = self.bits[i]

@@ -313,12 +313,6 @@ def _cmd_verify_table(ns, argv) -> int:
         rows = [int(tok) for tok in ns.rows.split(",") if tok]
     except ValueError as exc:
         raise FamilyError(f"--rows must be comma-separated integers, got {ns.rows!r}") from exc
-    # row 4 has no closed form, and row 8's is claimed only for n >= 25,
-    # past the tilde search's n <= 20
-    allowed = {1, 2, 3, 5, 6, 7}
-    bad = [c for c in rows if c not in allowed]
-    if bad:
-        raise FamilyError(f"rows must be within {sorted(allowed)}, got {bad}")
     if not rows or ns.n_min > ns.n_max:
         raise FamilyError(
             f"nothing to verify: --rows {ns.rows!r}, --n-min {ns.n_min}, --n-max {ns.n_max}"
@@ -485,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify-table", help="closed-form values vs searched optima")
-    p.add_argument("--rows", default="1,2,3,5,6,7")
+    p.add_argument("--rows", default="1,2,3,5,6,7,8")
     p.add_argument("--n-min", dest="n_min", type=int, default=5)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
     _add_budgets(p)

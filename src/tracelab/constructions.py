@@ -10,9 +10,9 @@ sum inequality check.
 The balanced split of [n] into l parts of sizes floor((n+i)/l), i < l
 (the paper's X_1, X_2, X_3 for l = 3) is computed in one place,
 ``_balanced_sizes``, and every closed form built on it reads it there:
-the partite blocks and family sizes, the Turán parts, the partite
-thresholds, and the part products of the (4, 13) and (5, 25)
-thresholds and of the table's row 8.
+the partite blocks and family sizes (the table's row 8 among their
+readers), the Turán parts, the partite thresholds, and the part
+products of the (4, 13) and (5, 25) thresholds.
 
 Everything is exact integer arithmetic except
 :func:`pairwise_sum_bound_check`, which is the one float consumer.
@@ -324,9 +324,12 @@ def mtilde_formula(c: int, n: int):
     for complete pair/triple families on [n], n >= 5.
 
     Row c=4 has no closed form (its order is n^(3/2)) and raises
-    FamilyError; row c=8's formula is only claimed for n >= 25 (the value
-    is returned regardless, callers decide whether to trust it at small
-    n).
+    FamilyError.  Row c=8 is one more than the pair/triple part of the
+    3-partite family, |G| - n with |G| = ``partite_family_size(n, 3)``:
+    it carries at most 7 pairs and triples on any 4-set, so the least
+    forcing size is at least that.  The value is certified where
+    ``max_tilde`` proves it (n = 5..8) and for n >= 25 by the paper's
+    theorem; in between it is only G's size.
     """
     if n < 5:
         raise FamilyError(f"formula table starts at n=5, got n={n}")
@@ -343,7 +346,7 @@ def mtilde_formula(c: int, n: int):
     if c == 7:
         return 17 if n == 6 else comb(n, 2) + 1
     if c == 8:
-        return prod(_balanced_sizes(n, 3)) + 1
+        return partite_family_size(n, 3) - n
     raise FamilyError(f"no formula row for c={c}")
 
 

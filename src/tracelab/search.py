@@ -19,20 +19,20 @@ member order (by cardinality, then mask; not relabeled) and re-checks
 it through the search's own independent predicate before it returns.
 
 The engine branches on candidate sets, and every constraint state
-speaks one protocol: the state is a few ints.  Three are bitsets over
-the candidates: ``inbits``, the chosen ones, ``outbits``, the
-excluded ones, and ``free``, those still addable (undecided and not
-ruled out by the chosen ones: the *counted* ones).  The others hold
-what the chosen sets show: the window-cap states pack every window
-count into one int, the antichain state one bit per projection seen
-on each window, the cancellative state the pair differences and the
-covered pairs.  A move only goes forward: ``try_add_group(i)`` adds i
-with what it forces or changes nothing, and ``mark_out(i)`` excludes
-i.  The engine takes ``snapshot()`` before each child's move and
-hands it to ``restore`` after that child's subtree; nothing is undone
-move by move.  All else the engine reads derives from the ints: the
-next candidate to branch on, its undecided orbit, the counts per
-size, the incumbent and U.  The bound for antichain and cancellative
+speaks one protocol: the state is a few ints.  Two are bitsets over
+the candidates: ``inbits``, the chosen ones, and ``free``, those still
+addable (undecided and not ruled out by the moves made: the *counted*
+ones).  The others hold what the chosen sets show: the window-cap
+states pack every window count into one int, the antichain state one
+bit per projection seen on each window, the cancellative state the
+pair differences and the covered pairs.  A move only goes forward:
+``try_add_group(i)`` adds i with what it forces or changes nothing,
+and ``mark_out(bits)`` excludes the candidates of ``bits``.  The
+engine takes ``snapshot()`` before each child's move and hands it to
+``restore`` after that child's subtree; nothing is undone move by
+move.  All else the engine reads derives from the ints: the next
+candidate to branch on, its counted orbit, the counts per size, the
+incumbent and U.  The bound for antichain and cancellative
 states is the number of counted candidates; window-cap states pack
 them into the free window room.  The down-set, ex3, triangle-free and cancellative
 searches chain a second bound, read only where the first fails to
@@ -56,8 +56,11 @@ the incumbent, so ``proved_optimal`` still rests on the exhausted
 tree.  Symmetry is
 exploited by orbital branching: at a node whose chosen and excluded
 candidates are stabilized by a permutation group G of the ground set,
-either a representative e goes in, or its entire G-orbit goes out.
-Disabling symmetry changes node counts, never optima.
+either a representative e goes in, or its entire G-orbit goes out, in
+one ``mark_out``.  The group is all of S_n at the root, then a listed
+stabilizer (``mask_stabilizer``, which lists none past its cap, and
+the search then drops symmetry below that node).  Disabling symmetry
+changes node counts, never optima.
 
 The engine branches on a largest counted candidate.  Where the
 vertex-deletion bound runs, it takes one that contains the first vertex
@@ -71,7 +74,7 @@ witnesses, never an optimum or ``proved_optimal``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, inf, isfinite
+from math import comb, inf, isfinite
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -100,7 +103,6 @@ MODE_TILDE = "tilde-complete"
 MODE_ANTICHAIN = "antichain"
 
 _SEARCH_GROUND_CAP = 20  # exhaustive search only attempted up to here
-_STABILIZER_CAP = 50_000  # explicit stabilizer groups stay below this size
 
 DEFAULT_BUDGET_NODES = 10**8
 DEFAULT_BUDGET_SECS = 300.0
@@ -270,26 +272,22 @@ class _BudgetExhausted(Exception):
 class _Budget:
     __slots__ = ("limit", "deadline", "nodes")
 
-    def __init__(self, node_limit: int, seconds: float | None):
-        """``seconds`` None means no deadline; any other value must be a
-        finite number >= 0, and ``node_limit`` an int >= 0."""
+    def __init__(self, node_limit: int, seconds: float):
+        """``seconds`` must be a finite number >= 0, and ``node_limit`` an
+        int >= 0."""
         if not isinstance(node_limit, int) or node_limit < 0:
             raise FamilyError(f"budget_nodes must be an integer >= 0, got {node_limit!r}")
-        if seconds is not None and not (isfinite(seconds) and seconds >= 0):
+        if not (isfinite(seconds) and seconds >= 0):
             raise FamilyError(f"budget_secs must be a finite number >= 0, got {seconds!r}")
         self.limit = node_limit
-        self.deadline = None if seconds is None else perf_counter() + seconds
+        self.deadline = perf_counter() + seconds
         self.nodes = 0
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.limit:
             raise _BudgetExhausted
-        if (
-            self.nodes & 255 == 0
-            and self.deadline is not None
-            and perf_counter() > self.deadline
-        ):
+        if self.nodes & 255 == 0 and perf_counter() > self.deadline:
             raise _BudgetExhausted
 
 
@@ -310,23 +308,26 @@ class _CountedState:
     masks every family of the search has outside the candidates (the
     down-set's empty set).  At candidates of the sizes in
     ``exclude_first_cards`` the engine explores the orbit-exclusion
-    child before inclusion (tilde's triples: it finds strong incumbents
-    made of lower levels early).
+    child before inclusion (tilde's triples: taken first, the inclusion
+    child lists the stabilizer of a triple, 30,240 permutations at
+    n = 10, and applies them at the nodes below it).
 
     One protocol serves every state: the whole state is a few ints.
-    Three bitsets over the candidate indices are common to all of them
+    Two bitsets over the candidate indices are common to all of them
     (``bits[i]`` is candidate i's bit, ``card_bits[c]`` the bits of size
-    c): ``inbits`` holds the chosen candidates, ``outbits`` the excluded
-    ones, and ``free`` the *counted* ones, undecided and not ruled out
-    by the chosen ones in the current subtree.  Each state class adds the
-    ints its constraint needs, and its ``snapshot()`` returns them all as
-    a tuple; ``restore(s)`` sets them back, which undoes every move made
-    since ``s`` was taken.  The two moves only go forward:
-    ``try_add_group(i)`` puts i in together with whatever else the
-    constraint forces and returns True, or returns False and changes
-    nothing when i cannot be added in the current subtree;
-    ``mark_out(i)`` excludes an undecided candidate i.  Everything else
-    the engine reads derives from the ints.  ``bound_remaining()`` is
+    c): ``inbits`` holds the chosen candidates and ``free`` the
+    *counted* ones, undecided and not ruled out by the moves made in the
+    current subtree.  A candidate that is not counted never becomes
+    counted deeper in the subtree, so the state keeps no record of the
+    excluded ones.  Each state class adds the ints its constraint needs,
+    and its ``snapshot()`` returns them all as a tuple; ``restore(s)``
+    sets them back, which undoes every move made since ``s`` was taken.
+    The two moves only go forward: ``try_add_group(i)`` puts i in
+    together with whatever else the constraint forces and returns True,
+    or returns False and changes nothing when i cannot be added in the
+    current subtree; ``mark_out(bits)`` excludes the candidates of
+    ``bits``, and ``free`` stays exact for any set of them.  Everything
+    else the engine reads derives from the ints.  ``bound_remaining()`` is
     never below the largest number of candidates that can still be added
     (the subtree optimum); by default it is the number of counted
     candidates.
@@ -392,14 +393,11 @@ class _CountedState:
             self.card_bits[c] = self.card_bits.get(c, 0) | bit
         self.free = (1 << len(self.masks)) - 1
         self.inbits = 0
-        self.outbits = 0
 
     # -- moves (snapshot, restore and try_add_group are the subclass's) ----
 
-    def mark_out(self, i: int) -> None:
-        bit = self.bits[i]
-        self.outbits |= bit
-        self.free &= ~bit
+    def mark_out(self, bits: int) -> None:
+        self.free &= ~bits
 
     # -- queries ------------------------------------------------------------
 
@@ -491,15 +489,15 @@ class _CapState(_CountedState):
     counted candidates into it, lightest window weight first.
 
     A candidate is counted while it is undecided, in no full window and
-    without an excluded one-smaller subset: ``mark_out(i)`` clears i and
-    ``child_bits[i]`` from ``free``, and an add clears the candidates of
-    each window it fills.  An add whose closure holds a candidate that
-    is not counted fails at once: it is out, or a full window or an
-    excluded subset of it lies in ``below_bits`` of the added set.  Every
-    other add sums its members' ``inc`` into a copy of ``packed`` and
-    fails if a top bit is set, so a failed add changes nothing.  The
-    snapshot adds ``packed``, ``full`` and ``resid`` to the three
-    common bitsets.
+    without an excluded one-smaller subset: ``mark_out(bits)`` clears
+    each member i of ``bits`` and its ``child_bits[i]`` from ``free``,
+    and an add clears the candidates of each window it fills.  An add
+    whose closure holds a candidate that is not counted fails at once:
+    it is out, or a full window or an excluded subset of it lies in
+    ``below_bits`` of the added set.  Every other add sums its members'
+    ``inc`` into a copy of ``packed`` and fails if a top bit is set, so
+    a failed add changes nothing.  The snapshot adds ``packed``,
+    ``full`` and ``resid`` to the two common bitsets.
     """
 
     def __init__(self, n, cards, win, cap):
@@ -552,10 +550,10 @@ class _CapState(_CountedState):
     # -- moves --------------------------------------------------------------
 
     def snapshot(self) -> tuple:
-        return self.free, self.inbits, self.outbits, self.packed, self.full, self.resid
+        return self.free, self.inbits, self.packed, self.full, self.resid
 
     def restore(self, s: tuple) -> None:
-        self.free, self.inbits, self.outbits, self.packed, self.full, self.resid = s
+        self.free, self.inbits, self.packed, self.full, self.resid = s
 
     def try_add_group(self, i) -> bool:
         """Choose candidate i together with the undecided candidates inside
@@ -589,9 +587,13 @@ class _CapState(_CountedState):
         self.inbits |= group
         return True
 
-    def mark_out(self, i) -> None:
-        self.outbits |= self.bits[i]
-        self.free &= ~(self.bits[i] | self.child_bits[i])
+    def mark_out(self, bits) -> None:
+        free, child_bits = self.free & ~bits, self.child_bits
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            free &= ~child_bits[low.bit_length() - 1]
+        self.free = free
 
     # -- queries ------------------------------------------------------------
 
@@ -711,58 +713,48 @@ class _Searcher:
         return self.reach is None or self.reach() > self.best
 
     def _pick(self, group):
-        """The candidate to branch on and its undecided orbit under
-        ``group``."""
+        """The candidate e to branch on, the bits of its counted orbit
+        under ``group``, and the permutations of an explicit ``group``
+        that fix e's mask (None otherwise).  A candidate that is not
+        counted never becomes counted deeper in the subtree, so the
+        orbit leaves out the members that are not."""
         st = self.state
         e = st.pick_first()
         if e is None:
-            return None, ()
-        decided = st.inbits | st.outbits
+            return None, 0, None
+        if group is None:
+            return e, st.bits[e], None
         if group == "FULL":
-            rest = st.card_bits[st.cards[e]] & ~decided
-            orb = []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                orb.append(low.bit_length() - 1)
-            return e, orb
+            return e, st.card_bits[st.cards[e]] & st.free, None
         mask = st.masks[e]
         idx_of, bits = st.idx_of, st.bits
-        orbset = {e}
+        orbit, fixed = bits[e], []
         for perm in group:
-            orbset.add(idx_of[apply_perm(perm, mask)])
-        return e, [j for j in orbset if not decided & bits[j]]
+            image = apply_perm(perm, mask)
+            if image == mask:
+                fixed.append(perm)
+            else:
+                orbit |= bits[idx_of[image]]
+        return e, orbit & st.free, fixed
 
-    def _stabilize(self, group, e):
-        if group is None:
-            return None
-        st = self.state
-        mask = st.masks[e]
+    def _stabilize(self, group, e, fixed):
+        """e's stabilizer in ``group``: ``fixed``, or under "FULL" the
+        listed stabilizer of e's mask; None when it is trivial or too
+        large to list."""
         if group == "FULL":
-            inside = mask.bit_count()
-            size = factorial(inside) * factorial(st.nbits - inside)
-            if size > _STABILIZER_CAP:
-                return None
-            perms = mask_stabilizer(mask, st.nbits)
-        else:
-            perms = [p for p in group if apply_perm(p, mask) == mask]
-        return perms if len(perms) > 1 else None
+            fixed = mask_stabilizer(self.state.masks[e], self.state.nbits)
+        return fixed if fixed is not None and len(fixed) > 1 else None
 
     def _dfs(self, group) -> None:
         """Explore an open node; its parent has already opened it."""
         st = self.state
         while True:
-            if group is None:
-                e = st.pick_first()
-                orb = (e,)
-            else:
-                e, orb = self._pick(group)
+            e, orbit, fixed = self._pick(group)
             if e is None:
                 return
             here = st.snapshot()
             if st.cards[e] in self.exclude_first_cards:
-                for j in orb:
-                    st.mark_out(j)
+                st.mark_out(orbit)
                 if self._open():
                     self._dfs(group)
                 st.restore(here)
@@ -770,14 +762,13 @@ class _Searcher:
                     # orbit-free families were covered above; any family
                     # meeting the orbit needs e, which cannot be added
                     return
-                group = self._stabilize(group, e)
+                group = self._stabilize(group, e, fixed)
             else:
                 if st.try_add_group(e):
                     if self._open():
-                        self._dfs(self._stabilize(group, e))
+                        self._dfs(self._stabilize(group, e, fixed))
                     st.restore(here)
-                for j in orb:
-                    st.mark_out(j)
+                st.mark_out(orbit)
             # the state stands at the last child, made in place: open it
             if not self._open():
                 return
@@ -833,7 +824,7 @@ class _AntichainState(_CountedState):
     An add clears the comparable candidates from ``free`` and sets the
     added set's projection bits in ``seen``; once a window's field holds
     2^(k+1) - 1 bits, the candidates with the missing projection are
-    cleared too.  The snapshot adds ``seen`` to the three common bitsets.
+    cleared too.  The snapshot adds ``seen`` to the two common bitsets.
     """
 
     def __init__(self, n: int, k: int):
@@ -866,10 +857,10 @@ class _AntichainState(_CountedState):
             self.comp_bits.append(cbits ^ bits[i])
 
     def snapshot(self) -> tuple:
-        return self.free, self.inbits, self.outbits, self.seen
+        return self.free, self.inbits, self.seen
 
     def restore(self, s: tuple) -> None:
-        self.free, self.inbits, self.outbits, self.seen = s
+        self.free, self.inbits, self.seen = s
 
     def try_add_group(self, i: int) -> bool:
         bit = self.bits[i]
@@ -919,7 +910,7 @@ def _solve_state(
     recheck: Callable[..., bool],
     seed: Callable[..., Iterable[int] | None] = _no_seed,
     budget_nodes: int,
-    budget_secs: float | None,
+    budget_secs: float,
     use_symmetry: bool,
 ) -> SearchResult:
     """Maximize over the state ``build(*args)`` and certify the answer.
@@ -965,8 +956,7 @@ def _solve_state(
         budget.limit = budget_nodes
         for _ in range(depth):
             budget.limit = int(budget.limit * _SUB_SHARE)
-        if budget_secs is not None:
-            budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
+        budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
         state = build(*level)
         subs = [solved[sub] for sub in sub_queries(*level)]
         start = 0

@@ -53,7 +53,7 @@ def criterion(num, label):
 
 def test_01_table_reproduction_at_desk_scale():
     with criterion(1, "searched pair/triple optima match the closed-form table"):
-        for c in (1, 2, 3, 5, 6, 7):
+        for c in (1, 2, 3, 5, 6, 7, 8):
             for n in (5, 6, 7):
                 t0 = time.perf_counter()
                 res = max_tilde(ArrowQuery.tilde(n, c))

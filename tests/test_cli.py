@@ -295,10 +295,11 @@ class TestSearch:
 class TestVerifyTable:
     def test_small_rows_pass(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify-table", "--rows", "1,2,3,5", "--n-min", "5", "--n-max", "5"
+            capsys, "verify-table", "--rows", "1,2,3,5,8", "--n-min", "5", "--n-max", "5"
         )
         assert code == 0
         rows = last_json(out)["rows"]
+        assert [r["c"] for r in rows] == [1, 2, 3, 5, 8]
         assert all(r["status"] == "PASS" for r in rows)
 
     def test_pretty_renders_table(self, capsys):
@@ -484,14 +485,12 @@ class TestEntryPoint:
         ["--n-min", "21", "--n-max", "22"],
         ["--n-max", "21"],
         ["--rows", "1", "--n-min", "17", "--n-max", "21"],
-        ["--rows", "8", "--n-min", "5", "--n-max", "5"],
     ],
-    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap", "row-8"],
+    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap"],
 )
 def test_verify_table_checks_range_before_searching(capsys, monkeypatch, flags):
-    # an n outside the search's or the formula table's range, or row 8
-    # (its formula is claimed only for n >= 25, past the search's n <= 20),
-    # is refused before the first search runs: no search, no output
+    # an n outside the search's or the formula table's range is refused
+    # before the first search runs: no search, no output
     def no_search(q):
         raise AssertionError(f"searched n={q.n}, c={q.c} before checking the range")
 

@@ -218,8 +218,10 @@ class TestOneBalancedSplit:
         assert [threshold("four_thirteen", n) for n in range(3)] == [2, 3, 5]
 
     def test_row8_cube(self):
+        # row 8 is |G| - n: one more than the pair/triple part of the
+        # 3-partite family, whose size is cubic in n
         for n in range(61):
-            want = _ref_cube3(n) + 1 if n >= 5 else "FamilyError"
+            want = _ref_partite_family_size(n, 3) - n if n >= 5 else "FamilyError"
             assert _outcome(mtilde_formula, 8, n) == want
 
 
@@ -309,7 +311,7 @@ class TestFormulaTable:
         assert mtilde_formula(7, 7) == math.comb(7, 2) + 1
         assert mtilde_formula(6, 5) == t_count(3, 5) + 1 == 9
         assert mtilde_formula(3, 7) == 5
-        assert mtilde_formula(8, 27) == 9 * 9 * 9 + 1
+        assert mtilde_formula(8, 27) == 10 * 10 * 10 - 27 == 973
 
     def test_row4_has_no_formula(self):
         with pytest.raises(FamilyError, match="c=4"):

@@ -464,7 +464,7 @@ def test_random_window_problems_match_bruteforce():
                 witness=SetFamily.from_masks,
                 recheck=within_caps,
                 budget_nodes=10**8,
-                budget_secs=None,
+                budget_secs=search_mod.DEFAULT_BUDGET_SECS,
                 use_symmetry=sym,
             )
             assert res.proved_optimal and res.optimum == best, (n, card, win, cap, sym)
@@ -748,13 +748,16 @@ def _chosen(st, j):
     return st.inbits >> j & 1
 
 
-def _excluded(st, j):
-    return st.outbits >> j & 1
+def _marked_out(moves):
+    """The candidates a walk has marked out, from its own record: the
+    "out" moves it has not undone.  The references read this, never the
+    state, for what was excluded."""
+    return _bits(i for (kind, i), _ in moves if kind == "out")
 
 
-def _undecided(st):
-    """The candidates neither chosen nor excluded."""
-    decided = st.inbits | st.outbits
+def _undecided(st, out):
+    """The candidates neither chosen nor in ``out``, the marked-out ones."""
+    decided = st.inbits | out
     return [i for i in range(len(st.masks)) if not decided >> i & 1]
 
 
@@ -770,9 +773,10 @@ def _frozen(st):
     return deepcopy({k: v for k, v in vars(st).items() if k != "lean"})
 
 
-def _closure_ref(st, i):
+def _closure_ref(st, out, i):
     """i plus its transitively missing one-smaller subsets, walked one
-    level at a time; None if any of them is out.  The reference for the
+    level at a time; None if any of them is in ``out``, the marked-out
+    candidates.  The reference for the
     candidates ``try_add_group`` adds, the change in ``inbits``."""
     adds = []
     stack = [i]
@@ -784,7 +788,7 @@ def _closure_ref(st, i):
         seen.add(j)
         if _chosen(st, j):
             continue
-        if _excluded(st, j):
+        if out >> j & 1:
             return None
         adds.append(j)
         stack.extend(_prereqs(st, j))
@@ -816,11 +820,11 @@ def _check_fields(st, where):
     assert st.resid == st.cap * len(st.windows) - sum(fills), where
 
 
-def _brute_counted(st):
+def _brute_counted(st, out):
     """Candidates of a ``_CapState`` that ``free`` should hold, from the
-    chosen and excluded candidates, the window fills and the prerequisites
-    alone: undecided, in no full window, and with no excluded
-    prerequisite."""
+    chosen and the marked-out (``out``) candidates, the window fills and
+    the prerequisites alone: undecided, in no full window, and with no
+    marked-out prerequisite."""
     fills = _window_fills(st)
 
     def fits(i):
@@ -829,17 +833,17 @@ def _brute_counted(st):
 
     return [
         i
-        for i in _undecided(st)
-        if fits(i) and not any(_excluded(st, p) for p in _prereqs(st, i))
+        for i in _undecided(st, out)
+        if fits(i) and not any(out >> p & 1 for p in _prereqs(st, i))
     ]
 
 
-def _brute_subtree_max(st):
+def _brute_subtree_max(st, out):
     """Most undecided candidates that can still be added together: closed
     under prerequisites (each one chosen already or added too) and within
     every window cap.  Subsets are grown in index order, in which every
     prerequisite (one element smaller) precedes the sets that need it."""
-    undecided = _undecided(st)
+    undecided = _undecided(st, out)
     wins = {
         i: [wi for wi, w in enumerate(st.windows) if st.masks[i] & w == st.masks[i]]
         for i in undecided
@@ -912,14 +916,14 @@ def _addable(pairs, chosen, idxs):
     return [j for j in idxs if not any(r & chosen == r for i in ins for r in pairs[i][j])]
 
 
-def _brute_u(st, pairs):
+def _brute_u(st, out, pairs):
     """U from the primary state: the chosen candidates plus the undecided
     ones that can still be added."""
     chosen = st.inbits
-    return chosen | sum(1 << i for i in _addable(pairs, chosen, _undecided(st)))
+    return chosen | sum(1 << i for i in _addable(pairs, chosen, _undecided(st, out)))
 
 
-def _brute_free_max(st, pairs):
+def _brute_free_max(st, out, pairs):
     """Most members, chosen ones included, of a family in the subtree:
     exhaustive growth in index order, pruned by the number of candidates
     still addable."""
@@ -938,7 +942,7 @@ def _brute_free_max(st, pairs):
             grow(later, grown, taken + 1)
 
     chosen = st.inbits
-    grow(_addable(pairs, chosen, _undecided(st)), chosen, chosen.bit_count())
+    grow(_addable(pairs, chosen, _undecided(st, out)), chosen, chosen.bit_count())
     return best
 
 
@@ -970,23 +974,24 @@ def _averaged(build, args):
         (sub,) = subs
         assert sub == (args[0] - 1, *args[1:])
         smaller = build(*sub)
-        m = _brute_free_max(smaller, _conflicts(smaller))
+        m = _brute_free_max(smaller, 0, _conflicts(smaller))
         st.start_averaging(m)
     return st, _conflicts(st), m
 
 
-def _check_averaging(st, pairs, m, memo, where):
-    """U is exact, and the averaging bound is its definition and covers
-    the subtree optimum; True when it meets it.  ``memo`` caches optima
-    by the chosen and excluded candidates."""
-    u = _brute_u(st, pairs)
-    assert st.free == u & ~st.inbits and not st.inbits & st.outbits, where
+def _check_averaging(st, out, pairs, m, memo, where):
+    """U is exact, no marked-out candidate (``out``) is chosen, and the
+    averaging bound is its definition and covers the subtree optimum;
+    True when it meets it.  ``memo`` caches optima by the chosen and
+    marked-out candidates."""
+    u = _brute_u(st, out, pairs)
+    assert st.free == u & ~st.inbits and not st.inbits & out, where
     if m is None:  # too few points for the bound
         assert not st.has_reach, where
         return False
-    key = st.inbits, st.outbits
+    key = st.inbits, out
     if key not in memo:
-        memo[key] = _brute_free_max(st, pairs)
+        memo[key] = _brute_free_max(st, out, pairs)
     reach = st.reach()
     assert reach == _reach_ref(st, u, m, None, 0), where
     counted = [i for i in range(len(st.masks)) if (u & ~st.inbits) >> i & 1]
@@ -1046,26 +1051,26 @@ def _bounded_downset(args):
     return st, optima
 
 
-def _brute_cap_u(st):
-    """U of a ``_CapState`` from its chosen and excluded candidates: the
+def _brute_cap_u(st, out):
+    """U of a ``_CapState`` from its chosen and marked-out candidates: the
     chosen candidates plus the counted ones."""
-    return st.inbits | sum(1 << i for i in _brute_counted(st))
+    return st.inbits | sum(1 << i for i in _brute_counted(st, out))
 
 
-def _check_cap_u(st, bound, memo, where):
-    """After a move on a down-set or tilde state: U is exact and, where
-    the state carries the down-set bound with (M, L) = ``bound``,
-    ``reach()`` is the bound's definition and covers the subtree optimum
-    (``memo`` caches it by the chosen and excluded candidates); True when
-    it meets it."""
-    u = _brute_cap_u(st)
-    assert st.free == u & ~st.inbits and not st.inbits & st.outbits, where
+def _check_cap_u(st, out, bound, memo, where):
+    """After a move on a down-set or tilde state: U is exact, no
+    marked-out candidate (``out``) is chosen and, where the state carries
+    the down-set bound with (M, L) = ``bound``, ``reach()`` is the
+    bound's definition and covers the subtree optimum (``memo`` caches
+    it by the chosen and marked-out candidates); True when it meets it."""
+    u = _brute_cap_u(st, out)
+    assert st.free == u & ~st.inbits and not st.inbits & out, where
     if bound is None:
         assert not st.has_reach, where
         return False
-    key = st.inbits, st.outbits
+    key = st.inbits, out
     if key not in memo:
-        memo[key] = st.inbits.bit_count() + _brute_subtree_max(st)
+        memo[key] = st.inbits.bit_count() + _brute_subtree_max(st, out)
     reach = st.reach()
     assert reach == _reach_ref(st, u, *bound, 1), where
     assert reach >= memo[key], where
@@ -1088,16 +1093,16 @@ def _pick_ref(st, counted, u):
     return min(at_v, default=first)
 
 
-def _check_cap_counted(st, where):
+def _check_cap_counted(st, out, where):
     """``free`` holds the counted candidates, and ``pick_first()`` picks
     among them by ``_pick_ref``: after ``reach()`` where the state has the
     bound, else the largest, the smallest index first within a size."""
-    counted = _brute_counted(st)
+    counted = _brute_counted(st, out)
     assert st.free == sum(1 << i for i in counted), where
     u = None
     if st.has_reach:
         st.reach()
-        u = _brute_cap_u(st)
+        u = _brute_cap_u(st, out)
     else:
         assert st.lean == -1, where
     assert st.pick_first() == _pick_ref(st, counted, u), where
@@ -1116,11 +1121,12 @@ def _random_move(st, rng, moves, undo, add, counted_only=False):
     """One step of a seeded walk.  With probability ``undo``, or when no
     candidate is undecided, restore the snapshot taken before the last
     move; else with probability ``add`` try to add an undecided
-    candidate (a counted one, with ``counted_only``), and else exclude
-    one.  ``moves`` holds each move with the snapshot before it; a
-    failed add changes nothing and is not kept.  Returns ``(i, added)``
-    for an add attempt, else None."""
-    open_ = _undecided(st)
+    candidate (a counted one, with ``counted_only``), and else mark one
+    out.  ``moves`` holds each move with the snapshot before it, and is
+    the walk's own record of what it marked out; a failed add changes
+    nothing and is not kept.  Returns ``(i, added)`` for an add attempt,
+    else None."""
+    open_ = _undecided(st, _marked_out(moves))
     pool = [i for i in open_ if st.free >> i & 1] if counted_only else open_
     r = rng.random()
     if moves and (not open_ or r < undo):
@@ -1137,7 +1143,7 @@ def _random_move(st, rng, moves, undo, add, counted_only=False):
     elif open_:
         i = rng.choice(open_)
         here = st.snapshot()
-        st.mark_out(i)
+        st.mark_out(st.bits[i])
         moves.append((("out", i), here))
 
 
@@ -1191,17 +1197,18 @@ def test_all_in_matches_bruteforce_on_random_states():
         for _walk in range(4):
             moves = []
             for _ in range(60):
-                where = (build.__name__, args, moves)
-                _check_cap_counted(st, where)
+                where, out = (build.__name__, args, moves), _marked_out(moves)
+                _check_cap_counted(st, out, where)
                 _check_fields(st, where)
-                best = _brute_subtree_max(st)
+                best = _brute_subtree_max(st, out)
                 bound_now = st.bound_remaining()
                 assert bound_now >= best, where
                 tight += bound_now == best
-                reach_tight += _check_cap_u(st, bound, memo, where)
+                reach_tight += _check_cap_u(st, out, bound, memo, where)
                 _random_move(st, rng, moves, 0.2, 0.65)
-            _check_cap_counted(st, (build.__name__, args, moves))
-            reach_tight += _check_cap_u(st, bound, memo, (build.__name__, args, moves))
+            where, out = (build.__name__, args, moves), _marked_out(moves)
+            _check_cap_counted(st, out, where)
+            reach_tight += _check_cap_u(st, out, bound, memo, where)
             while moves:
                 _undo(st, moves)
             assert _frozen(st) == start
@@ -1221,10 +1228,11 @@ def test_all_in_matches_bruteforce_on_random_states():
         start = _frozen(st)
         for _walk in range(2):
             moves = []
-            tight += _check_averaging(st, pairs, m, memo, (*where, moves))
+            tight += _check_averaging(st, 0, pairs, m, memo, (*where, moves))
             for _ in range(30):
                 _random_move(st, rng, moves, 0.2, 0.65)
-                tight += _check_averaging(st, pairs, m, memo, (*where, moves))
+                out = _marked_out(moves)
+                tight += _check_averaging(st, out, pairs, m, memo, (*where, moves))
                 if isinstance(st, search_mod._CapState):
                     _check_fields(st, (*where, moves))
                 else:
@@ -1293,20 +1301,20 @@ def test_cap_state_failed_add_changes_nothing():
         for _walk in range(6):
             moves = []
             for _ in range(50):
-                where = (build.__name__, args, moves)
+                where, out = (build.__name__, args, moves), _marked_out(moves)
                 if uniform:
-                    _check_averaging(st, pairs, m, memo, where)
+                    _check_averaging(st, out, pairs, m, memo, where)
                 else:
-                    _check_cap_u(st, bound, memo, where)
+                    _check_cap_u(st, out, bound, memo, where)
                 _check_fields(st, where)
-                open_ = _undecided(st)
+                open_ = _undecided(st, out)
                 r = rng.random()
                 if moves and (not open_ or r < 0.2):
                     _undo(st, moves)
                 elif r < 0.8:
                     i = rng.choice(open_)
-                    closure = _closure_ref(st, i)
-                    counted = set(_brute_counted(st))
+                    closure = _closure_ref(st, out, i)
+                    counted = set(_brute_counted(st, out))
                     early = closure is None or any(j not in counted for j in closure)
                     overflow = not early and _overflows(st, closure)
                     before, here = _frozen(st), st.snapshot()
@@ -1318,18 +1326,18 @@ def test_cap_state_failed_add_changes_nothing():
                         early_fails += closure is not None and early
                     else:
                         assert st.inbits ^ before["inbits"] == _bits(closure), where
-                        assert st.free == _bits(_brute_counted(st)), where
+                        assert st.free == _bits(_brute_counted(st, out)), where
                         moves.append((("in", i), here))
                 else:
                     i = rng.choice(open_)
                     here = st.snapshot()
-                    st.mark_out(i)
+                    st.mark_out(st.bits[i])
                     moves.append((("out", i), here))
-            where = (build.__name__, args, moves)
+            where, out = (build.__name__, args, moves), _marked_out(moves)
             if uniform:
-                _check_averaging(st, pairs, m, memo, where)
+                _check_averaging(st, out, pairs, m, memo, where)
             else:
-                _check_cap_u(st, bound, memo, where)
+                _check_cap_u(st, out, bound, memo, where)
             _check_fields(st, where)
             while moves:
                 _undo(st, moves)
@@ -1414,19 +1422,19 @@ def test_cap_state_fields_hold_full_windows():
             where = (build.__name__, args, window, moves)
             # largest first, so every add but the first few is a closure
             for i in sorted(inside, key=lambda i: -st.cards[i]):
-                if i in _undecided(st):
+                if i in _undecided(st, 0):
                     before, here = _frozen(st), st.snapshot()
                     if st.try_add_group(i):
                         moves.append((("in", i), here))
                     else:
                         assert _frozen(st) == before, where
                     _check_fields(st, where)
-                    assert st.free == _bits(_brute_counted(st)), where
+                    assert st.free == _bits(_brute_counted(st, 0)), where
             assert _window_fills(st)[w] == min(st.cap, len(inside)), where
-            for i in _undecided(st):
+            for i in _undecided(st, 0):
                 before, here = _frozen(st), st.snapshot()
                 added = st.try_add_group(i)
-                assert added != _overflows(st, _closure_ref(st, i)), where
+                assert added != _overflows(st, _closure_ref(st, 0, i)), where
                 if added:
                     _check_fields(st, where)
                     st.restore(here)
@@ -1468,15 +1476,15 @@ def _pairs(m):
     return [x | y for x, y in combinations(bits, 2)]
 
 
-def _addable_set(st, addable):
+def _addable_set(st, out, addable):
     chosen = _chosen_masks(st)
-    return [i for i in _undecided(st) if addable(st, chosen, i)]
+    return [i for i in _undecided(st, out) if addable(st, chosen, i)]
 
 
-def _brute_counted_max(st, addable):
+def _brute_counted_max(st, out, addable):
     """Most undecided candidates addable together, by exhaustive growth in
     index order (both constraints are hereditary), pruned by a count bound."""
-    undecided = _undecided(st)
+    undecided = _undecided(st, out)
     chosen = _chosen_masks(st)
     best = 0
 
@@ -1545,14 +1553,14 @@ def _check_counted_walks(builds, seed, walks, steps, brute_max):
         for _walk in range(walks):
             moves = []
             for _ in range(steps):
-                where = (build.__name__, args, moves)
-                ref = _addable_set(st, addable)
-                assert st.free == _bits(ref) and not st.inbits & st.outbits, where
+                where, out = (build.__name__, args, moves), _marked_out(moves)
+                ref = _addable_set(st, out, addable)
+                assert st.free == _bits(ref) and not st.inbits & out, where
                 first = max(ref, key=lambda i: (st.cards[i], -i), default=None)
                 assert st.pick_first() == first, where
                 full += _check_counted_fields(st, where)
                 if brute_max:
-                    assert st.bound_remaining() >= _brute_counted_max(st, addable), where
+                    assert st.bound_remaining() >= _brute_counted_max(st, out, addable), where
                 move = _random_move(st, rng, moves, 0.25, 0.75, counted_only=not brute_max)
                 if move is not None:
                     i, added = move
@@ -1589,6 +1597,72 @@ def test_counted_states_match_bruteforce_n7():
     builds = [(_build_antichain_state, (7, k), _antichain_addable) for k in (1, 2, 3)]
     builds.append((_build_cancellative_state, (7, 3), _cancellative_addable))
     assert _check_counted_walks(builds, 77, 2, 60, False), "no antichain window filled"
+
+
+def test_pick_orbit_and_fixed_match_bruteforce():
+    # The branching step on states along seeded add/out/undo walks
+    # (n <= 6), under groups listed by mask_stabilizer for random masks:
+    # _pick's orbit bits are the images of e's mask under the group that
+    # are still counted, and ``fixed`` holds, in the group's order, the
+    # permutations that map e's mask onto itself.  Under "FULL" the orbit
+    # is e's size within free, with no group e alone, and with nothing
+    # counted there is no pick.  Marking out a set of candidates in one
+    # move (an orbit, or any undecided ones) leaves the snapshot that
+    # marking its members out one at a time does; the walks check single
+    # moves against brute force.
+    import random
+
+    from tracelab._perm import mask_stabilizer
+
+    builds = [
+        (search_mod._build_downset_state, (5, 3, 6)),
+        (search_mod._build_tilde_state, (6, 6)),
+        (search_mod._build_uniform_window_state, (6, 3, 4, 2)),
+        (search_mod._build_antichain_state, (4, 2)),
+        (canc_mod._build_cancellative_state, (6, 3)),
+    ]
+    rng = random.Random(23)
+    cut = 0  # orbits with a member that is no longer counted
+    for build, args in builds:
+        st = build(*args)
+        searcher = search_mod._Searcher(st, search_mod._Budget(1, 1.0))
+        n = st.nbits
+        for _walk in range(3):
+            moves = []
+            for _ in range(25):
+                where = (build.__name__, args, moves)
+                group = mask_stabilizer(rng.randrange(1 << n), n)
+                e = st.pick_first()
+                if e is None:
+                    assert searcher._pick(group) == (None, 0, None), where
+                else:
+                    m = st.masks[e]
+
+                    def image(p):
+                        return sum(1 << p[x] for x in range(n) if m >> x & 1)
+
+                    orbit = _bits({st.idx_of[image(p)] for p in group})
+                    fixed = [p for p in group if image(p) == m]
+                    assert searcher._pick(group) == (e, orbit & st.free, fixed), where
+                    cut += bool(orbit & ~st.free)
+                    same_size = _bits(i for i, c in enumerate(st.cards) if c == st.cards[e])
+                    assert searcher._pick("FULL") == (e, same_size & st.free, None), where
+                    assert searcher._pick(None) == (e, 1 << e, None), where
+                    some = rng.getrandbits(len(st.masks)) & ~st.inbits
+                    for bits in (orbit & st.free, same_size & st.free, some):
+                        here = st.snapshot()
+                        st.mark_out(bits)
+                        whole = st.snapshot()
+                        st.restore(here)
+                        for i in range(bits.bit_length()):
+                            if bits >> i & 1:
+                                st.mark_out(1 << i)
+                        assert st.snapshot() == whole, where
+                        st.restore(here)
+                _random_move(st, rng, moves, 0.2, 0.5)
+            while moves:
+                _undo(st, moves)
+    assert cut, "no orbit met a candidate that is no longer counted"
 
 
 def test_budget_stop_inside_a_move_returns_the_incumbent():
