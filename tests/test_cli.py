@@ -485,12 +485,14 @@ class TestEntryPoint:
         ["--n-min", "21", "--n-max", "22"],
         ["--n-max", "21"],
         ["--rows", "1", "--n-min", "17", "--n-max", "21"],
+        ["--rows", "8", "--n-min", "5", "--n-max", "21"],
     ],
-    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap"],
+    ids=["n-min-3", "n-min-4", "n-min-21", "n-max-21", "past-search-cap", "row-8"],
 )
 def test_verify_table_checks_range_before_searching(capsys, monkeypatch, flags):
     # an n outside the search's or the formula table's range is refused
-    # before the first search runs: no search, no output
+    # before the first search runs: no search, no output.  Row 8 verifies
+    # at n <= 20, but an n = 21 in its range still stops the whole run.
     def no_search(q):
         raise AssertionError(f"searched n={q.n}, c={q.c} before checking the range")
 
