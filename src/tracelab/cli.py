@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -526,10 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the parser tree takes milliseconds to build; main builds it once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.fn(ns, ["tracelab"] + argv)
     except FamilyError as exc:

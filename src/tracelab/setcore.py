@@ -11,15 +11,21 @@ Core vocabulary implemented here: traces ``{F & Y}``, the arrow test
 slices, shadows, down-set and antichain predicates, and the two
 serialization formats (plain text and JSON).
 
-The arrow test rests on :func:`max_trace_over_ksets`, a bit-parallel
-scan: one bitset of members per element, and the k-windows walked depth
-first with each prefix's members kept split into trace classes, so a
-window costs a few big-int ANDs instead of a set of |fam| traces.
+The arrow test and :func:`max_trace_over_ksets` share one bit-parallel
+walk: one bitset of members per element, transposed from the members'
+8-byte words in C, and the k-windows walked depth first in increasing
+mask order with each prefix's members kept split into trace classes, so
+a window costs a few big-int ANDs instead of a set of |fam| traces.  The
+walk returns at the first window whose trace reaches its stop level:
+2^k for the maximum (no trace is larger, and the first window to reach
+it is the smallest-mask witness), b for the arrow test.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -177,56 +183,63 @@ def trace_size(fam: SetFamily, y: int) -> int:
     return len({m & y for m in fam.members})
 
 
-def max_trace_over_ksets(fam: SetFamily, k: int) -> TraceMax:
-    """Maximum trace size over all k-subsets of [n], with the smallest
-    maximizing mask as witness.
+# per bit of a byte, translate() tables that map each byte to that bit:
+# as an ASCII digit for int(..., 2), and as 0/1 for itertools.compress
+_DIGITS = [bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8)]
+_FLAGS = [bytes(v >> i & 1 for v in range(256)) for i in range(8)]
+# XORed into a byte's index in a word: 7 where words store their high byte first
+_HIGH_BYTE_FIRST = 7 if sys.byteorder == "big" else 0
 
-    Bit-parallel over the members: ``cols[e]`` has bit j set when member j
-    contains element e+1.  The k-sets are walked depth first, in the
-    lexicographic order of ``kset_masks``, and each prefix Y carries its
-    members split into trace classes (members with equal ``F & Y``), each
-    class a member bitset.  Adding element e splits every class with
-    ``& cols[e]``; at the last element the trace size is the number of
-    classes plus the number that split, counted without building them.
 
-    Cost: each of the C(n, k) windows takes one AND of |fam|-bit integers
-    per class of its prefix, at most min(|fam|, 2^(k-1)) classes, and each
-    inner prefix pays the same to split.  Small k is cheap whatever |fam|
-    is; when both k and |fam| are large the classes run into the hundreds
-    and building one set of |fam| traces per window can be faster.  Ties
-    go to the smallest maximizing mask, compared by value, not by visit
-    order.
+def _element_lanes(members: Iterable[int], n: int, table: list[bytes]) -> Iterator[bytes]:
+    """For e = 0..n-1, one byte per member, in the order given: bit e of
+    the member's mask, translated by ``table[e % 8]``.
+
+    The masks are copied once, in C, into 8-byte words (every mask fits,
+    as ``MAX_GROUND`` is 64).  Element e's lane is the strided slice of
+    the byte that holds bits 8(e // 8).. of every word, translated; each
+    is made when asked for, so a caller that takes them one at a time
+    holds one lane at a time.
     """
+    buf = array("Q", members).tobytes()
+    for e in range(n):
+        yield buf[(e >> 3) ^ _HIGH_BYTE_FIRST :: 8].translate(table[e & 7])
+
+
+def _trace_walk(fam: SetFamily, k: int, stop: int) -> TraceMax:
+    """The k-windows in increasing mask order, until one has a trace of
+    size >= ``stop``: that window, or else the first window of largest
+    trace, with its size.  See :func:`max_trace_over_ksets`."""
     n = fam.n
     if not 1 <= k <= n:
         raise FamilyError(f"window size {k} outside [1..{n}]")
     if comb(n, k) > _WINDOW_SCAN_CAP:
         raise FamilyError(f"refusing to scan C({n},{k}) windows")
-    cols = [0] * n
-    for j, m in enumerate(fam.members):
-        bit = 1 << j
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= bit
-            m ^= low
+    members = fam.members
+    # bit j of cols[e] is set when member j contains element e+1; the words
+    # go in last member first, since int(..., 2) reads its top digit first
+    cols = [int(d, 2) for d in _element_lanes(reversed(members), n, _DIGITS)] if members else [0] * n
     best, best_y = -1, 0
-    # (trace classes of the prefix, prefix mask, prefix length, first free element)
-    stack = [([(1 << len(fam.members)) - 1] if fam.members else [], 0, 0, 0)]
+    # (trace classes of the prefix, prefix mask, elements left to add, the
+    # prefix's lowest element); each added element is below the one before
+    stack = [([(1 << len(members)) - 1] if members else [], 0, k, n)]
     while stack:
-        classes, y, depth, start = stack.pop()
-        if depth == k - 1:
-            for e in range(start, n):
+        classes, y, left, low = stack.pop()
+        if left == 1:
+            for e in range(low):
                 col = cols[e]
                 size = len(classes)
                 for c in classes:
                     a = c & col
                     if a and a != c:
                         size += 1
-                if size > best or (size == best and y | 1 << e < best_y):
+                if size > best:
                     best, best_y = size, y | 1 << e
+                    if size >= stop:
+                        return TraceMax(best, best_y)
             continue
-        # pushed last-first, so the windows are visited in lexicographic order
-        for e in reversed(range(start, n - k + depth + 1)):
+        # pushed last-first, so the windows are visited in increasing mask order
+        for e in reversed(range(left - 1, low)):
             col = cols[e]
             split = []
             for c in classes:
@@ -235,15 +248,51 @@ def max_trace_over_ksets(fam: SetFamily, k: int) -> TraceMax:
                     split.append(a)
                 if a != c:
                     split.append(c ^ a)
-            stack.append((split, y | 1 << e, depth + 1, e + 1))
+            stack.append((split, y | 1 << e, left - 1, e))
     return TraceMax(best, best_y)
 
 
+def max_trace_over_ksets(fam: SetFamily, k: int) -> TraceMax:
+    """Maximum trace size over all k-subsets of [n], with the smallest
+    maximizing mask as witness.
+
+    Bit-parallel over the members: ``cols[e]`` has bit j set when member j
+    contains element e+1, each column read off the members' byte lanes by
+    one ``int(..., 2)``.  The k-sets are walked depth first in increasing
+    mask order: the largest element first, ascending, then each next
+    element below the one before it, ascending.  Each prefix Y carries its
+    members split into trace classes (members with equal ``F & Y``), each
+    class a member bitset.  Adding element e splits every class with
+    ``& cols[e]``; at the last element the trace size is the number of
+    classes plus the number that split, counted without building them.
+
+    No trace exceeds 2^k, so the walk stops at the first window that
+    reaches it; as the windows come in mask order, that window is the
+    smallest maximizing mask.  Otherwise every window is visited, and a
+    tie keeps the window visited first, which again is the smallest mask.
+
+    Cost: building the columns is a few C-level passes over |fam| bytes
+    per element.  Each window visited takes one AND of |fam|-bit integers
+    per class of its prefix, at most min(|fam|, 2^(k-1)) classes, and
+    each inner prefix pays the same to split; a family with a shattered
+    k-set stops at the first one, the others pay all C(n, k) windows.
+    Small k is cheap whatever |fam| is; when both k and |fam| are large
+    the classes run into the hundreds and building one set of |fam|
+    traces per window can be faster.
+    """
+    return _trace_walk(fam, k, 1 << k)
+
+
 def arrows(fam: SetFamily, a: int, b: int) -> bool:
-    """True iff some a-set Y has |trace(fam, Y)| >= b."""
+    """True iff some a-set Y has |trace(fam, Y)| >= b.
+
+    The walk of :func:`max_trace_over_ksets` with b as its stop level: it
+    returns at the first a-set, in mask order, whose trace reaches b, and
+    visits all C(n, a) only when none does.
+    """
     if b < 1:
         raise FamilyError(f"trace target b={b} must be >= 1")
-    return max_trace_over_ksets(fam, a).max >= b
+    return _trace_walk(fam, a, b).max >= b
 
 
 def link(fam: SetFamily, i: int) -> SetFamily:

@@ -18,11 +18,16 @@ proven by the accompanying test suite rather than assumed, are:
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import xor
+
 from .setcore import (
+    _FLAGS,
     FamilyError,
     PartitionStructure,
     SetFamily,
     _closed_down,
+    _element_lanes,
     elements_of,
     is_downset,
 )
@@ -138,17 +143,22 @@ def partition_classes(fam: SetFamily) -> PartitionStructure:
     Classes are ordered by size descending, then by smallest element.
     Each element's link {F - x : x in F in fam} is read off the members
     as a tuple of masks, the key of its class, and the element's bit is
-    ORed into that class's mask.  A member's pattern is the pattern of the
-    member without its lowest element (an earlier member, as ``fam`` is a
-    down-set) ORed with that element's class bit, one table lookup each.
+    ORed into that class's mask.  The members holding x are picked in C
+    by ``itertools.compress`` over x's byte lane (one 0/1 byte per
+    member, cut from the members' words as in the trace scan), and x is
+    cleared from them by ``map(xor, ...)``: no Python step per member.
+    The lanes are made one element at a time.  A member's pattern is the
+    pattern of the member without its lowest element (an earlier member,
+    as ``fam`` is a down-set) ORed with that element's class bit, one
+    table lookup each.
     """
     if not is_downset(fam):
         raise FamilyError("partition_classes requires a down-set")
     # a link comes out in canonical order, so equal links are equal tuples
     class_mask: dict[tuple[int, ...], int] = {}
-    for b in range(fam.n):
+    for b, lane in enumerate(_element_lanes(fam.members, fam.n, _FLAGS)):
         bit = 1 << b
-        key = tuple([m ^ bit for m in fam.members if m & bit])
+        key = tuple(map(xor, compress(fam.members, lane), repeat(bit)))
         class_mask[key] = class_mask.get(key, 0) | bit
     masks = sorted(class_mask.values(), key=lambda z: (-z.bit_count(), z & -z))
     class_bit = [0] * fam.n

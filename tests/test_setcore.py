@@ -47,8 +47,8 @@ def window_scan_max_trace(fam, k):
     """Reference: the per-window set scan, one set of traces per k-window,
     ties to the smallest mask."""
     best, witness = 0, None
-    for combo in combinations(range(1, fam.n + 1), k):
-        y = mask_of(combo, fam.n)
+    for combo in combinations([1 << b for b in range(fam.n)], k):
+        y = sum(combo)
         size = len({m & y for m in fam.members})
         if size > best or (size == best and (witness is None or y < witness)):
             best, witness = size, y
@@ -196,6 +196,49 @@ class TestMaxTrace:
                 got = max_trace_over_ksets(fam, k)
                 assert (got.max, got.witness) == window_scan_max_trace(fam, k), (fam, k)
 
+    def test_matches_window_scan_on_wide_ground_sets(self):
+        # masks wider than 4 bytes: every byte lane of the members' words is
+        # read.  Members of at most two elements (even n) shatter no 3-set,
+        # so k = 3 walks every window and the tie rule decides; random
+        # members (odd n) stop early
+        rng = random.Random(43)
+        for n in range(33, 65):
+            if n % 2:
+                masks = [rng.getrandbits(n) for _ in range(6)]
+            else:
+                masks = [mask_of(rng.sample(range(1, n + 1), rng.randint(0, 2)), n) for _ in range(8)]
+            fam = SetFamily.from_masks(n, masks)
+            for k in (1, 2, 3):
+                got = max_trace_over_ksets(fam, k)
+                assert (got.max, got.witness) == window_scan_max_trace(fam, k), (fam, k)
+
+    def test_stops_at_the_smallest_shattered_window(self):
+        # the cube on {1..k} plus members elsewhere: the first window
+        # visited, {1..k}, is shattered and is the witness
+        for k in (1, 2, 3, 4):
+            fam = SetFamily.from_masks(40, list(range(1 << k)) + [1 << 39, 3 << 30, 7 << 20])
+            assert max_trace_over_ksets(fam, k) == ((1 << k), (1 << k) - 1)
+            assert arrows(fam, k, 1 << k)
+
+    def test_only_the_largest_window_shattered(self):
+        # the cube on the top k elements: every other window holds at most
+        # k - 1 of them, so the last window visited is the only witness
+        for n, k in ((12, 3), (40, 2), (64, 3)):
+            top = ((1 << k) - 1) << (n - k)
+            fam = SetFamily.from_masks(n, [s << (n - k) for s in range(1 << k)])
+            assert max_trace_over_ksets(fam, k) == ((1 << k), top)
+            assert window_scan_max_trace(fam, k) == ((1 << k), top)
+            assert arrows(fam, k, 1 << k)
+            assert not arrows(fam, k, (1 << k) + 1)
+
+    def test_empty_family(self):
+        for n in (1, 5, 9, 64):
+            fam = SetFamily.empty(n)
+            for k in range(1, min(3, n) + 1):
+                assert max_trace_over_ksets(fam, k) == (0, (1 << k) - 1)
+                assert window_scan_max_trace(fam, k) == (0, (1 << k) - 1)
+                assert not arrows(fam, k, 1)
+
     @pytest.mark.parametrize("n", range(25, 31))
     def test_partite_family_traces_at_most_12_for_n_25_to_30(self, n):
         # the paper's statement on its own range: every 4-set carries <= 12
@@ -219,6 +262,14 @@ class TestArrows:
 
     def test_partite_6_2_not_3_7(self):
         assert not arrows(partite_family(6, 2), 3, 7)
+
+    def test_matches_window_scan_at_every_level(self):
+        # the walk stops at level b; every b from 1 to one past 2^a
+        for n, fam in kernel_parity_families(seed=47, per_n=10):
+            for a in range(1, n + 1):
+                top = window_scan_max_trace(fam, a)[0]
+                for b in range(1, (1 << a) + 2):
+                    assert arrows(fam, a, b) == (top >= b), (fam, a, b)
 
 
 class TestLinks:

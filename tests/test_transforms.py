@@ -408,6 +408,18 @@ def _ref_partition_classes(fam):
     return PartitionStructure(tuple(masks), SetFamily.from_masks(max(len(masks), 1), patterns))
 
 
+def _link_tuple_partition(fam):
+    """partition_classes with each element's class key the tuple of its
+    link's members, every member tested for the element."""
+    keys = [tuple(m ^ (1 << b) for m in fam.members if m >> b & 1) for b in range(fam.n)]
+    masks = []
+    for key in dict.fromkeys(keys):
+        masks.append(sum(1 << b for b in range(fam.n) if keys[b] == key))
+    masks.sort(key=lambda z: (-z.bit_count(), z & -z))
+    patterns = {sum(1 << ci for ci, z in enumerate(masks) if m & z) for m in fam.members}
+    return PartitionStructure(tuple(masks), SetFamily.from_masks(max(len(masks), 1), patterns))
+
+
 def _ref_symmetrize_if_profitable(fam, x, y):
     """symmetrize_if_profitable by its definition: the orientation from
     the sizes of the two link families."""
@@ -447,6 +459,14 @@ class TestLinksWithoutFamilies:
     def test_partition_matches_link_families(self):
         for fam in _parity_downsets():
             assert partition_classes(fam) == _ref_partition_classes(fam)
+
+    def test_partition_matches_link_tuples_on_random_downsets(self):
+        # n = 9, 10 put elements in a second byte lane of the members' words
+        rng = random.Random(67)
+        for n in range(1, 11):
+            for _ in range(12):
+                fam = random_downset(rng, n, gens=rng.randint(1, 8), max_card=5)
+                assert partition_classes(fam) == _link_tuple_partition(fam), fam
 
     def test_partition_refuses_what_link_families_refuse(self):
         for _, fam in kernel_parity_families(seed=53, per_n=3):
