@@ -24,8 +24,7 @@ it is the smallest-mask witness), b for the arrow test.
 from __future__ import annotations
 
 import json
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -187,23 +186,21 @@ def trace_size(fam: SetFamily, y: int) -> int:
 # as an ASCII digit for int(..., 2), and as 0/1 for itertools.compress
 _DIGITS = [bytes(48 + (v >> i & 1) for v in range(256)) for i in range(8)]
 _FLAGS = [bytes(v >> i & 1 for v in range(256)) for i in range(8)]
-# XORed into a byte's index in a word: 7 where words store their high byte first
-_HIGH_BYTE_FIRST = 7 if sys.byteorder == "big" else 0
 
 
-def _element_lanes(members: Iterable[int], n: int, table: list[bytes]) -> Iterator[bytes]:
+def _element_lanes(members: tuple[int, ...], n: int, table: list[bytes]) -> Iterator[bytes]:
     """For e = 0..n-1, one byte per member, in the order given: bit e of
     the member's mask, translated by ``table[e % 8]``.
 
-    The masks are copied once, in C, into 8-byte words (every mask fits,
-    as ``MAX_GROUND`` is 64).  Element e's lane is the strided slice of
-    the byte that holds bits 8(e // 8).. of every word, translated; each
-    is made when asked for, so a caller that takes them one at a time
-    holds one lane at a time.
+    The masks are packed once, in C, into 8-byte little-endian words
+    (every mask fits, as ``MAX_GROUND`` is 64).  Element e's lane is the
+    strided slice of byte e // 8 of every word, translated; each is made
+    when asked for, so a caller that takes them one at a time holds one
+    lane at a time.
     """
-    buf = array("Q", members).tobytes()
+    words = struct.pack(f"<{len(members)}Q", *members)
     for e in range(n):
-        yield buf[(e >> 3) ^ _HIGH_BYTE_FIRST :: 8].translate(table[e & 7])
+        yield words[e >> 3 :: 8].translate(table[e & 7])
 
 
 def _trace_walk(fam: SetFamily, k: int, stop: int) -> TraceMax:
@@ -218,7 +215,7 @@ def _trace_walk(fam: SetFamily, k: int, stop: int) -> TraceMax:
     members = fam.members
     # bit j of cols[e] is set when member j contains element e+1; the words
     # go in last member first, since int(..., 2) reads its top digit first
-    cols = [int(d, 2) for d in _element_lanes(reversed(members), n, _DIGITS)] if members else [0] * n
+    cols = [int(d, 2) for d in _element_lanes(members[::-1], n, _DIGITS)] if members else [0] * n
     best, best_y = -1, 0
     # (trace classes of the prefix, prefix mask, elements left to add, the
     # prefix's lowest element); each added element is below the one before

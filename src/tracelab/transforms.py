@@ -18,8 +18,7 @@ proven by the accompanying test suite rather than assumed, are:
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import xor
+from itertools import compress
 
 from .setcore import (
     _FLAGS,
@@ -145,9 +144,9 @@ def partition_classes(fam: SetFamily) -> PartitionStructure:
     as a tuple of masks, the key of its class, and the element's bit is
     ORed into that class's mask.  The members holding x are picked in C
     by ``itertools.compress`` over x's byte lane (one 0/1 byte per
-    member, cut from the members' words as in the trace scan), and x is
-    cleared from them by ``map(xor, ...)``: no Python step per member.
-    The lanes are made one element at a time.  A member's pattern is the
+    member, cut from the members' words as in the trace scan), so the
+    Python work per element is one XOR per member of its link.  The
+    lanes are made one element at a time.  A member's pattern is the
     pattern of the member without its lowest element (an earlier member,
     as ``fam`` is a down-set) ORed with that element's class bit, one
     table lookup each.
@@ -158,7 +157,7 @@ def partition_classes(fam: SetFamily) -> PartitionStructure:
     class_mask: dict[tuple[int, ...], int] = {}
     for b, lane in enumerate(_element_lanes(fam.members, fam.n, _FLAGS)):
         bit = 1 << b
-        key = tuple(map(xor, compress(fam.members, lane), repeat(bit)))
+        key = tuple([m ^ bit for m in compress(fam.members, lane)])
         class_mask[key] = class_mask.get(key, 0) | bit
     masks = sorted(class_mask.values(), key=lambda z: (-z.bit_count(), z & -z))
     class_bit = [0] * fam.n
