@@ -461,12 +461,15 @@ class TestLinksWithoutFamilies:
             assert partition_classes(fam) == _ref_partition_classes(fam)
 
     def test_partition_matches_link_tuples_on_random_downsets(self):
-        # n = 9, 10 put elements in a second byte lane of the members' words
+        # n = 9, 10 put elements in a second byte lane of the members' words;
+        # the partite families make classes of several such elements
         rng = random.Random(67)
+        fams = [partite_family(n, l) for n in (9, 10) for l in (2, 3, 4)]
         for n in range(1, 11):
             for _ in range(12):
-                fam = random_downset(rng, n, gens=rng.randint(1, 8), max_card=5)
-                assert partition_classes(fam) == _link_tuple_partition(fam), fam
+                fams.append(random_downset(rng, n, gens=rng.randint(1, 8), max_card=5))
+        for fam in fams:
+            assert partition_classes(fam) == _link_tuple_partition(fam), fam
 
     def test_partition_refuses_what_link_families_refuse(self):
         for _, fam in kernel_parity_families(seed=53, per_n=3):
