@@ -328,7 +328,7 @@ def mtilde_formula(c: int, n: int):
     3-partite family, |G| - n with |G| = ``partite_family_size(n, 3)``:
     it carries at most 7 pairs and triples on any 4-set, so the least
     forcing size is at least that.  The value is certified where
-    ``max_tilde`` proves it (n = 5..8) and for n >= 25 by the paper's
+    ``max_tilde`` proves it (n = 5..9) and for n >= 25 by the paper's
     theorem; in between it is only G's size.
     """
     if n < 5:

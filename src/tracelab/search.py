@@ -34,13 +34,17 @@ move.  All else the engine reads derives from the ints: the next
 candidate to branch on, its counted orbit, the counts per size, the
 incumbent and U.  The bound for antichain and cancellative
 states is the number of counted candidates; window-cap states pack
-them into the free window room.  The down-set, ex3, triangle-free and cancellative
-searches chain a second bound, read only where the first fails to
-prune (``_CountedState.reach``): over U, each vertex v splits a family
-into its members avoiding v, at most M, the optimum of a deletion
-sub-query on n-1 points, and its link at v, at most the degree of v in
-U; summed over v, the members avoiding v also give the averaging bound
-of Katona, Nemetz and Simonovits.  A down-set's link is itself a
+them into the free window room.  Every search but antichain chains a
+second bound, read only where the first fails to prune
+(``_CountedState.reach``): over U, each vertex v splits a family F
+into F - v, its members avoiding v, at most M, the optimum of a
+deletion sub-query on n-1 points, and its link at v, at most the
+degree of v in U; summed over v, the members avoiding v also give the
+averaging bound of Katona, Nemetz and Simonovits.  The bound holds
+because F - v is a family of the same search on n-1 points: a down-set
+under the same trace ceiling, a triple system or graph avoiding the
+same pattern, a cancellative family, a complete pair/triple family
+under the same 4-window cap.  A down-set's link is itself a
 down-set under a halved trace ceiling, so a second sub-query on n-1
 points caps it too (Frankl).  ``_solve_state`` runs these sub-queries
 bottom up, one level after another: each at most once per query, after
@@ -57,9 +61,10 @@ tree.  Symmetry is
 exploited by orbital branching: at a node whose chosen and excluded
 candidates are stabilized by a permutation group G of the ground set,
 either a representative e goes in, or its entire G-orbit goes out, in
-one ``mark_out``.  The group is all of S_n at the root, then a listed
-stabilizer (``mask_stabilizer``, which lists none past its cap, and
-the search then drops symmetry below that node).  Disabling symmetry
+one ``mark_out``.  The group is all of S_n at the root, then a
+stabilizer (``mask_stabilizer``, which yields its permutations afresh
+on each pass and gives none past its cap, and the search then drops
+symmetry below that node).  Disabling symmetry
 changes node counts, never optima.
 
 The engine branches on a largest counted candidate.  Where the
@@ -306,11 +311,7 @@ class _CountedState:
     ``idx_of`` the inverse of ``masks``.  The empty selection is
     feasible, so every state admits a family.  ``implied`` lists the
     masks every family of the search has outside the candidates (the
-    down-set's empty set).  At candidates of the sizes in
-    ``exclude_first_cards`` the engine explores the orbit-exclusion
-    child before inclusion (tilde's triples: taken first, the inclusion
-    child lists the stabilizer of a triple, 30,240 permutations at
-    n = 10, and applies them at the nodes below it).
+    down-set's empty set).
 
     One protocol serves every state: the whole state is a few ints.
     Two bitsets over the candidate indices are common to all of them
@@ -350,8 +351,8 @@ class _CountedState:
     that a family of the subtree can hold.  It serves states whose
     family F on [n] splits at each vertex v into F - v (the members
     avoiding v), a family of the same search on n-1 points, and the
-    link F(v) = {S - v : v in S in F}: ex3, triangle-free, cancellative
-    and down-sets.  Every family of the subtree lies inside U =
+    link F(v) = {S - v : v in S in F}: ex3, triangle-free, cancellative,
+    tilde and down-sets.  Every family of the subtree lies inside U =
     ``free | inbits``, the chosen and counted candidates, plus I, the
     ``implied`` members.  Let ``d_v`` be the number of members of U that
     contain v, M the optimum of the deletion sub-query on n-1 points and
@@ -378,7 +379,6 @@ class _CountedState:
     """
 
     implied: tuple[int, ...] = ()
-    exclude_first_cards: frozenset[int] = frozenset()
     has_reach = False
     lean = -1
 
@@ -627,6 +627,22 @@ class _UniformCapState(_CapState):
         return ((n - 1, card, win, cap),) if n - 1 >= max(card, win) else ()
 
 
+class _TildeState(_CapState):
+    """Complete pair/triple families on [n] (each chosen triple's pairs
+    chosen too) with at most c - 1 members in every 4-window, carrying
+    the vertex-deletion bound.  F - v is again a complete pair/triple
+    family on n-1 points under the same 4-window cap, so M is the
+    optimum of the query (n-1, c); the link is bounded by d_v alone."""
+
+    def __init__(self, n, c):
+        super().__init__(n, (2, 3), 4, c - 1)
+
+    @staticmethod
+    def sub_queries(n, c):
+        # a tilde query needs a 4-window
+        return ((n - 1, c),) if n - 1 >= 4 else ()
+
+
 class _DownsetState(_CapState):
     """Down-sets on [n] with members of size 1..a-1 and every a-window
     trace below b, carrying the vertex-deletion bound.
@@ -687,7 +703,6 @@ class _Searcher:
         self.best = -1
         self.best_bits = 0
         self.use_symmetry = use_symmetry
-        self.exclude_first_cards = state.exclude_first_cards
         self.reach = state.reach if state.has_reach else None
 
     def run(self) -> bool:
@@ -739,8 +754,7 @@ class _Searcher:
 
     def _stabilize(self, group, e, fixed):
         """e's stabilizer in ``group``: ``fixed``, or under "FULL" the
-        listed stabilizer of e's mask; None when it is trivial or too
-        large to list."""
+        stabilizer of e's mask; None when it is trivial or past the cap."""
         if group == "FULL":
             fixed = mask_stabilizer(self.state.masks[e], self.state.nbits)
         return fixed if fixed is not None and len(fixed) > 1 else None
@@ -753,22 +767,11 @@ class _Searcher:
             if e is None:
                 return
             here = st.snapshot()
-            if st.cards[e] in self.exclude_first_cards:
-                st.mark_out(orbit)
+            if st.try_add_group(e):
                 if self._open():
-                    self._dfs(group)
+                    self._dfs(self._stabilize(group, e, fixed))
                 st.restore(here)
-                if not st.try_add_group(e):
-                    # orbit-free families were covered above; any family
-                    # meeting the orbit needs e, which cannot be added
-                    return
-                group = self._stabilize(group, e, fixed)
-            else:
-                if st.try_add_group(e):
-                    if self._open():
-                        self._dfs(self._stabilize(group, e, fixed))
-                    st.restore(here)
-                st.mark_out(orbit)
+            st.mark_out(orbit)
             # the state stands at the last child, made in place: open it
             if not self._open():
                 return
@@ -796,10 +799,10 @@ def _build_downset_state(n: int, a: int, b: int) -> _DownsetState:
     return _DownsetState(n, a, b)
 
 
-def _build_tilde_state(n: int, c: int) -> _CapState:
-    state = _CapState(n, (2, 3), 4, c - 1)
-    state.exclude_first_cards = frozenset((3,))
-    return state
+def _build_tilde_state(n: int, c: int) -> _TildeState:
+    """Complete pair/triple families on [n] with fewer than c members in
+    every 4-window."""
+    return _TildeState(n, c)
 
 
 def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _UniformCapState:
@@ -927,9 +930,9 @@ def _solve_state(
     down at each step) and run until ``_SUB_SHARE``**d of
     ``budget_secs`` has passed since the start, so the query's own
     search always has the rest.  When every level a level declares
-    proved, their optima turn its bound on.  Otherwise the first one's
-    witness, a family of the same search on the first n-1 points, is its
-    first incumbent.
+    proved, their optima turn its bound on.  Otherwise the candidates
+    the first one chose, a family of the same search on the first n-1
+    points, are its first incumbent.
 
     ``seed(*level)`` gives the masks of a known construction on a
     level's points, or None.  Every mask must be a candidate or an
@@ -952,33 +955,36 @@ def _solve_state(
     t0 = perf_counter()
     budget = _Budget(budget_nodes, budget_secs)
     solved: dict[tuple, SearchResult] = {}
+    chosen: dict[tuple, list[int]] = {}  # each level's chosen candidate masks
     for level, depth in _levels(sub_queries, args).items():
         budget.limit = budget_nodes
         for _ in range(depth):
             budget.limit = int(budget.limit * _SUB_SHARE)
         budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
         state = build(*level)
-        subs = [solved[sub] for sub in sub_queries(*level)]
+        declared = sub_queries(*level)
+        subs = [solved[sub] for sub in declared]
         start = 0
         if subs and all(r.proved_optimal for r in subs):
             state.start_averaging(*(r.optimum for r in subs))
         elif subs:
-            start = _bits_of(state, subs[0].witness.members)
+            start = _bits_of(state, chosen[declared[0]])
         masks = seed(*level)
         seeded = None
         if masks is not None:
             seeded = _bits_of(state, masks)
-            seed_wit = _certify(state, seeded, witness, recheck, level, "seed")
+            seed_wit = _certify(state, _masks_of(state, seeded), witness, recheck, level, "seed")
             if seeded.bit_count() > start.bit_count():
                 start = seeded
         searcher = _Searcher(state, budget, use_symmetry=use_symmetry)
         searcher.best, searcher.best_bits = start.bit_count(), start
         # a lower level that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
+        chosen[level] = _masks_of(state, searcher.best_bits)
         if searcher.best_bits == seeded:  # the seed's witness, re-checked above
             wit = seed_wit
         else:
-            wit = _certify(state, searcher.best_bits, witness, recheck, level)
+            wit = _certify(state, chosen[level], witness, recheck, level)
         solved[level] = SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
     return solved[args]
 
@@ -995,10 +1001,16 @@ def _bits_of(state: _CountedState, masks) -> int:
     return bits
 
 
-def _certify(state: _CountedState, bits: int, witness, recheck, level: tuple, what="witness"):
-    """The witness of the chosen candidates ``bits`` plus the implied
+def _masks_of(state: _CountedState, bits: int) -> list[int]:
+    """The masks of the candidates ``bits``, in index order."""
+    return [m for m, bit in zip(state.masks, state.bits) if bits & bit]
+
+
+def _certify(
+    state: _CountedState, chosen: list[int], witness, recheck, level: tuple, what="witness"
+):
+    """The witness of the chosen candidate masks plus the implied
     members, re-checked; RuntimeError if it fails."""
-    chosen = [m for m, bit in zip(state.masks, state.bits) if bits & bit]
     implied = state.implied
     wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
     if len(wit) != len(implied) + len(chosen) or not recheck(wit, *level):
@@ -1072,13 +1084,16 @@ def _tilde_witness(n: int, masks) -> TildeFamily:
 def max_tilde(q: ArrowQuery) -> SearchResult:
     """Largest complete pair/triple family on [n] in which every 4-set
     carries fewer than c members across both levels; for c = 5..8 the
-    search starts from ``max_tilde_seed``."""
+    search starts from ``max_tilde_seed``.  The deletion queries of its
+    bound, (n-1, c) down to 4 points, run first (``_TildeState``), and
+    their nodes count in the result's."""
     q.validate()
     if q.mode != MODE_TILDE:
         raise FamilyError(f"max_tilde needs mode {MODE_TILDE!r}")
     return _solve_state(
         _build_tilde_state,
         (q.n, q.c),
+        sub_queries=_TildeState.sub_queries,
         **_limits(q),
         witness=_tilde_witness,
         recheck=lambda w, n, c: w.complete and not hookarrow(w, c),

@@ -589,7 +589,7 @@ def test_search_flags_match_query_file(capsys, tmp_path, flags, query):
         (["search", "--n", "5", "--a", "3", "--b", "7"],
          "3550dfab715946881420a6079ef061f92631b75b03a578dc1ecd991a52b92987"),
         (["search", "--mode", "tilde", "--n", "6", "--c", "7"],
-         "a41e92151efca31a4f9981303c4bc44412e6418c998a20c8dc4ddbe90f6079be"),
+         "f0760df54f3269c9102124b967d4cf2b7a0dddff71b49c68cbeecd34ca8ada70"),
         (["search", "--mode", "antichain", "--n", "4", "--k", "1"],
          "a87d5ddf6f40bd405586cb244b635187892de7dfab582793ff9427cae27e934d"),
         (["cancellative", "--n", "6", "--l", "3"],
@@ -608,8 +608,9 @@ def test_result_digest_pinned(capsys, args, digest):
     # when every search level began from its seed, which changed the node
     # counts and, where the search finds nothing larger, the witness, and
     # again when the bounded states began to branch at a least-degree
-    # vertex, which changed the down-set and cancellative node counts); a
-    # change here changes what a recorded run manifest reproduces
+    # vertex, which changed the down-set and cancellative node counts, and
+    # when tilde gained the vertex-deletion bound, which changed its node
+    # count); a change here changes what a recorded run manifest reproduces
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert last_json(out)["manifest"]["result_digest"] == digest

@@ -253,6 +253,29 @@ class TestTildeSearch:
             got = max_tilde(ArrowQuery.tilde(4, c)).optimum
             assert got == brute_max_tilde(4, c)
 
+    def test_vertex_deletion_bound_proves_10_5(self):
+        # the frontier's tilde rung, its n = 5..9 levels included in the
+        # node count
+        res = max_tilde(ArrowQuery.tilde(10, 5, budget_nodes=50_000))
+        assert (res.optimum, res.proved_optimal, res.nodes) == (25, True, 17_177)
+
+    def test_unproved_level_starts_the_next_one(self, monkeypatch):
+        # without symmetry the n = 7 level of (8, 7) stops at its share of
+        # the budget, so the n = 8 level starts from the candidates it
+        # chose (or the larger seed) and returns a re-checked family
+        ran = []
+        real = search_mod._Searcher.run
+
+        def spy(searcher):
+            ran.append((searcher.state.nbits, real(searcher)))
+            return ran[-1][1]
+
+        monkeypatch.setattr(search_mod._Searcher, "run", spy)
+        res = max_tilde(ArrowQuery.tilde(8, 7, use_symmetry=False, budget_nodes=20_000))
+        assert ran == [(4, True), (5, True), (6, True), (7, False), (8, False)]
+        assert not res.proved_optimal and res.optimum == len(res.witness) >= 28
+        assert res.witness.complete and not hookarrow(res.witness, 7)
+
     def test_witness_reverifies(self):
         res = max_tilde(ArrowQuery.tilde(6, 6))
         assert res.proved_optimal and res.optimum + 1 == mtilde_formula(6, 6)
@@ -617,9 +640,9 @@ _NODE_PINS = {
     "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
                       (16, True, 27), (16, True, 47)),
     "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
-                  (12, True, 21), (12, True, 1550)),
+                  (12, True, 20), (12, True, 594)),
     "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
-                  (16, True, 26), (16, True, 1567)),
+                  (16, True, 22), (16, True, 362)),
     "antichain-5-2": (lambda s: max_antichain(ArrowQuery.antichain(5, 2, use_symmetry=s)),
                       (10, True, 95), (10, True, 497)),
     "antichain-5-1": (lambda s: max_antichain(ArrowQuery.antichain(5, 1, use_symmetry=s)),
@@ -657,11 +680,12 @@ def _witness_sha256(witness):
 # nodes are ticked and incumbents recorded, so these pin that order.
 # Every level starts from its re-checked seed, so a stopped run keeps at
 # least the seed (tilde-6-7 at 0 nodes: K6, 15 members).  trianglefree-10
-# now proves within 300 nodes, from T(2, 10); 5 still stops it.
+# now proves within 300 nodes, from T(2, 10); 5 still stops it.  With
+# symmetry, tilde-9-5 proves within 3,000 nodes under its deletion bound.
 _BUDGET_STOP_PINS = {
     ("tilde-9-5", 3000): (
         lambda s, b: max_tilde(ArrowQuery.tilde(9, 5, use_symmetry=s, budget_nodes=b)),
-        (20, False, 3001, "c5a31ace89f1c91a91a30fd2e223646df5fdcdfc1f54108313c7abc006fd461f"),
+        (20, True, 191, "c5a31ace89f1c91a91a30fd2e223646df5fdcdfc1f54108313c7abc006fd461f"),
         (20, False, 3001, "c5a31ace89f1c91a91a30fd2e223646df5fdcdfc1f54108313c7abc006fd461f"),
     ),
     ("downset-8-4-13", 3000): (
@@ -1051,6 +1075,27 @@ def _bounded_downset(args):
     return st, optima
 
 
+def _bounded_tilde(args):
+    """``_build_tilde_state(*args)`` with its bound on, as ``_solve_state``
+    turns it on, but with M = tilde(n-1, c) found by brute force; and
+    (M, None), no link cap, or None when the state has too few points for
+    the bound.  The search for M reaches the same optimum, with symmetry
+    on and off."""
+    n, c = args
+    st = search_mod._build_tilde_state(*args)
+    subs = search_mod._TildeState.sub_queries(*args)
+    if n - 1 < 4:
+        assert subs == ()
+        return st, None
+    assert subs == ((n - 1, c),), args
+    m = brute_max_tilde(n - 1, c)
+    for sym in (True, False):
+        res = max_tilde(ArrowQuery.tilde(n - 1, c, use_symmetry=sym))
+        assert (res.optimum, res.proved_optimal) == (m, True), (args, sym)
+    st.start_averaging(m)
+    return st, (m, None)
+
+
 def _brute_cap_u(st, out):
     """U of a ``_CapState`` from its chosen and marked-out candidates: the
     chosen candidates plus the counted ones."""
@@ -1060,9 +1105,10 @@ def _brute_cap_u(st, out):
 def _check_cap_u(st, out, bound, memo, where):
     """After a move on a down-set or tilde state: U is exact, no
     marked-out candidate (``out``) is chosen and, where the state carries
-    the down-set bound with (M, L) = ``bound``, ``reach()`` is the
-    bound's definition and covers the subtree optimum (``memo`` caches
-    it by the chosen and marked-out candidates); True when it meets it."""
+    the vertex-deletion bound with (M, L) = ``bound`` (L None: the link
+    is capped by d_v alone), ``reach()`` is the bound's definition and
+    covers the subtree optimum (``memo`` caches it by the chosen and
+    marked-out candidates); True when it meets it."""
     u = _brute_cap_u(st, out)
     assert st.free == u & ~st.inbits and not st.inbits & out, where
     if bound is None:
@@ -1072,7 +1118,7 @@ def _check_cap_u(st, out, bound, memo, where):
     if key not in memo:
         memo[key] = st.inbits.bit_count() + _brute_subtree_max(st, out)
     reach = st.reach()
-    assert reach == _reach_ref(st, u, *bound, 1), where
+    assert reach == _reach_ref(st, u, *bound, len(st.implied)), where
     assert reach >= memo[key], where
     return reach == memo[key]
 
@@ -1152,13 +1198,15 @@ def test_all_in_matches_bruteforce_on_random_states():
     # force along seeded random add/out/undo walks, where an undo restores
     # the snapshot taken before the move.  (The name is kept from the
     # all-in shortcut this test used to check.)  After every move, failed
-    # adds included, U is exact on every state, and on down-sets the
-    # vertex-deletion bound, with M and L by brute force, is its
-    # definition and covers the subtree optimum.  The branching pick is
-    # recomputed too: after reach(), at the first least-degree vertex of
-    # U; on the tilde and unbounded states, the largest counted candidate.
-    # Undoing a whole walk leaves every attribute as it was.
+    # adds included, U is exact on every state, and on down-sets and on
+    # tilde from n = 5 the vertex-deletion bound, with M (and the
+    # down-set's L) by brute force, is its definition and covers the
+    # subtree optimum.  The branching pick is recomputed too: after
+    # reach(), at the first least-degree vertex of U; on the states
+    # without the bound (tilde on 4 points), the largest counted
+    # candidate.  Undoing a whole walk leaves every attribute as it was.
     import random
+    from collections import Counter
 
     from tracelab.search import (
         _build_downset_state,
@@ -1169,7 +1217,9 @@ def test_all_in_matches_bruteforce_on_random_states():
     builds = [
         (_build_tilde_state, (4, 4)),
         (_build_tilde_state, (4, 6)),
+        (_build_tilde_state, (5, 3)),
         (_build_tilde_state, (5, 5)),
+        (_build_tilde_state, (5, 7)),
         (_build_downset_state, (4, 4, 12)),
         (_build_downset_state, (5, 3, 5)),
         (_build_downset_state, (5, 3, 7)),
@@ -1182,10 +1232,12 @@ def test_all_in_matches_bruteforce_on_random_states():
     ]
     rng = random.Random(2024)
     tight = 0  # states where the bound equals the subtree optimum
-    reach_tight = 0  # states where the down-set bound does
+    reach_tight = Counter()  # states of each build where reach() does
     for build, args in builds:
         if build is _build_downset_state:
             st, bound = _bounded_downset(args)
+        elif build is _build_tilde_state:
+            st, bound = _bounded_tilde(args)
         else:
             st, bound = build(*args), None
         memo = {}
@@ -1204,16 +1256,17 @@ def test_all_in_matches_bruteforce_on_random_states():
                 bound_now = st.bound_remaining()
                 assert bound_now >= best, where
                 tight += bound_now == best
-                reach_tight += _check_cap_u(st, out, bound, memo, where)
+                reach_tight[build] += _check_cap_u(st, out, bound, memo, where)
                 _random_move(st, rng, moves, 0.2, 0.65)
             where, out = (build.__name__, args, moves), _marked_out(moves)
             _check_cap_counted(st, out, where)
-            reach_tight += _check_cap_u(st, out, bound, memo, where)
+            reach_tight[build] += _check_cap_u(st, out, bound, memo, where)
             while moves:
                 _undo(st, moves)
             assert _frozen(st) == start
     assert tight, "no walk reached a state where the bound is exact"
-    assert reach_tight, "no walk reached a state where the down-set bound is exact"
+    assert reach_tight[_build_downset_state], "the down-set bound is never exact"
+    assert reach_tight[_build_tilde_state], "the tilde bound is never exact"
 
     # The uniform states carry the averaging bound over U (chosen and
     # counted candidates): after every move, failed adds included, U
@@ -1667,8 +1720,7 @@ def test_pick_orbit_and_fixed_match_bruteforce():
 
 def test_budget_stop_inside_a_move_returns_the_incumbent():
     # A budget stop can land between a move and the restore of the
-    # snapshot before it (inside the exclusion-first branch of tilde, or
-    # below an add).  The search ends there and returns its incumbent;
+    # snapshot before it (below an add, or in a sub-query level).  The search ends there and returns its incumbent;
     # the stopped state is not restored, and only the incumbent is read.
     for n, c in ((5, 6), (6, 4), (6, 8)):
         for budget in (5, 20, 60, 200, 500):
@@ -1776,10 +1828,9 @@ def test_a_level_beating_its_seed_rechecks_its_result(monkeypatch):
     assert checked == [4, 5, 6, 6]
 
 
-def _parity_queries(small: bool, *, tilde: bool, ex3_top: int, cancellative_tops):
+def _parity_queries(small: bool, *, ex3_top: int, cancellative_tops):
     """(name, run(sym)) for a parity sweep at 20,000 nodes: down-sets on
-    n <= 7 points with every a, b; tilde on n = 4..7 with c = 1..10, if
-    ``tilde``; ex3 on n = 4..``ex3_top`` with both patterns; cancellative
+    n <= 7 points with every a, b; tilde on n = 4..7 with c = 1..10; ex3 on n = 4..``ex3_top`` with both patterns; cancellative
     for each (l, top) in ``cancellative_tops`` on n = l..top.  Only the
     queries on n <= 6 points when ``small``, else only the rest."""
     budget = 20_000
@@ -1792,11 +1843,10 @@ def _parity_queries(small: bool, *, tilde: bool, ex3_top: int, cancellative_tops
             for b in range(2, (1 << a) + 1):
                 yield f"downset-{n}-{a}-{b}", lambda s, q=(n, a, b): max_family(
                     ArrowQuery.downset(*q, use_symmetry=s, budget_nodes=budget))
-    if tilde:
-        for n in points(4, 7):
-            for c in range(1, 11):
-                yield f"tilde-{n}-{c}", lambda s, q=(n, c): max_tilde(
-                    ArrowQuery.tilde(*q, use_symmetry=s, budget_nodes=budget))
+    for n in points(4, 7):
+        for c in range(1, 11):
+            yield f"tilde-{n}-{c}", lambda s, q=(n, c): max_tilde(
+                ArrowQuery.tilde(*q, use_symmetry=s, budget_nodes=budget))
     for n in points(4, ex3_top):
         for p in Pattern:
             yield f"ex3-{p.value}-{n}", lambda s, n=n, p=p: ex3(
@@ -1817,7 +1867,7 @@ def _check_seed_parity(monkeypatch, small, sym):
     def unseeded(*args, **kw):
         return real(*args, **{**kw, "seed": lambda *level: None})
 
-    queries = _parity_queries(small, tilde=True, ex3_top=7, cancellative_tops=((2, 9), (3, 8)))
+    queries = _parity_queries(small, ex3_top=7, cancellative_tops=((2, 9), (3, 8)))
     for name, run in queries:
         seeded = run(sym)
         with monkeypatch.context() as m:
@@ -1873,9 +1923,8 @@ def _check_order_parity(monkeypatch, small, sym):
     # counted candidate.  Any branching order covers every family, so
     # where the plain order proves, the least-degree one proves the same
     # optimum, and where only it proves, its optimum is no smaller.  The
-    # sweep covers every search the least-degree rule reaches (tilde keeps
-    # the plain order)
-    queries = _parity_queries(small, tilde=False, ex3_top=8, cancellative_tops=((2, 10), (3, 9)))
+    # sweep covers every search the least-degree rule reaches
+    queries = _parity_queries(small, ex3_top=8, cancellative_tops=((2, 10), (3, 9)))
     for name, run in queries:
         lean = run(sym)
         with monkeypatch.context() as m:
@@ -1896,6 +1945,37 @@ def test_branching_order_keeps_every_optimum(monkeypatch, sym):
 @pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
 def test_branching_order_keeps_every_optimum_n7(monkeypatch, sym):
     _check_order_parity(monkeypatch, False, sym)
+
+
+def _check_tilde_bound_parity(monkeypatch, small, sym):
+    # each tilde query runs with the vertex-deletion bound and with its
+    # sub-queries declared away, which leaves the bound off.  The bound is
+    # sound, so where the search without it proves, the one with it
+    # proves the same optimum, and where it stops, the incumbent with the
+    # bound is no smaller
+    queries = _parity_queries(small, ex3_top=3, cancellative_tops=())  # no ex3, no cancellative
+    for name, run in queries:
+        if not name.startswith("tilde-"):  # nor the down-sets
+            continue
+        bounded = run(sym)
+        with monkeypatch.context() as m:
+            m.setattr(search_mod._TildeState, "sub_queries", staticmethod(lambda *args: ()))
+            plain = run(sym)
+        if plain.proved_optimal:
+            assert (bounded.optimum, bounded.proved_optimal) == (plain.optimum, True), name
+        else:
+            assert bounded.optimum >= plain.optimum, name
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_tilde_bound_keeps_every_optimum(monkeypatch, sym):
+    _check_tilde_bound_parity(monkeypatch, True, sym)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_tilde_bound_keeps_every_optimum_n7(monkeypatch, sym):
+    _check_tilde_bound_parity(monkeypatch, False, sym)
 
 
 def test_least_degree_pins():
