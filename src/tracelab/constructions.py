@@ -174,6 +174,13 @@ def max_cancellative_seed(n: int, l: int) -> tuple[int, ...]:
     return _partite_levels(n, l, (l,))
 
 
+def antichain_seed(n: int, k: int) -> tuple[int, ...]:
+    """The layer of the min(k, n//2)-sets: an antichain whose traces have
+    at most k elements, so no (k+1)-set is shattered; for k >= n/2 it is
+    Sperner's middle layer."""
+    return tuple(kset_masks(n, min(k, n // 2)))
+
+
 def ex3_k4_seed(n: int) -> tuple[int, ...]:
     """Turán's K4-free triple system on the balanced 3-split: the
     transversal triples and those with two points in block i and one in

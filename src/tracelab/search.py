@@ -24,8 +24,9 @@ the candidates: ``inbits``, the chosen ones, and ``free``, those still
 addable (undecided and not ruled out by the moves made: the *counted*
 ones).  The others hold what the chosen sets show: the window-cap
 states pack every window count into one int, the antichain state one
-bit per projection seen on each window, the cancellative state the
-pair differences and the covered pairs.  A move only goes forward:
+bit per projection seen on each window and, packed the same way, how
+many each window has seen, the cancellative state the pair differences
+and the covered pairs.  A move only goes forward:
 ``try_add_group(i)`` adds i with what it forces or changes nothing,
 and ``mark_out(bits)`` excludes the candidates of ``bits``.  The
 engine takes ``snapshot()`` before each child's move and hands it to
@@ -34,8 +35,8 @@ move.  All else the engine reads derives from the ints: the next
 candidate to branch on, its counted orbit, the counts per size, the
 incumbent and U.  The bound for antichain and cancellative
 states is the number of counted candidates; window-cap states pack
-them into the free window room.  Every search but antichain chains a
-second bound, read only where the first fails to prune
+them into the free window room.  Every search chains a second bound,
+read only where the first fails to prune
 (``_CountedState.reach``): over U, each vertex v splits a family F
 into F - v, its members avoiding v, at most M, the optimum of a
 deletion sub-query on n-1 points, and its link at v, at most the
@@ -44,9 +45,13 @@ averaging bound of Katona, Nemetz and Simonovits.  The bound holds
 because F - v is a family of the same search on n-1 points: a down-set
 under the same trace ceiling, a triple system or graph avoiding the
 same pattern, a cancellative family, a complete pair/triple family
-under the same 4-window cap.  A down-set's link is itself a
-down-set under a halved trace ceiling, so a second sub-query on n-1
-points caps it too (Frankl).  ``_solve_state`` runs these sub-queries
+under the same 4-window cap, an antichain with no shattered
+(k+1)-set.  A down-set's link is itself a down-set under a halved
+trace ceiling, so a second sub-query on n-1 points caps it too
+(Frankl); an antichain's link is again such an antichain, capped by
+the same optimum.  Where the sub-query's tree is tiny (tilde with
+c <= 2, antichain with k = 0) the chain only adds nodes, and none is
+declared.  ``_solve_state`` runs these sub-queries
 bottom up, one level after another: each at most once per query, after
 the levels it declares and before the level declaring it, on a share
 of the query's budget that shrinks with its depth, so a result's
@@ -86,6 +91,7 @@ from typing import Callable, Iterable
 from ._perm import apply_perm, mask_stabilizer
 from .constructions import (
     TildeFamily,
+    antichain_seed,
     hookarrow,
     max_family_seed,
     max_tilde_seed,
@@ -352,11 +358,11 @@ class _CountedState:
     family F on [n] splits at each vertex v into F - v (the members
     avoiding v), a family of the same search on n-1 points, and the
     link F(v) = {S - v : v in S in F}: ex3, triangle-free, cancellative,
-    tilde and down-sets.  Every family of the subtree lies inside U =
-    ``free | inbits``, the chosen and counted candidates, plus I, the
-    ``implied`` members.  Let ``d_v`` be the number of members of U that
-    contain v, M the optimum of the deletion sub-query on n-1 points and
-    L a cap on the link's size.  Then |F(v)| <= d_v, and F(v)'s empty
+    tilde, antichains and down-sets.  Every family of the subtree lies
+    inside U = ``free | inbits``, the chosen and counted candidates,
+    plus I, the ``implied`` members.  Let ``d_v`` be the number of
+    members of U that contain v, M the optimum of the deletion sub-query
+    on n-1 points and L a cap on the link's size.  Then |F(v)| <= d_v, and F(v)'s empty
     set is the member {v}, which ``d_v`` already counts, so for every v
 
         |F| = |F - v| + |F(v)| <= min(M, |U| + |I| - d_v) + min(L, d_v),
@@ -364,6 +370,8 @@ class _CountedState:
     and, as each member avoids at least n - k vertices (k the largest
     candidate size), (n - k)|F| <= sum_v min(M, |U| + |I| - d_v)
     (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
+    The antichain state's full candidate makes n - k = 0; there the
+    average runs with 1 (``_AntichainState`` says why).
     ``reach()`` is the lesser of the least per-vertex bound and the
     average, less |I|: it counts candidates, as the engine does.  It
     also sets ``lean`` to the candidates at the first vertex of least
@@ -427,7 +435,9 @@ class _CountedState:
         self.sub_optimum = sub_optimum
         # no cap: d_v never exceeds the number of candidates
         self.link_cap = len(self.masks) if link_cap is None else link_cap
-        self.spare = self.nbits - self.cards[-1]
+        # the fewest vertices a member avoids; the antichain state's full
+        # candidate avoids none, every other member at least one
+        self.spare = self.nbits - self.cards[-1] or 1
         self.vbits = [
             sum(1 << i for i, m in enumerate(self.masks) if m >> v & 1)
             for v in range(self.nbits)
@@ -455,7 +465,9 @@ class _CountedState:
             if rest < best:
                 best = rest
         self.lean = lean
-        return min(total // self.spare, best) - implied
+        # a sum of 0: no member of U avoids a vertex (U is {[n]} or
+        # empty), and |U| bounds the family
+        return min(total // self.spare or size, best) - implied
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +644,9 @@ class _TildeState(_CapState):
     chosen too) with at most c - 1 members in every 4-window, carrying
     the vertex-deletion bound.  F - v is again a complete pair/triple
     family on n-1 points under the same 4-window cap, so M is the
-    optimum of the query (n-1, c); the link is bounded by d_v alone."""
+    optimum of the query (n-1, c); the link is bounded by d_v alone.
+    For c <= 2 the optimum is 0 or 1 and the chain only adds nodes, so
+    it declares none; from c = 3 on it pays."""
 
     def __init__(self, n, c):
         super().__init__(n, (2, 3), 4, c - 1)
@@ -640,7 +654,7 @@ class _TildeState(_CapState):
     @staticmethod
     def sub_queries(n, c):
         # a tilde query needs a 4-window
-        return ((n - 1, c),) if n - 1 >= 4 else ()
+        return ((n - 1, c),) if n - 1 >= 4 and c >= 3 else ()
 
 
 class _DownsetState(_CapState):
@@ -812,7 +826,8 @@ def _build_uniform_window_state(n: int, card: int, win: int, cap: int) -> _Unifo
 
 
 class _AntichainState(_CountedState):
-    """Antichains under a distinct-projection ceiling per (k+1)-window.
+    """Antichains under a distinct-projection ceiling per (k+1)-window,
+    carrying the vertex-deletion bound for k >= 1.
 
     Candidates are all subsets of [n].  Adding F is allowed when F is
     incomparable with everything chosen and no window would see its
@@ -824,10 +839,33 @@ class _AntichainState(_CountedState):
     ``proj[i]`` holds candidate i's projection bit in every field, and
     ``by_proj[s]`` the candidates whose projection bit is bit s.
 
-    An add clears the comparable candidates from ``free`` and sets the
-    added set's projection bits in ``seen``; once a window's field holds
-    2^(k+1) - 1 bits, the candidates with the missing projection are
-    cleared too.  The snapshot adds ``seen`` to the two common bitsets.
+    ``count`` packs the number of projections each window has seen into
+    the same fields, biased by 2^(field-1) - (field-1), so a field's top
+    bit (in ``high``) turns on exactly when its window has seen
+    field - 1 projections: one hole.  The bias plus field stays below
+    2^field, so no count carries into the next field.  An add clears
+    the comparable candidates from ``free`` and sets the added set's
+    projection bits in ``seen``.  It shows at most one new projection
+    per window, so it folds each field of the new bits onto the field's
+    base bit (``low`` holds each field's bits below its top) and adds
+    the result to ``count``; only the windows whose top bit it turned on
+    are visited, and the candidates with their missing projection are
+    cleared.  No window is ever shattered, as those candidates leave
+    ``free`` once it has one hole.  The snapshot adds ``seen`` and
+    ``count`` to the two common bitsets.
+
+    The bound.  F - v, the members avoiding v, is an antichain on n-1
+    points with no shattered (k+1)-set, as F's traces include its own.
+    So is the link F(v) = {S - v : v in S in F}: if S - v is inside
+    T - v then S is inside T, and F(v)'s trace on a window avoiding v
+    lies inside F's.  So M = L = the optimum of the query (n-1, k), and
+    the sub-query is declared twice, once for each.  The full candidate
+    [n] avoids no vertex, so n - k, the fewest vertices a member avoids,
+    is 0 here; every other member avoids at least one, so
+    sum_v |F - v| >= |F| for every F but {[n]} (``spare`` is 1), and
+    where no member of U avoids a vertex, U is {[n]} or empty and
+    ``reach()`` reads |U|.  For k = 0 the optimum is 1 and the chain
+    only adds nodes, so it declares none.
     """
 
     def __init__(self, n: int, k: int):
@@ -858,12 +896,21 @@ class _AntichainState(_CountedState):
             for r in submasks(top ^ m):
                 cbits |= bits[idx_of[m | r]]
             self.comp_bits.append(cbits ^ bits[i])
+        ones = sum(1 << w * field for w in range(len(self.windows)))
+        self.high = ones << field - 1
+        self.low = ones * ((1 << field - 1) - 1)
+        self.count = ones * ((1 << field - 1) - (field - 1))
+
+    @staticmethod
+    def sub_queries(n, k):
+        # an antichain query needs a (k+1)-window; k = 0 needs no bound
+        return ((n - 1, k), (n - 1, k)) if n - 1 >= k + 1 and k >= 1 else ()
 
     def snapshot(self) -> tuple:
-        return self.free, self.inbits, self.seen
+        return self.free, self.inbits, self.seen, self.count
 
     def restore(self, s: tuple) -> None:
-        self.free, self.inbits, self.seen = s
+        self.free, self.inbits, self.seen, self.count = s
 
     def try_add_group(self, i: int) -> bool:
         bit = self.bits[i]
@@ -874,16 +921,19 @@ class _AntichainState(_CountedState):
         new = self.proj[i] & ~seen
         self.seen = seen = seen | new
         free &= ~(bit | self.comp_bits[i])
-        field, by_proj = self.field, self.by_proj
-        mask = (1 << field) - 1
-        # only a window this add showed a new projection can have filled
-        while new:
-            low = new & -new
-            new ^= low
-            base = low.bit_length() - 1 & -field
+        field, low, high = self.field, self.low, self.high
+        # a field's top bit in high where its new bits are nonzero, moved
+        # to the field's base bit
+        count = self.count
+        self.count = grown = count + ((((new & low) + low | new) & high) >> field - 1)
+        filled = (grown ^ count) & high
+        by_proj, mask = self.by_proj, (1 << field) - 1
+        while filled:
+            top = filled & -filled
+            filled ^= top
+            base = top.bit_length() - field
             hole = ~seen >> base & mask
-            if not hole & hole - 1:
-                free &= ~by_proj[base + hole.bit_length() - 1]
+            free &= ~by_proj[base + hole.bit_length() - 1]
         self.free = free
         self.inbits |= bit
         return True
@@ -1103,18 +1153,25 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
 
 def max_antichain(q: ArrowQuery) -> SearchResult:
     """Largest antichain on [n] in which no (k+1)-set is fully shattered
-    (every (k+1)-window trace stays below 2^(k+1))."""
+    (every (k+1)-window trace stays below 2^(k+1)).  For k >= 1 the
+    deletion and link queries of its bound, (n-1, k) down to k+1 points,
+    run first (``_AntichainState``), and their nodes count in the
+    result's.  Every level starts from ``antichain_seed``, the layer of
+    the min(k, n//2)-sets.  The state holds all 2^n subsets and is built
+    outside the node budget, so n is capped at 9."""
     q.validate()
     if q.mode != MODE_ANTICHAIN:
         raise FamilyError(f"max_antichain needs mode {MODE_ANTICHAIN!r}")
-    if q.n > 7:
-        raise FamilyError("antichain search enumerates all subsets; capped at n <= 7")
+    if q.n > 9:
+        raise FamilyError("antichain search enumerates all subsets; capped at n <= 9")
     return _solve_state(
         _build_antichain_state,
         (q.n, q.k),
+        sub_queries=_AntichainState.sub_queries,
         **_limits(q),
         witness=SetFamily.from_masks,
         recheck=lambda w, n, k: is_antichain(w) and not (len(w) and arrows(w, k + 1, 1 << (k + 1))),
+        seed=antichain_seed,
     )
 
 

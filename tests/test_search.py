@@ -37,7 +37,7 @@ from tracelab.search import (
     MODE_TILDE,
     ArrowQuery,
 )
-from tracelab.setcore import _canon_key, submasks
+from tracelab.setcore import _canon_key, kset_masks, submasks
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +324,27 @@ class TestAntichainSearch:
     def test_k_range(self):
         with pytest.raises(FamilyError):
             max_antichain(ArrowQuery.antichain(4, 4))
+
+    def test_ground_cap(self):
+        # the state holds all 2^n subsets and is built outside the node
+        # budget, so the search stops at 9 points; with no node to tick
+        # it returns its seed, the middle layer
+        res = max_antichain(ArrowQuery.antichain(9, 4, budget_nodes=0))
+        assert (res.optimum, res.proved_optimal) == (126, False)
+        with pytest.raises(FamilyError, match="n <= 9"):
+            max_antichain(ArrowQuery.antichain(10, 4))
+
+    def test_vertex_deletion_bound_proves_8_4(self):
+        # Sperner's bound: the middle layer, C(8, 4), sub-queries included
+        res = max_antichain(ArrowQuery.antichain(8, 4))
+        assert (res.optimum, res.proved_optimal, res.nodes) == (70, True, 3_566)
+        assert set(res.witness.members) == set(kset_masks(8, 4))
+
+    @pytest.mark.slow
+    def test_vertex_deletion_bound_proves_7_3_to_7_5(self):
+        for k in (3, 4, 5):
+            res = max_antichain(ArrowQuery.antichain(7, k))
+            assert (res.optimum, res.proved_optimal) == (35, True), k
 
 
 class TestDecideArrow:
@@ -644,9 +665,9 @@ _NODE_PINS = {
     "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
                   (16, True, 22), (16, True, 362)),
     "antichain-5-2": (lambda s: max_antichain(ArrowQuery.antichain(5, 2, use_symmetry=s)),
-                      (10, True, 95), (10, True, 497)),
+                      (10, True, 23), (10, True, 77)),
     "antichain-5-1": (lambda s: max_antichain(ArrowQuery.antichain(5, 1, use_symmetry=s)),
-                      (5, True, 79), (5, True, 1375)),
+                      (5, True, 78), (5, True, 862)),
     "cancellative-2-7": (lambda s: max_cancellative(7, 2, use_symmetry=s),
                          (12, True, 5), (12, True, 5)),
     "cancellative-3-6": (lambda s: max_cancellative(6, 3, use_symmetry=s),
@@ -682,6 +703,7 @@ def _witness_sha256(witness):
 # least the seed (tilde-6-7 at 0 nodes: K6, 15 members).  trianglefree-10
 # now proves within 300 nodes, from T(2, 10); 5 still stops it.  With
 # symmetry, tilde-9-5 proves within 3,000 nodes under its deletion bound.
+# antichain-6-2 stops on its seed, the 15 pairs on 6 points (K6 again).
 _BUDGET_STOP_PINS = {
     ("tilde-9-5", 3000): (
         lambda s, b: max_tilde(ArrowQuery.tilde(9, 5, use_symmetry=s, budget_nodes=b)),
@@ -735,8 +757,8 @@ _BUDGET_STOP_PINS = {
     ),
     ("antichain-6-2", 300): (
         lambda s, b: max_antichain(ArrowQuery.antichain(6, 2, use_symmetry=s, budget_nodes=b)),
-        (15, False, 301, "d7363eb17b1f0eaeb35d617386b899fd4741536e362be3674a4d33ac8e320da6"),
-        (11, False, 301, "3fdf2ed01d895442f12dc9a34fa41b1843626cb6da2aed4d9f139eabe4200e83"),
+        (15, False, 301, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
+        (15, False, 301, "f407543d0a255ca200f0166e00af59599000b66aaf367e69dcf6dd4a212bbed3"),
     ),
     ("cancellative-3-8", 3000): (
         lambda s, b: max_cancellative(8, 3, use_symmetry=s, budget_nodes=b),
@@ -975,7 +997,10 @@ def _reach_ref(st, u, m, link, implied):
     for every vertex v, the members of U and the ``implied`` ones that
     avoid v, at most m, plus those that contain v, at most ``link`` (None:
     no cap); and the first term averaged over v, each member avoiding at
-    least n - k vertices.  In candidates, so less ``implied``."""
+    least n - k vertices, or at least one where k = n (an antichain:
+    only the full set avoids none, and a sum of 0 means U holds nothing
+    else, so the average reads |U|).  In candidates, so less
+    ``implied``."""
     members = [mask for i, mask in enumerate(st.masks) if u >> i & 1]
     size = len(members) + implied
     per_vertex, total = [], 0
@@ -983,8 +1008,9 @@ def _reach_ref(st, u, m, link, implied):
         d = sum(1 for mask in members if mask >> v & 1)
         total += min(m, size - d)
         per_vertex.append(min(m, size - d) + (d if link is None else min(link, d)))
-    spare = st.nbits - max(st.cards)
-    return min(min(per_vertex), total // spare) - implied
+    spare = max(st.nbits - max(st.cards), 1)
+    average = total // spare if total else size
+    return min(min(per_vertex), average) - implied
 
 
 def _averaged(build, args):
@@ -1079,12 +1105,12 @@ def _bounded_tilde(args):
     """``_build_tilde_state(*args)`` with its bound on, as ``_solve_state``
     turns it on, but with M = tilde(n-1, c) found by brute force; and
     (M, None), no link cap, or None when the state has too few points for
-    the bound.  The search for M reaches the same optimum, with symmetry
-    on and off."""
+    the bound (or for c <= 2, where it declares none).  The search for M
+    reaches the same optimum, with symmetry on and off."""
     n, c = args
     st = search_mod._build_tilde_state(*args)
     subs = search_mod._TildeState.sub_queries(*args)
-    if n - 1 < 4:
+    if n - 1 < 4 or c <= 2:
         assert subs == ()
         return st, None
     assert subs == ((n - 1, c),), args
@@ -1199,12 +1225,14 @@ def test_all_in_matches_bruteforce_on_random_states():
     # the snapshot taken before the move.  (The name is kept from the
     # all-in shortcut this test used to check.)  After every move, failed
     # adds included, U is exact on every state, and on down-sets and on
-    # tilde from n = 5 the vertex-deletion bound, with M (and the
-    # down-set's L) by brute force, is its definition and covers the
+    # tilde from n = 5 and c = 3 the vertex-deletion bound, with M (and
+    # the down-set's L) by brute force, is its definition and covers the
     # subtree optimum.  The branching pick is recomputed too: after
     # reach(), at the first least-degree vertex of U; on the states
-    # without the bound (tilde on 4 points), the largest counted
-    # candidate.  Undoing a whole walk leaves every attribute as it was.
+    # without the bound (tilde on 4 points or with c <= 2), the largest
+    # counted candidate.  Undoing a whole walk leaves every attribute as
+    # it was.  The uniform and antichain states follow, with their own
+    # references.
     import random
     from collections import Counter
 
@@ -1217,6 +1245,7 @@ def test_all_in_matches_bruteforce_on_random_states():
     builds = [
         (_build_tilde_state, (4, 4)),
         (_build_tilde_state, (4, 6)),
+        (_build_tilde_state, (5, 2)),
         (_build_tilde_state, (5, 3)),
         (_build_tilde_state, (5, 5)),
         (_build_tilde_state, (5, 7)),
@@ -1294,6 +1323,72 @@ def test_all_in_matches_bruteforce_on_random_states():
                 _undo(st, moves)
             assert _frozen(st) == start, where
     assert tight, "no walk reached a state where the averaging bound is exact"
+
+    # The antichain states carry the bound with M = L = the optimum on
+    # n-1 points, by brute force: after every move, free is the addable
+    # candidates, the packed fields decode, reach() is its definition and
+    # covers the subtree optimum, and the pick after it is at the first
+    # least-degree vertex.  The full set alone is checked first: it
+    # avoids no vertex, and the bound still reads its one member.
+    rng = random.Random(26)
+    tight = 0
+    for args in ((3, 1), (4, 1), (4, 2), (5, 2)):
+        st, m = _bounded_antichain(args)
+        memo = {}
+        start = _frozen(st)
+        here = st.snapshot()
+        assert st.try_add_group(len(st.masks) - 1)
+        assert st.free == 0
+        tight += _check_antichain_reach(st, 0, m, memo, (args, "full set"))
+        st.restore(here)
+        for _walk in range(3):
+            moves = []
+            tight += _check_antichain_reach(st, 0, m, memo, (args, moves))
+            for _ in range(30):
+                _random_move(st, rng, moves, 0.2, 0.65)
+                out = _marked_out(moves)
+                tight += _check_antichain_reach(st, out, m, memo, (args, moves))
+            while moves:
+                _undo(st, moves)
+            assert _frozen(st) == start, args
+    assert tight, "no walk reached a state where the antichain bound is exact"
+
+
+def _bounded_antichain(args):
+    """``_build_antichain_state(*args)`` with its bound on, as
+    ``_solve_state`` turns it on, but with M = L = the optimum on n-1
+    points by brute force, growing the empty state on n-1 points; and
+    M.  The search for M reaches it, with symmetry on and off."""
+    n, k = args
+    st = search_mod._build_antichain_state(*args)
+    assert search_mod._AntichainState.sub_queries(*args) == ((n - 1, k), (n - 1, k)), args
+    m = _brute_counted_max(search_mod._build_antichain_state(n - 1, k), 0, _antichain_addable)
+    for sym in (True, False):
+        res = max_antichain(ArrowQuery.antichain(n - 1, k, use_symmetry=sym))
+        assert (res.optimum, res.proved_optimal) == (m, True), (args, sym)
+    st.start_averaging(m, m)
+    return st, m
+
+
+def _check_antichain_reach(st, out, m, memo, where):
+    """After a move on an antichain state whose bound runs with
+    M = L = m: ``free`` holds exactly the addable candidates, the packed
+    fields decode, ``reach()`` is the bound's definition and covers the
+    subtree optimum (``memo`` caches it by the chosen and marked-out
+    candidates), and ``pick_first()`` follows ``_pick_ref``; True when
+    the bound meets the optimum."""
+    counted = _addable_set(st, out, _antichain_addable)
+    assert st.free == _bits(counted) and not st.inbits & out, where
+    _check_counted_fields(st, where)
+    u = st.inbits | st.free
+    key = st.inbits, out
+    if key not in memo:
+        memo[key] = st.inbits.bit_count() + _brute_counted_max(st, out, _antichain_addable)
+    reach = st.reach()
+    assert reach == _reach_ref(st, u, m, m, 0), where
+    assert st.pick_first() == _pick_ref(st, counted, u), where
+    assert reach >= memo[key], where
+    return reach == memo[key]
 
 
 def _overflows(st, closure):
@@ -1562,7 +1657,10 @@ def _check_counted_fields(st, where):
     common three, against the chosen masks.  Antichain: bit t of window
     w's field of ``seen`` is set exactly when a chosen set's projection
     onto the window is its t-th submask (in ``submasks`` order), and no
-    bit lies above the last field.  Cancellative: bit p of ``diffs`` is
+    bit lies above the last field; window w's field of ``count``, less
+    its bias 2^(field-1) - (field-1), is the popcount of its field of
+    ``seen``, and its top bit is set exactly when the window is one
+    projection short of shattered.  Cancellative: bit p of ``diffs`` is
     set exactly when pairs[p] is the difference of two chosen edges
     meeting in l-1 points, and of ``cov`` when a chosen edge covers it.
     Returns the number of antichain windows that are full (one
@@ -1570,12 +1668,18 @@ def _check_counted_fields(st, where):
     chosen = _chosen_masks(st)
     full = 0
     if isinstance(st, search_mod._AntichainState):
-        assert st.seen >> len(st.windows) * st.field == 0, where
+        width = st.field
+        bias = (1 << width - 1) - (width - 1)
+        assert st.seen >> len(st.windows) * width == 0, where
+        assert st.count >> len(st.windows) * width == 0, where
         for w, window in enumerate(st.windows):
-            field = st.seen >> w * st.field & (1 << st.field) - 1
+            field = st.seen >> w * width & (1 << width) - 1
             shown = {p for t, p in enumerate(submasks(window)) if field >> t & 1}
             assert shown == {f & window for f in chosen}, where
-            full += len(shown) == st.field - 1
+            count = st.count >> w * width & (1 << width) - 1
+            assert count - bias == field.bit_count(), where
+            assert count >> width - 1 == (len(shown) == width - 1), where
+            full += len(shown) == width - 1
     else:
         lm1 = st.cards[0] - 1
         diffs = {f ^ g for f, g in combinations(chosen, 2) if (f & g).bit_count() == lm1}
@@ -1767,6 +1871,16 @@ def test_seed_member_breaking_the_constraint_raises(monkeypatch):
     _mutated_seed(monkeypatch, search_mod, "max_tilde_seed", (6, 5), swap)
     with pytest.raises(RuntimeError, match="seed failed independent re-verification"):
         max_tilde(ArrowQuery.tilde(6, 5))
+
+
+def test_antichain_seed_one_layer_up_raises(monkeypatch):
+    # the layer of the (k+1)-sets is an antichain, but on 6 >= 2(k+1)
+    # points its traces on a (k+1)-set are all of that set's subsets
+    _mutated_seed(
+        monkeypatch, search_mod, "antichain_seed", (6, 2), lambda level, masks: list(kset_masks(6, 3))
+    )
+    with pytest.raises(RuntimeError, match="seed failed independent re-verification"):
+        max_antichain(ArrowQuery.antichain(6, 2))
 
 
 def test_seed_mask_outside_the_candidates_raises(monkeypatch):
@@ -1976,6 +2090,40 @@ def test_tilde_bound_keeps_every_optimum(monkeypatch, sym):
 @pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
 def test_tilde_bound_keeps_every_optimum_n7(monkeypatch, sym):
     _check_tilde_bound_parity(monkeypatch, False, sym)
+
+
+def _check_antichain_bound_parity(monkeypatch, small, sym):
+    # each antichain query, every k on n = 2..6 points when small, else
+    # on 7, runs with the vertex-deletion bound and with its sub-queries
+    # declared away, at 20,000 nodes, as in the tilde sweep above: where
+    # the search without the bound proves, the one with it proves the
+    # same optimum, and where it stops, the incumbent with the bound is
+    # no smaller.  Both run without the seed: on these points the layer
+    # is optimal wherever the searches prove, so a seeded search would
+    # return it however much an unsound bound pruned
+    monkeypatch.setattr(search_mod, "antichain_seed", lambda *level: None)
+    for n in range(2, 7) if small else (7,):
+        for k in range(n):
+            query = ArrowQuery.antichain(n, k, use_symmetry=sym, budget_nodes=20_000)
+            bounded = max_antichain(query)
+            with monkeypatch.context() as m:
+                m.setattr(search_mod._AntichainState, "sub_queries", staticmethod(lambda *args: ()))
+                plain = max_antichain(query)
+            if plain.proved_optimal:
+                assert (bounded.optimum, bounded.proved_optimal) == (plain.optimum, True), (n, k)
+            else:
+                assert bounded.optimum >= plain.optimum, (n, k)
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_antichain_bound_keeps_every_optimum(monkeypatch, sym):
+    _check_antichain_bound_parity(monkeypatch, True, sym)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sym", [True, False], ids=["sym", "nosym"])
+def test_antichain_bound_keeps_every_optimum_n7(monkeypatch, sym):
+    _check_antichain_bound_parity(monkeypatch, False, sym)
 
 
 def test_least_degree_pins():
