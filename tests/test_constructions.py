@@ -15,6 +15,7 @@ from tracelab import (
     full_to_tilde,
     hook_count_max,
     hookarrow,
+    is_antichain,
     is_cancellative,
     is_downset,
     max_trace_over_ksets,
@@ -34,6 +35,7 @@ from tracelab import (
     turan_graph,
 )
 from tracelab.constructions import (
+    antichain_seed,
     ex3_k4_seed,
     max_cancellative_seed,
     max_family_seed,
@@ -432,6 +434,17 @@ class TestSearchSeeds:
                 fam = SetFamily.from_masks(n, max_cancellative_seed(n, l))
                 assert len(fam) == math.prod(partite_sizes(n, l)), (n, l)
                 assert is_cancellative(fam, l).ok, (n, l)
+
+    def test_antichain_seed_is_a_layer(self):
+        # the min(k, n//2)-sets: an antichain of that size that shatters
+        # no (k+1)-set
+        for n in range(1, 10):
+            for k in range(n):
+                fam = SetFamily.from_masks(n, antichain_seed(n, k))
+                size = min(k, n // 2)
+                assert len(fam) == math.comb(n, size), (n, k)
+                assert all(m.bit_count() == size for m in fam.members), (n, k)
+                assert is_antichain(fam) and not arrows(fam, k + 1, 1 << (k + 1)), (n, k)
 
     def test_ex3_k4_seed_is_turans_construction(self):
         sizes = {4: 3, 5: 7, 6: 14, 7: 23, 8: 36, 9: 54}
