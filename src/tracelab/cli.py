@@ -9,10 +9,13 @@ parse error, 3 search budget exhausted before optimality was proved.
 Each command reads every flag it is given or refuses the command line
 (exit 2): a flag its mode or kind does not read is a usage error, not
 ignored.  ``search`` turns its query flags (``--mode --n --a --b --c
---k``) into the same object a ``--query`` file holds, so flags and files
+--k``) into the same object a ``--query`` file holds and reads it with
+the query-file parser, ``ArrowQuery.from_json_obj``, so flags and files
 follow one set of rules (``--mode downset`` and ``tilde`` name the
-``full-downset`` and ``tilde-complete`` modes), and an error names the
-flag typed; ``--query`` excludes the query flags.
+``full-downset`` and ``tilde-complete`` modes).  An error names the flag
+typed where a file's names the key: ``mode 'antichain' does not read
+--c``, ``mode 'tilde-complete' needs --c``.  ``--query`` excludes the
+query flags.
 
 Every search-backed command attaches a run manifest (command line,
 input digests, library version, budgets, wall time, result digest) to
@@ -49,7 +52,6 @@ from .constructions import (
 from .search import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECS,
-    MODE_ANTICHAIN,
     MODE_DOWNSET,
     MODE_TILDE,
     ArrowQuery,
@@ -255,31 +257,16 @@ def _cmd_check(ns, argv) -> int:
 # --mode spellings stand for the file's mode names
 _QUERY_FLAGS = ("mode", "n", "a", "b", "c", "k")
 _MODE_NAMES = {"downset": MODE_DOWNSET, "tilde": MODE_TILDE}
-# per mode, the query flags it needs and those it also reads: the keys its
-# query file holds, where --a and --b outside down-set mode must be the
-# values the mode implies (a tilde query's b is null, which no flag gives)
-_SEARCH_FLAGS = {
-    MODE_DOWNSET: (("n", "b"), ("a",)),
-    MODE_TILDE: (("n", "c"), ("a",)),
-    MODE_ANTICHAIN: (("n", "k"), ("a", "b")),
-}
 
 
 def _query_from_flags(ns) -> ArrowQuery:
-    """The query the search flags stand for, under a query file's rules;
-    an error names the flag typed."""
-    mode = _MODE_NAMES.get(ns.mode, ns.mode or MODE_DOWNSET)
-    needs, reads = _SEARCH_FLAGS[mode]
-    what = f"search in mode {mode!r}"
-    _check_flags(ns, what, needs, [f for f in _QUERY_FLAGS[1:] if f not in needs + reads])
-    obj = {f: getattr(ns, f) for f in needs + reads if getattr(ns, f) is not None}
-    # outside down-set mode, --a and --b only restate what the mode implies
-    implied = {} if mode == MODE_DOWNSET else {f: obj.pop(f) for f in reads if f in obj}
-    q = ArrowQuery.from_json_obj({**obj, "mode": mode})
+    """The query the search flags stand for, read by the query-file
+    parser; an error names the flag typed."""
+    obj = {f: getattr(ns, f) for f in _QUERY_FLAGS if getattr(ns, f) is not None}
+    if ns.mode:
+        obj["mode"] = _MODE_NAMES.get(ns.mode, ns.mode)
+    q = ArrowQuery.from_json_obj(obj, name=lambda k: "--" + k)
     q.validate()
-    for f, val in implied.items():
-        if val != getattr(q, f):
-            raise FamilyError(f"{what} sets --{f} to {getattr(q, f)}, got {val}")
     return q
 
 

@@ -112,19 +112,12 @@ from .setcore import (
 MODE_DOWNSET = "full-downset"
 MODE_TILDE = "tilde-complete"
 MODE_ANTICHAIN = "antichain"
+_MODES = (MODE_DOWNSET, MODE_TILDE, MODE_ANTICHAIN)
 
 _SEARCH_GROUND_CAP = 20  # exhaustive search only attempted up to here
 
 DEFAULT_BUDGET_NODES = 10**8
 DEFAULT_BUDGET_SECS = 300.0
-
-# the keys ArrowQuery.to_json_obj emits, per mode
-_COMMON_KEYS = frozenset({"n", "a", "b", "mode", "budget_nodes", "budget_secs"})
-_QUERY_KEYS = {
-    MODE_DOWNSET: _COMMON_KEYS,
-    MODE_TILDE: _COMMON_KEYS | {"c"},
-    MODE_ANTICHAIN: _COMMON_KEYS | {"k"},
-}
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class ArrowQuery:
         return cls(n=n, a=k + 1, b=b, mode=MODE_ANTICHAIN, k=k, **kw)
 
     def validate(self) -> None:
-        if self.mode not in (MODE_DOWNSET, MODE_TILDE, MODE_ANTICHAIN):
+        if self.mode not in _MODES:
             raise FamilyError(f"unknown search mode {self.mode!r}")
         if self.n > _SEARCH_GROUND_CAP:
             raise FamilyError(f"exhaustive search capped at n <= {_SEARCH_GROUND_CAP}")
@@ -203,28 +196,30 @@ class ArrowQuery:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ArrowQuery":
-        """Inverse of :meth:`to_json_obj`.  Keys that method never emits for
-        the query's mode are rejected rather than silently ignored, and so
-        are values it would not emit: numbers other than JSON integers
-        (``budget_secs`` may be any JSON number), and in tilde and antichain
-        mode an ``a`` or ``b`` other than the one the mode implies."""
+    def from_json_obj(cls, obj: dict, *, name=repr) -> "ArrowQuery":
+        """Inverse of :meth:`to_json_obj`: a query reads exactly the keys
+        that method emits for its mode.  Any other key is rejected rather
+        than silently ignored, and so are values it would not emit: numbers
+        other than JSON integers (``budget_secs`` may be any JSON number),
+        and in tilde and antichain mode an ``a`` or ``b`` other than the one
+        the mode implies.  The CLI reads its search flags with this parser
+        too.  ``name`` spells a key in an error (the CLI passes
+        ``lambda k: "--" + k``, giving ``mode 'antichain' does not read
+        --c`` or ``mode 'tilde-complete' needs --c``); it changes no
+        accepted input."""
         if not isinstance(obj, dict):
             raise FamilyError(f"query must be a JSON object, got {type(obj).__name__}")
         mode = obj.get("mode", MODE_DOWNSET)
-        if not isinstance(mode, str) or mode not in _QUERY_KEYS:
+        if not isinstance(mode, str) or mode not in _MODES:
             raise FamilyError(f"unknown search mode {mode!r}")
-        unknown = sorted(set(obj) - _QUERY_KEYS[mode])
-        if unknown:
-            raise FamilyError(f"unknown query keys for mode {mode!r}: {unknown}")
 
         def get(key, default=None, kinds=(int,)):
             if key not in obj and default is None:
-                raise FamilyError(f"query for mode {mode!r} needs the key {key!r}")
+                raise FamilyError(f"mode {mode!r} needs {name(key)}")
             val = obj.get(key, default)
             if isinstance(val, bool) or not isinstance(val, kinds):
                 kind = "a number" if float in kinds else "an integer"
-                raise FamilyError(f"query key {key!r} must be {kind}, got {val!r}")
+                raise FamilyError(f"query key {name(key)} must be {kind}, got {val!r}")
             return val
 
         try:
@@ -234,16 +229,19 @@ class ArrowQuery:
         kw = {"budget_nodes": get("budget_nodes", DEFAULT_BUDGET_NODES), "budget_secs": secs}
         n = get("n")
         if mode == MODE_DOWNSET:
-            return cls.downset(n, get("a", 4), get("b"), **kw)
-        if mode == MODE_TILDE:
+            q = cls.downset(n, get("a", 4), get("b"), **kw)
+        elif mode == MODE_TILDE:
             q = cls.tilde(n, get("c"), **kw)
         else:
             q = cls.antichain(n, get("k"), **kw)
         emitted = q.to_json_obj()
+        unread = [key for key in obj if key not in emitted]
+        if unread:
+            raise FamilyError(f"mode {mode!r} does not read {', '.join(map(name, unread))}")
         for key in ("a", "b"):
             if key in obj and (type(obj[key]), obj[key]) != (type(emitted[key]), emitted[key]):
                 raise FamilyError(
-                    f"query key {key!r} is {emitted[key]!r} in mode {mode!r}, got {obj[key]!r}"
+                    f"mode {mode!r} sets {name(key)} to {emitted[key]!r}, got {obj[key]!r}"
                 )
         return q
 
@@ -866,6 +864,13 @@ class _AntichainState(_CountedState):
     where no member of U avoids a vertex, U is {[n]} or empty and
     ``reach()`` reads |U|.  For k = 0 the optimum is 1 and the chain
     only adds nodes, so it declares none.
+
+    For k = n - 1 the one window is [n], and no antichain shatters it
+    (that takes both the empty set and [n]), so the query is Sperner's
+    problem; (n-1, k) is no query, but (n-1, n-2), whose one window is
+    [n-1], is vacuous the same way and has the same optimum, the Sperner
+    number on n-1 points, so it is declared twice instead.  This starts
+    at n = 4: the (3, 2) -> (2, 1) chain only adds nodes.
     """
 
     def __init__(self, n: int, k: int):
@@ -903,8 +908,11 @@ class _AntichainState(_CountedState):
 
     @staticmethod
     def sub_queries(n, k):
-        # an antichain query needs a (k+1)-window; k = 0 needs no bound
-        return ((n - 1, k), (n - 1, k)) if n - 1 >= k + 1 and k >= 1 else ()
+        # an antichain query needs a (k+1)-window, so k = n - 1 takes the
+        # vacuous (n-1, n-2) instead; k = 0 needs no bound
+        if n - 1 >= k + 1 and k >= 1:
+            return ((n - 1, k), (n - 1, k))
+        return ((n - 1, n - 2), (n - 1, n - 2)) if k == n - 1 >= 3 else ()
 
     def snapshot(self) -> tuple:
         return self.free, self.inbits, self.seen, self.count

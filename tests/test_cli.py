@@ -584,6 +584,36 @@ def test_search_flags_match_query_file(capsys, tmp_path, flags, query):
 
 
 @pytest.mark.parametrize(
+    "query, key",
+    [
+        ({"n": 5, "b": 7, "c": 3}, "c"),
+        ({"n": 5, "b": 7, "k": 2}, "k"),
+        ({"mode": "tilde-complete", "n": 6, "c": 7, "b": 7}, "b"),
+        ({"mode": "tilde-complete", "n": 6, "c": 7, "k": 2}, "k"),
+        ({"mode": "tilde-complete", "n": 6, "c": 7, "a": 3}, "a"),
+        ({"mode": "antichain", "n": 5, "k": 2, "c": 5}, "c"),
+        ({"mode": "antichain", "n": 5, "k": 2, "b": 7}, "b"),
+        ({"a": 3, "b": 7}, "n"),
+    ],
+    ids=["downset-c", "downset-k", "tilde-b", "tilde-k", "tilde-a-3", "antichain-c",
+         "antichain-b-7", "missing-n"],
+)
+def test_search_flags_and_query_file_refuse_alike(capsys, tmp_path, query, key):
+    # one parser reads both: the same keys are refused with the same error,
+    # which names the flag on the command line and the key in a file
+    qf = tmp_path / "q.json"
+    qf.write_text(json.dumps(query))
+    flags = [tok for k, v in query.items() for tok in ("--" + k, str(v))]
+    code_f, out_f, err_f = run_cli(capsys, "search", *flags)
+    code_q, out_q, err_q = run_cli(capsys, "search", "--query", str(qf))
+    assert code_f == code_q == 2 and out_f == out_q == ""
+    assert err_f.startswith("error:") and err_q.startswith("error:")
+    assert "--" + key in err_f.replace(",", " ").split(), err_f
+    assert repr(key) in err_q, err_q
+    assert err_f.replace("--" + key, repr(key)) == err_q
+
+
+@pytest.mark.parametrize(
     "args, digest",
     [
         (["search", "--n", "5", "--a", "3", "--b", "7"],

@@ -337,8 +337,14 @@ class TestAntichainSearch:
     def test_vertex_deletion_bound_proves_8_4(self):
         # Sperner's bound: the middle layer, C(8, 4), sub-queries included
         res = max_antichain(ArrowQuery.antichain(8, 4))
-        assert (res.optimum, res.proved_optimal, res.nodes) == (70, True, 3_566)
+        assert (res.optimum, res.proved_optimal, res.nodes) == (70, True, 3_516)
         assert set(res.witness.members) == set(kset_masks(8, 4))
+
+    def test_k_is_n_minus_1_proves_sperner(self):
+        # no antichain shatters [n], so the optimum is Sperner's C(7, 3) = 35;
+        # the vacuous (6, 5) sub-query carries the bound
+        res = max_antichain(ArrowQuery.antichain(7, 6))
+        assert (res.optimum, res.proved_optimal, res.nodes) == (35, True, 3_515)
 
     @pytest.mark.slow
     def test_vertex_deletion_bound_proves_7_3_to_7_5(self):
