@@ -73,38 +73,36 @@ def _require_uniform(h: SetFamily, l: int) -> None:
         raise FamilyError(f"expected a {l}-uniform family, offending members {bad}")
 
 
-def is_cancellative(h: SetFamily, l: int) -> PatternCheck:
-    """No edges H1, H2 meeting in l-1 points with H1 ^ H2 inside a third
-    edge.  The witness triple, when present, is the first in canonical
-    scan order (members sorted by mask)."""
-    _require_uniform(h, l)
-    ms = h.members
-    for i, h1 in enumerate(ms):
-        for h2 in ms[i + 1 :]:
-            if (h1 & h2).bit_count() != l - 1:
-                continue
-            d = h1 ^ h2
-            for h3 in ms:
-                if d & h3 == d:
-                    return PatternCheck(False, (h1, h2, h3))
-    return PatternCheck(True, None)
-
-
-def is_unionfree(h: SetFamily, l: int) -> PatternCheck:
-    """No three distinct edges with F1 ^ F2 inside F3; strictly stronger
-    than cancellative (the intersection size is unconstrained)."""
+def _difference_scan(h: SetFamily, l: int, most: int) -> PatternCheck:
+    """The first edges F1, F2 (in canonical scan order, members sorted by
+    mask) with |F1 ^ F2| <= ``most`` and F1 ^ F2 inside an edge F3,
+    which cannot be F1 or F2: the difference leaves both."""
     _require_uniform(h, l)
     ms = h.members
     for i, f1 in enumerate(ms):
         for f2 in ms[i + 1 :]:
             d = f1 ^ f2
-            if d.bit_count() > l:
+            if d.bit_count() > most:
                 continue
             for f3 in ms:
                 if d & f3 == d:
-                    # f3 cannot equal f1 or f2: d leaves both
                     return PatternCheck(False, (f1, f2, f3))
     return PatternCheck(True, None)
+
+
+def is_cancellative(h: SetFamily, l: int) -> PatternCheck:
+    """No edges H1, H2 meeting in l-1 points with H1 ^ H2 inside a third
+    edge.  Two l-sets meet in l-1 points exactly when their difference
+    is a pair.  The witness triple, when present, is the first in
+    canonical scan order (members sorted by mask)."""
+    return _difference_scan(h, l, 2)
+
+
+def is_unionfree(h: SetFamily, l: int) -> PatternCheck:
+    """No three distinct edges with F1 ^ F2 inside F3; strictly stronger
+    than cancellative (the intersection size is unconstrained, and a
+    difference inside an l-set has at most l points)."""
+    return _difference_scan(h, l, l)
 
 
 def violation_trace_window(fam: SetFamily, l: int) -> int | None:
@@ -199,9 +197,8 @@ class _CancellativeState(_CountedState):
 
     def __init__(self, n: int, l: int):
         super().__init__(n, _candidate_masks(n, [l]))
-        masks, bits, idx_of = self.masks, self.bits, self.idx_of
+        masks, bits, idx_of, vb = self.masks, self.bits, self.idx_of, self.vbits
         self.pairs = list(kset_masks(n, 2))
-        vb = [sum(bits[i] for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
         ends = [[v for v in range(n) if d >> v & 1] for d in self.pairs]
         # the candidates holding both, and exactly one, of a pair's points
         self.with_pair = [vb[x] & vb[y] for x, y in ends]

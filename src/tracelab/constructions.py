@@ -30,10 +30,12 @@ from typing import NamedTuple
 from .setcore import (
     FamilyError,
     SetFamily,
+    arrows,
     elements_of,
     family_from_json_obj,
     is_downset,
     kset_masks,
+    max_trace_over_ksets,
     parse_json,
     shadow,
 )
@@ -255,25 +257,23 @@ class HookMax(NamedTuple):
 
 def hook_count_max(tf: TildeFamily) -> HookMax:
     """Maximum over 4-sets C of (#pairs inside C) + (#triples inside C),
-    with the smallest maximizing mask as witness."""
-    tf.require_complete()
-    if tf.n < 4:
-        raise FamilyError("hook counting needs at least 4 vertices")
-    pairs = tf.g2.members
-    triples = tf.g3.members
-    best, best_y = 0, None
-    for y in kset_masks(tf.n, 4):
-        cnt = sum(1 for m in pairs if m & y == m) + sum(1 for m in triples if m & y == m)
-        if cnt > best or (cnt == best and (best_y is None or y < best_y)):
-            best, best_y = cnt, y
-    return HookMax(best, best_y if best_y is not None else 0)
+    with the smallest maximizing mask as witness.
+
+    The full family is a down-set, so its trace on C is its members
+    inside C: the empty set, C's four singletons and the pairs and
+    triples inside C.  A hook count is that 4-window trace less 5; the
+    paper's family carries at most 12 = 5 + 7 on a 4-set.
+    """
+    t = max_trace_over_ksets(tilde_to_full(tf), 4)
+    return HookMax(t.max - 5, t.witness)
 
 
 def hookarrow(tf: TildeFamily, c: int) -> bool:
-    """True iff some 4-set carries at least c members of the two levels."""
+    """True iff some 4-set carries at least c members of the two levels:
+    a 4-window trace of at least c + 5 in the full family."""
     if c < 1:
         raise FamilyError(f"hook target c={c} must be >= 1")
-    return hook_count_max(tf).max >= c
+    return arrows(tilde_to_full(tf), 4, c + 5)
 
 
 def tilde_to_full(tf: TildeFamily) -> SetFamily:

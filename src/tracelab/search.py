@@ -320,7 +320,8 @@ class _CountedState:
     One protocol serves every state: the whole state is a few ints.
     Two bitsets over the candidate indices are common to all of them
     (``bits[i]`` is candidate i's bit, ``card_bits[c]`` the bits of size
-    c): ``inbits`` holds the chosen candidates and ``free`` the
+    c, ``vbits[v]`` those of the candidates holding vertex v):
+    ``inbits`` holds the chosen candidates and ``free`` the
     *counted* ones, undecided and not ruled out by the moves made in the
     current subtree.  A candidate that is not counted never becomes
     counted deeper in the subtree, so the state keeps no record of the
@@ -397,6 +398,10 @@ class _CountedState:
         self.card_bits: dict[int, int] = {}
         for bit, c in zip(self.bits, self.cards):
             self.card_bits[c] = self.card_bits.get(c, 0) | bit
+        self.vbits = [
+            sum(bit for bit, m in zip(self.bits, self.masks) if m >> v & 1)
+            for v in range(nbits)
+        ]
         self.free = (1 << len(self.masks)) - 1
         self.inbits = 0
 
@@ -436,10 +441,6 @@ class _CountedState:
         # the fewest vertices a member avoids; the antichain state's full
         # candidate avoids none, every other member at least one
         self.spare = self.nbits - self.cards[-1] or 1
-        self.vbits = [
-            sum(1 << i for i, m in enumerate(self.masks) if m >> v & 1)
-            for v in range(self.nbits)
-        ]
 
     def reach(self) -> int:
         """Most candidates, chosen ones included, that a family of this
@@ -874,7 +875,7 @@ class _AntichainState(_CountedState):
     """
 
     def __init__(self, n: int, k: int):
-        super().__init__(n, sorted(range(1 << n), key=_canon_key))
+        super().__init__(n, _candidate_masks(n, range(n + 1)))
         masks, bits, idx_of = self.masks, self.bits, self.idx_of
         top = (1 << n) - 1
         self.windows = list(kset_masks(n, k + 1))

@@ -39,6 +39,20 @@ def brute_is_cancellative(h, l):
     return True
 
 
+def brute_is_unionfree(h):
+    """O(m^3) oracle straight from the definition: no three distinct
+    edges with F1 ^ F2 inside F3."""
+    ms = h.members
+    for f1 in ms:
+        for f2 in ms:
+            if f1 >= f2:
+                continue
+            for f3 in ms:
+                if f3 not in (f1, f2) and (f1 ^ f2) & f3 == f1 ^ f2:
+                    return False
+    return True
+
+
 def brute_ex3(n, limit):
     """Exhaust all 3-graphs on [n]; keep those with <= limit triples in
     every 4-window."""
@@ -103,8 +117,20 @@ class TestIsUnionfree:
             n = rng.randint(4, 7)
             triples = [t for t in combinations(range(1, n + 1), 3) if rng.random() < 0.3]
             h = SetFamily.from_sets(n, triples)
-            if is_unionfree(h, 3).ok:
+            ok = is_unionfree(h, 3).ok
+            assert ok == brute_is_unionfree(h)
+            if ok:
                 assert is_cancellative(h, 3).ok
+
+    def test_pair_case_is_cancellative(self):
+        # for l = 2 a difference of at most 2 points is exactly a pair
+        rng = random.Random(227)
+        for _ in range(60):
+            n = rng.randint(3, 7)
+            pairs = [p for p in combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+            h = SetFamily.from_sets(n, pairs)
+            assert is_unionfree(h, 2) == is_cancellative(h, 2)
+            assert is_unionfree(h, 2).ok == brute_is_unionfree(h)
 
     def test_single_member(self):
         assert is_unionfree(SetFamily.from_sets(4, [(1, 2, 3)]), 3).ok

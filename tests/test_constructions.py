@@ -41,6 +41,7 @@ from tracelab.constructions import (
     max_family_seed,
     max_tilde_seed,
 )
+from tracelab.setcore import kset_masks
 
 
 # Each closed form written out on its own, with its own copy of the
@@ -103,6 +104,18 @@ def random_complete_tilde(rng, n):
         and rng.random() < 0.5
     ]
     return TildeFamily(n, g2, SetFamily.from_sets(n, triples))
+
+
+def direct_hook_max(tf):
+    """(most pairs and triples inside a 4-window, the smallest such
+    window's mask), counted window by window over ``kset_masks``."""
+    members = tf.g2.members + tf.g3.members
+    best, witness = -1, None
+    for y in sorted(kset_masks(tf.n, 4)):
+        count = sum(1 for m in members if m & y == m)
+        if count > best:
+            best, witness = count, y
+    return best, witness
 
 
 class TestPartite:
@@ -265,13 +278,25 @@ class TestHook:
             hook_count_max(tf)
 
     def test_hook_equivalent_to_full_arrow(self):
+        # hook counts are read off the full family's trace walk; the
+        # oracle counts the pairs and triples inside each 4-window itself
         rng = random.Random(101)
-        for _ in range(30):
+        for _ in range(60):
             n = rng.randint(4, 8)
             tf = random_complete_tilde(rng, n)
             full = tilde_to_full(tf)
-            for c in (2, 4, 6):
-                assert hookarrow(tf, c) == arrows(full, 4, c + 5)
+            best, witness = direct_hook_max(tf)
+            assert tuple(hook_count_max(tf)) == (best, witness)
+            for c in range(1, 11):
+                assert hookarrow(tf, c) == (best >= c) == arrows(full, 4, c + 5), (n, c)
+
+    def test_fewer_than_four_vertices_rejected(self):
+        for n in (1, 2, 3):
+            tf = TildeFamily(n, SetFamily.empty(n), SetFamily.empty(n))
+            with pytest.raises(FamilyError):
+                hook_count_max(tf)
+            with pytest.raises(FamilyError):
+                hookarrow(tf, 1)
 
 
 class TestFullTilde:

@@ -235,6 +235,14 @@ class TestDownsetSearch:
             assert not res.proved_optimal
             assert res.nodes <= budget + 1
 
+    def test_unproved_level_starts_from_its_first_sub_query(self):
+        # without symmetry the lower levels of (7, 5, 19) stop at their
+        # share of 50 nodes, so each level starts from what its first
+        # sub-query chose; without that start the query stops at 16
+        res = max_family(ArrowQuery.downset(7, 5, 19, budget_nodes=50, use_symmetry=False))
+        assert (res.optimum, res.proved_optimal, res.nodes) == (18, False, 51)
+        assert is_downset(res.witness) and not arrows(res.witness, 5, 19)
+
 
 class TestTildeSearch:
     def test_formula_rows_at_5(self):
@@ -370,8 +378,12 @@ class TestDecideArrow:
 
 class TestCrosscheck:
     def test_identity_small(self):
-        assert crosscheck_mtilde(5, 2) is True
+        # tilde(n, c) + n + 1 = M(n, 4, c + 5): the identity the hook
+        # count rests on, as it reads the full family's 4-window trace
         assert crosscheck_mtilde(4, 3) is True
+        for n in range(5, 9):
+            for c in range(1, 9):
+                assert crosscheck_mtilde(n, c) is True, (n, c)
 
     def test_indeterminate_on_budget(self):
         assert crosscheck_mtilde(6, 7, budget_nodes=10) is None
