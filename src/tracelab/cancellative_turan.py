@@ -218,8 +218,8 @@ class _CancellativeState(_CountedState):
         self.cov = 0
 
     @staticmethod
-    def sub_queries(n: int, l: int):
-        return ((n - 1, l),) if n - 1 >= l else ()
+    def sub_query(n: int, l: int):
+        return (n - 1, l) if n - 1 >= l else None
 
     def snapshot(self) -> tuple:
         return self.free, self.inbits, self.diffs, self.cov
@@ -289,7 +289,7 @@ def max_cancellative(
     return _solve_state(
         build,
         args,
-        sub_queries=cls.sub_queries,
+        sub_query=cls.sub_query,
         witness=SetFamily.from_masks,
         recheck=lambda w, *_: is_cancellative(w, l).ok,
         seed=lambda n, *_: max_cancellative_seed(n, l),
@@ -315,7 +315,7 @@ def ex3(
     return _solve_state(
         _build_uniform_window_state,
         (n, 3, 4, pattern.window_limit(3)),
-        sub_queries=_UniformCapState.sub_queries,
+        sub_query=_UniformCapState.sub_query,
         witness=SetFamily.from_masks,
         recheck=lambda w, *_: pattern_free(w, 3, pattern),
         seed=(lambda n, *_: ex3_k4_seed(n)) if pattern is Pattern.K_COMPLETE else _no_seed,

@@ -46,17 +46,17 @@ because F - v is a family of the same search on n-1 points: a down-set
 under the same trace ceiling, a triple system or graph avoiding the
 same pattern, a cancellative family, a complete pair/triple family
 under the same 4-window cap, an antichain with no shattered
-(k+1)-set.  A down-set's link is itself a down-set under a halved
-trace ceiling, so a second sub-query on n-1 points caps it too
-(Frankl); an antichain's link is again such an antichain, capped by
-the same optimum.  Where the sub-query's tree is tiny (tilde with
-c <= 2, antichain with k = 0) the chain only adds nodes, and none is
-declared.  ``_solve_state`` runs these sub-queries
-bottom up, one level after another: each at most once per query, after
-the levels it declares and before the level declaring it, on a share
-of the query's budget that shrinks with its depth, so a result's
-``nodes`` includes them; the search on n points always runs, last.
-Each level's state is built only when its turn comes.  Each level also
+(k+1)-set.  Only an antichain's link is again a family of its own
+search, so only there is it capped by the same optimum (L); every
+other link is bounded by its degree alone.  Where the sub-query's
+tree is tiny (tilde with c <= 2, antichain with k = 0) the chain only
+adds nodes, and none is declared.  Each search thus declares at most
+one sub-query, the same search on n-1 points, and its levels form a
+chain.  ``_solve_state`` runs that chain bottom up, one level after
+another, each once per query, on a share of the query's budget that
+shrinks with its depth, so a result's ``nodes`` includes them; the
+search on n points always runs, last.  Each level's state is built
+only when its turn comes.  Each level also
 starts from a known construction on its points, the seed of
 :mod:`tracelab.constructions` named after its public search, when that
 is larger than its other first incumbent.  A seed is re-checked like a
@@ -306,8 +306,8 @@ class _Budget:
 
 class _CountedState:
     """What the search engine reads from a constraint state, and the
-    bookkeeping every state shares.  Every search, a query's own or one
-    of its sub-queries, builds one state and runs over it.
+    bookkeeping every state shares.  Every search, a query's own or a
+    level of its sub-query chain, builds one state and runs over it.
 
     Candidates are the indices ``0 .. len(masks)-1``, in the canonical
     member order (by size, then mask); ``masks[i]`` is the candidate's
@@ -361,8 +361,10 @@ class _CountedState:
     inside U = ``free | inbits``, the chosen and counted candidates,
     plus I, the ``implied`` members.  Let ``d_v`` be the number of
     members of U that contain v, M the optimum of the deletion sub-query
-    on n-1 points and L a cap on the link's size.  Then |F(v)| <= d_v, and F(v)'s empty
-    set is the member {v}, which ``d_v`` already counts, so for every v
+    on n-1 points and L a cap on the link's size, which only the
+    antichain search has (there L = M; ``_AntichainState`` says why).
+    Then |F(v)| <= d_v, and F(v)'s empty set is the member {v}, which
+    ``d_v`` already counts, so for every v
 
         |F| = |F - v| + |F(v)| <= min(M, |U| + |I| - d_v) + min(L, d_v),
 
@@ -374,15 +376,14 @@ class _CountedState:
     ``reach()`` is the lesser of the least per-vertex bound and the
     average, less |I|: it counts candidates, as the engine does.  It
     also sets ``lean`` to the candidates at the first vertex of least
-    ``d_v``, where the link term is smallest.  A
-    state class declares the sub-queries that give M (and L, where
-    searched) as a pure function of its builder arguments:
-    ``sub_queries(*args)`` is their builder arguments, in order, and
-    () for a state without the bound.  ``start_averaging(M, L)`` turns
-    the bound on once they are solved, and without L the link is
-    bounded by ``d_v`` alone.  The ``nodes`` of such a search include
-    the sub-queries'.  With symmetry on, the engine assumes the root
-    state is invariant under every relabeling of the ground set.
+    ``d_v``, where the link term is smallest.  A state class declares
+    the sub-query that gives M as a pure function of its builder
+    arguments: ``sub_query(*args)`` is its builder arguments, or None
+    for a state without the bound.  ``start_averaging(M)`` turns the
+    bound on once it is solved, with the link bounded by ``d_v`` alone.
+    The ``nodes`` of such a search include the sub-query's.  With
+    symmetry on, the engine assumes the root state is invariant under
+    every relabeling of the ground set.
     """
 
     implied: tuple[int, ...] = ()
@@ -426,18 +427,17 @@ class _CountedState:
         return self.free.bit_count()
 
     @staticmethod
-    def sub_queries(*args) -> tuple[tuple, ...]:
-        """The builder arguments of the sub-queries a state built from
+    def sub_query(*args) -> tuple | None:
+        """The builder arguments of the sub-query a state built from
         ``args`` needs for its bound; none by default."""
-        return ()
+        return None
 
-    def start_averaging(self, sub_optimum: int, link_cap: int | None = None) -> None:
-        """Turn the vertex-deletion bound on, with M = ``sub_optimum`` and
-        L = ``link_cap``."""
+    def start_averaging(self, sub_optimum: int) -> None:
+        """Turn the vertex-deletion bound on, with M = ``sub_optimum``."""
         self.has_reach = True
         self.sub_optimum = sub_optimum
         # no cap: d_v never exceeds the number of candidates
-        self.link_cap = len(self.masks) if link_cap is None else link_cap
+        self.link_cap = len(self.masks)
         # the fewest vertices a member avoids; the antichain state's full
         # candidate avoids none, every other member at least one
         self.spare = self.nbits - self.cards[-1] or 1
@@ -633,9 +633,9 @@ class _UniformCapState(_CapState):
         super().__init__(n, (card,), win, cap)
 
     @staticmethod
-    def sub_queries(n, card, win, cap):
+    def sub_query(n, card, win, cap):
         # with fewer points than a window there is no window to cap
-        return ((n - 1, card, win, cap),) if n - 1 >= max(card, win) else ()
+        return (n - 1, card, win, cap) if n - 1 >= max(card, win) else None
 
 
 class _TildeState(_CapState):
@@ -651,9 +651,9 @@ class _TildeState(_CapState):
         super().__init__(n, (2, 3), 4, c - 1)
 
     @staticmethod
-    def sub_queries(n, c):
+    def sub_query(n, c):
         # a tilde query needs a 4-window
-        return ((n - 1, c),) if n - 1 >= 4 and c >= 3 else ()
+        return (n - 1, c) if n - 1 >= 4 and c >= 3 else None
 
 
 class _DownsetState(_CapState):
@@ -662,14 +662,8 @@ class _DownsetState(_CapState):
 
     The empty set is implied and sits in every a-window, so each window
     holds at most b - 2 candidates.  F - v is such a down-set on n-1
-    points, so M is the optimum of the query (n-1, a, b).  The link
-    F(v) lies in F - v, so for an (a-1)-window Y avoiding v each member
-    T of F(v)'s trace on Y gives T and T + v in F's trace on Y + v,
-    which has at most b-1 members.  F(v) is thus a down-set of
-    (a-2)-sets and smaller on n-1 points under the ceiling
-    b' = (b-1)//2 + 1, and L is the optimum of the query (n-1, a-1, b')
-    (Frankl, "On the trace of finite sets", 1983).  As b <= 2^a, b' is
-    at most 2^(a-1): the link query is never vacuous.
+    points, so M is the optimum of the query (n-1, a, b); the link is
+    bounded by d_v alone.
     """
 
     implied = (0,)
@@ -678,12 +672,10 @@ class _DownsetState(_CapState):
         super().__init__(n, range(1, a), a, b - 2)
 
     @staticmethod
-    def sub_queries(n, a, b):
+    def sub_query(n, a, b):
         # with n-1 < a points there is no window to cap; b = 2 leaves
         # no candidate addable
-        if n - 1 >= a >= 2 and b >= 3:
-            return ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1))
-        return ()
+        return (n - 1, a, b) if n - 1 >= a >= 2 and b >= 3 else None
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +849,9 @@ class _AntichainState(_CountedState):
     points with no shattered (k+1)-set, as F's traces include its own.
     So is the link F(v) = {S - v : v in S in F}: if S - v is inside
     T - v then S is inside T, and F(v)'s trace on a window avoiding v
-    lies inside F's.  So M = L = the optimum of the query (n-1, k), and
-    the sub-query is declared twice, once for each.  The full candidate
+    lies inside F's.  So M = L = the optimum of the query (n-1, k): the
+    sub-query is declared once, and ``start_averaging`` sets L = M.  This
+    is the only search with a link cap.  The full candidate
     [n] avoids no vertex, so n - k, the fewest vertices a member avoids,
     is 0 here; every other member avoids at least one, so
     sum_v |F - v| >= |F| for every F but {[n]} (``spare`` is 1), and
@@ -870,7 +863,7 @@ class _AntichainState(_CountedState):
     (that takes both the empty set and [n]), so the query is Sperner's
     problem; (n-1, k) is no query, but (n-1, n-2), whose one window is
     [n-1], is vacuous the same way and has the same optimum, the Sperner
-    number on n-1 points, so it is declared twice instead.  This starts
+    number on n-1 points, so it is declared instead.  This starts
     at n = 4: the (3, 2) -> (2, 1) chain only adds nodes.
     """
 
@@ -908,12 +901,17 @@ class _AntichainState(_CountedState):
         self.count = ones * ((1 << field - 1) - (field - 1))
 
     @staticmethod
-    def sub_queries(n, k):
+    def sub_query(n, k):
         # an antichain query needs a (k+1)-window, so k = n - 1 takes the
         # vacuous (n-1, n-2) instead; k = 0 needs no bound
         if n - 1 >= k + 1 and k >= 1:
-            return ((n - 1, k), (n - 1, k))
-        return ((n - 1, n - 2), (n - 1, n - 2)) if k == n - 1 >= 3 else ()
+            return (n - 1, k)
+        return (n - 1, n - 2) if k == n - 1 >= 3 else None
+
+    def start_averaging(self, sub_optimum: int) -> None:
+        """The bound with L = M: the link is again such an antichain."""
+        super().start_averaging(sub_optimum)
+        self.link_cap = sub_optimum
 
     def snapshot(self) -> tuple:
         return self.free, self.inbits, self.seen, self.count
@@ -967,7 +965,7 @@ def _solve_state(
     build: Callable[..., _CountedState],
     args: tuple,
     *,
-    sub_queries: Callable[..., tuple[tuple, ...]] = _CountedState.sub_queries,
+    sub_query: Callable[..., tuple | None] = _CountedState.sub_query,
     witness: Callable,
     recheck: Callable[..., bool],
     seed: Callable[..., Iterable[int] | None] = _no_seed,
@@ -977,21 +975,20 @@ def _solve_state(
 ) -> SearchResult:
     """Maximize over the state ``build(*args)`` and certify the answer.
 
-    ``sub_queries`` is the state class's declaration: the builder
-    arguments of the sub-queries on n-1 points that a state built from
-    given arguments needs for its bound.  With their own sub-queries,
-    down to the levels that declare none, they are the query's levels.
-    One loop runs each level once, each after the levels it declares,
-    in their declared order, and the query last; it builds a level's
-    state only when that level's turn comes.  All share one node count,
-    so ``nodes`` includes them.  A level d points below the query may
-    tick nodes up to ``_SUB_SHARE``**d of ``budget_nodes`` (rounded
-    down at each step) and run until ``_SUB_SHARE``**d of
-    ``budget_secs`` has passed since the start, so the query's own
-    search always has the rest.  When every level a level declares
-    proved, their optima turn its bound on.  Otherwise the candidates
-    the first one chose, a family of the same search on the first n-1
-    points, are its first incumbent.
+    ``sub_query`` is the state class's declaration: the builder
+    arguments of the sub-query on n-1 points that a state built from
+    given arguments needs for its bound, or None.  Followed from
+    ``args`` until it gives None, it lists the query's levels, a chain.
+    One loop runs them bottom up, each once and the query last; it
+    builds a level's state only when that level's turn comes.  All
+    share one node count, so ``nodes`` includes them.  A level d points
+    below the query may tick nodes up to ``_SUB_SHARE``**d of
+    ``budget_nodes`` (rounded down at each step) and run until
+    ``_SUB_SHARE``**d of ``budget_secs`` has passed since the start, so
+    the query's own search always has the rest.  When the level below
+    proved, its optimum turns the bound on.  Otherwise the candidates
+    it chose, a family of the same search on the first n-1 points, are
+    the first incumbent.
 
     ``seed(*level)`` gives the masks of a known construction on a
     level's points, or None.  Every mask must be a candidate or an
@@ -1013,21 +1010,22 @@ def _solve_state(
     """
     t0 = perf_counter()
     budget = _Budget(budget_nodes, budget_secs)
-    solved: dict[tuple, SearchResult] = {}
-    chosen: dict[tuple, list[int]] = {}  # each level's chosen candidate masks
-    for level, depth in _levels(sub_queries, args).items():
+    chain = [args]
+    while (sub := sub_query(*chain[-1])) is not None:
+        chain.append(sub)
+    # the level below: its result and its chosen candidate masks
+    result = chosen = None
+    for depth, level in reversed(list(enumerate(chain))):
         budget.limit = budget_nodes
         for _ in range(depth):
             budget.limit = int(budget.limit * _SUB_SHARE)
         budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
         state = build(*level)
-        declared = sub_queries(*level)
-        subs = [solved[sub] for sub in declared]
         start = 0
-        if subs and all(r.proved_optimal for r in subs):
-            state.start_averaging(*(r.optimum for r in subs))
-        elif subs:
-            start = _bits_of(state, chosen[declared[0]])
+        if result is not None and result.proved_optimal:
+            state.start_averaging(result.optimum)
+        elif result is not None:
+            start = _bits_of(state, chosen)
         masks = seed(*level)
         seeded = None
         if masks is not None:
@@ -1039,13 +1037,13 @@ def _solve_state(
         searcher.best, searcher.best_bits = start.bit_count(), start
         # a lower level that ran out of nodes may have left none to tick
         completed = budget.nodes <= budget.limit and searcher.run()
-        chosen[level] = _masks_of(state, searcher.best_bits)
+        chosen = _masks_of(state, searcher.best_bits)
         if searcher.best_bits == seeded:  # the seed's witness, re-checked above
             wit = seed_wit
         else:
-            wit = _certify(state, chosen[level], witness, recheck, level)
-        solved[level] = SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
-    return solved[args]
+            wit = _certify(state, chosen, witness, recheck, level)
+        result = SearchResult(len(wit), wit, completed, budget.nodes, perf_counter() - t0)
+    return result
 
 
 def _bits_of(state: _CountedState, masks) -> int:
@@ -1077,18 +1075,6 @@ def _certify(
     return wit
 
 
-def _levels(sub_queries, args: tuple, depth: int = 0, levels=None) -> dict[tuple, int]:
-    """The levels of the query ``args`` and their depths below it, in
-    the order ``_solve_state`` runs them: each after the levels it
-    declares, in their declared order, and ``args`` last."""
-    levels = {} if levels is None else levels
-    for sub in sub_queries(*args):
-        if sub not in levels:
-            _levels(sub_queries, sub, depth + 1, levels)
-    levels[args] = depth
-    return levels
-
-
 def _canonicalize(masks) -> tuple[int, ...]:
     """Witness masks in the canonical member order; no relabeling."""
     return tuple(sorted(masks, key=_canon_key))
@@ -1115,8 +1101,8 @@ def max_family(q: ArrowQuery) -> SearchResult:
     avoiding the trace level into a down-set of the same size, and a
     member of size >= a would already fill a full a-window.  One search
     over the sets of size 1..a-1 decides the singletons with the rest;
-    the empty set is added to its witness.  The deletion and link
-    queries of its bound run first, on n-1 points (``_DownsetState``),
+    the empty set is added to its witness.  The deletion queries of its
+    bound, (n-1, a, b) down to a points, run first (``_DownsetState``),
     and their nodes count in the result's.  Every level starts from
     ``max_family_seed``, the partite family, where b > 3 * 2^(a-2).
     """
@@ -1126,7 +1112,7 @@ def max_family(q: ArrowQuery) -> SearchResult:
     return _solve_state(
         _build_downset_state,
         (q.n, q.a, q.b),
-        sub_queries=_DownsetState.sub_queries,
+        sub_query=_DownsetState.sub_query,
         **_limits(q),
         witness=SetFamily.from_masks,
         recheck=lambda w, n, a, b: is_downset(w) and not arrows(w, a, b),
@@ -1152,7 +1138,7 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
     return _solve_state(
         _build_tilde_state,
         (q.n, q.c),
-        sub_queries=_TildeState.sub_queries,
+        sub_query=_TildeState.sub_query,
         **_limits(q),
         witness=_tilde_witness,
         recheck=lambda w, n, c: w.complete and not hookarrow(w, c),
@@ -1163,8 +1149,8 @@ def max_tilde(q: ArrowQuery) -> SearchResult:
 def max_antichain(q: ArrowQuery) -> SearchResult:
     """Largest antichain on [n] in which no (k+1)-set is fully shattered
     (every (k+1)-window trace stays below 2^(k+1)).  For k >= 1 the
-    deletion and link queries of its bound, (n-1, k) down to k+1 points,
-    run first (``_AntichainState``), and their nodes count in the
+    deletion queries of its bound, (n-1, k) down to k+1 points, run
+    first (``_AntichainState``), and their nodes count in the
     result's.  Every level starts from ``antichain_seed``, the layer of
     the min(k, n//2)-sets.  The state holds all 2^n subsets and is built
     outside the node budget, so n is capped at 9."""
@@ -1176,7 +1162,7 @@ def max_antichain(q: ArrowQuery) -> SearchResult:
     return _solve_state(
         _build_antichain_state,
         (q.n, q.k),
-        sub_queries=_AntichainState.sub_queries,
+        sub_query=_AntichainState.sub_query,
         **_limits(q),
         witness=SetFamily.from_masks,
         recheck=lambda w, n, k: is_antichain(w) and not (len(w) and arrows(w, k + 1, 1 << (k + 1))),

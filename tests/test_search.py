@@ -235,13 +235,13 @@ class TestDownsetSearch:
             assert not res.proved_optimal
             assert res.nodes <= budget + 1
 
-    def test_unproved_level_starts_from_its_first_sub_query(self):
-        # without symmetry the lower levels of (7, 5, 19) stop at their
-        # share of 50 nodes, so each level starts from what its first
-        # sub-query chose; without that start the query stops at 16
-        res = max_family(ArrowQuery.downset(7, 5, 19, budget_nodes=50, use_symmetry=False))
-        assert (res.optimum, res.proved_optimal, res.nodes) == (18, False, 51)
-        assert is_downset(res.witness) and not arrows(res.witness, 5, 19)
+    def test_unproved_level_starts_from_its_sub_query(self):
+        # without symmetry the lower levels of (7, 5, 24) stop at their
+        # share of 50 nodes, so each level starts from what its sub-query
+        # chose; without that start the query stops at 28
+        res = max_family(ArrowQuery.downset(7, 5, 24, budget_nodes=50, use_symmetry=False))
+        assert (res.optimum, res.proved_optimal, res.nodes) == (37, False, 51)
+        assert is_downset(res.witness) and not arrows(res.witness, 5, 24)
 
 
 class TestTildeSearch:
@@ -522,7 +522,7 @@ def test_random_window_problems_match_bruteforce():
             res = _solve_state(
                 _build_uniform_window_state,
                 (n, card, win, cap),
-                sub_queries=_UniformCapState.sub_queries,
+                sub_query=_UniformCapState.sub_query,
                 witness=SetFamily.from_masks,
                 recheck=within_caps,
                 budget_nodes=10**8,
@@ -532,26 +532,41 @@ def test_random_window_problems_match_bruteforce():
             assert res.proved_optimal and res.optimum == best, (n, card, win, cap, sym)
 
 
-def test_downset_query_is_one_search(monkeypatch):
-    # each level is built exactly once, after every level it declares, and
-    # the query's own state last: no per-prefix subproblems.  Every other
-    # build is a sub-query that some build declares.
-    declare = search_mod._DownsetState.sub_queries
+@pytest.mark.parametrize(
+    "module, builder, cls, args, run",
+    [
+        (search_mod, "_build_downset_state", search_mod._DownsetState, (6, 4, 13),
+         lambda: max_family(ArrowQuery.downset(6, 4, 13))),
+        (search_mod, "_build_tilde_state", search_mod._TildeState, (7, 6),
+         lambda: max_tilde(ArrowQuery.tilde(7, 6))),
+        (search_mod, "_build_antichain_state", search_mod._AntichainState, (6, 2),
+         lambda: max_antichain(ArrowQuery.antichain(6, 2))),
+        (canc_mod, "_build_uniform_window_state", search_mod._UniformCapState, (7, 2, 3, 2),
+         lambda: max_cancellative(7, 2)),
+        (canc_mod, "_build_cancellative_state", canc_mod._CancellativeState, (6, 3),
+         lambda: max_cancellative(6, 3)),
+        (canc_mod, "_build_uniform_window_state", search_mod._UniformCapState, (6, 3, 4, 3),
+         lambda: ex3(6, Pattern.K_COMPLETE)),
+    ],
+    ids=["max_family", "max_tilde", "max_antichain", "max_cancellative-2",
+         "max_cancellative-3", "ex3"],
+)
+def test_levels_form_one_chain(monkeypatch, module, builder, cls, args, run):
+    # every search declares at most one sub-query, so its levels are a
+    # chain: each built once, bottom up, from one that declares none to
+    # the query's own state, and each build is the sub-query of the next
     calls = []
-    real = search_mod._build_downset_state
+    real = getattr(module, builder)
 
-    def counting(*args):
-        assert all(sub in calls for sub in declare(*args)), args
-        calls.append(args)
-        return real(*args)
+    def counting(*level):
+        calls.append(level)
+        return real(*level)
 
-    monkeypatch.setattr(search_mod, "_build_downset_state", counting)
-    res = max_family(ArrowQuery.downset(6, 4, 13))
-    assert (res.optimum, res.proved_optimal) == (27, True)
-    assert calls[-1] == (6, 4, 13)
-    assert len(set(calls)) == len(calls)
-    assert all(any(sub in declare(*args) for args in calls) for sub in calls[:-1])
-    assert (5, 4, 13) in calls and (5, 3, 7) in calls  # deletion and link
+    monkeypatch.setattr(module, builder, counting)
+    assert run().proved_optimal
+    assert len(calls) >= 3 and calls[-1] == args
+    assert cls.sub_query(*calls[0]) is None
+    assert all(cls.sub_query(*above) == below for below, above in zip(calls, calls[1:]))
 
 
 def test_levels_are_built_one_at_a_time(monkeypatch):
@@ -675,9 +690,9 @@ def test_finished_search_leaves_no_reference_cycles(run):
 # leave every triple exactly as it is.
 _NODE_PINS = {
     "downset-6-4-13": (lambda s: max_family(ArrowQuery.downset(6, 4, 13, use_symmetry=s)),
-                       (27, True, 48), (27, True, 483)),
+                       (27, True, 32), (27, True, 457)),
     "downset-6-3-7": (lambda s: max_family(ArrowQuery.downset(6, 3, 7, use_symmetry=s)),
-                      (16, True, 27), (16, True, 47)),
+                      (16, True, 20), (16, True, 40)),
     "tilde-6-6": (lambda s: max_tilde(ArrowQuery.tilde(6, 6, use_symmetry=s)),
                   (12, True, 20), (12, True, 594)),
     "tilde-6-7": (lambda s: max_tilde(ArrowQuery.tilde(6, 7, use_symmetry=s)),
@@ -1037,9 +1052,8 @@ def _averaged(build, args):
     declares no sub-query); also its conflicts."""
     st = build(*args)
     m = None
-    subs = type(st).sub_queries(*args)
-    if subs:
-        (sub,) = subs
+    sub = type(st).sub_query(*args)
+    if sub is not None:
         assert sub == (args[0] - 1, *args[1:])
         smaller = build(*sub)
         m = _brute_free_max(smaller, 0, _conflicts(smaller))
@@ -1068,7 +1082,7 @@ def _check_averaging(st, out, pairs, m, memo, where):
     return reach == memo[key]
 
 
-# Reference for the down-set bound: M and the link cap L by brute force.
+# Reference for the down-set bound: M by brute force.
 
 
 def _brute_downset_max(n, a, b):
@@ -1099,24 +1113,23 @@ def _brute_downset_max(n, a, b):
 
 def _bounded_downset(args):
     """``_build_downset_state(*args)`` with its bound on, as
-    ``_solve_state`` turns it on, but with M = M(n-1, a, b) and
-    L = M(n-1, a-1, (b-1)//2 + 1) found by brute force; and (M, L), or
-    None when the state has too few points for the bound.  The searches
-    for M and L reach the same optima, with symmetry on and off."""
+    ``_solve_state`` turns it on, but with M = M(n-1, a, b) found by
+    brute force; and (M, None), no link cap, or None when the state has
+    too few points for the bound.  The search for M reaches the same
+    optimum, with symmetry on and off."""
     n, a, b = args
     st = search_mod._build_downset_state(*args)
-    subs = search_mod._DownsetState.sub_queries(*args)
+    sub = search_mod._DownsetState.sub_query(*args)
     if n - 1 < a:
-        assert subs == ()
+        assert sub is None
         return st, None
-    assert subs == ((n - 1, a, b), (n - 1, a - 1, (b - 1) // 2 + 1)), args
-    optima = tuple(_brute_downset_max(*sub) for sub in subs)
-    for sub, opt in zip(subs, optima):
-        for sym in (True, False):
-            res = max_family(ArrowQuery.downset(*sub, use_symmetry=sym))
-            assert (res.optimum, res.proved_optimal) == (opt, True), (sub, sym)
-    st.start_averaging(*optima)
-    return st, optima
+    assert sub == (n - 1, a, b), args
+    m = _brute_downset_max(*sub)
+    for sym in (True, False):
+        res = max_family(ArrowQuery.downset(*sub, use_symmetry=sym))
+        assert (res.optimum, res.proved_optimal) == (m, True), (sub, sym)
+    st.start_averaging(m)
+    return st, (m, None)
 
 
 def _bounded_tilde(args):
@@ -1127,11 +1140,11 @@ def _bounded_tilde(args):
     reaches the same optimum, with symmetry on and off."""
     n, c = args
     st = search_mod._build_tilde_state(*args)
-    subs = search_mod._TildeState.sub_queries(*args)
+    sub = search_mod._TildeState.sub_query(*args)
     if n - 1 < 4 or c <= 2:
-        assert subs == ()
+        assert sub is None
         return st, None
-    assert subs == ((n - 1, c),), args
+    assert sub == (n - 1, c), args
     m = brute_max_tilde(n - 1, c)
     for sym in (True, False):
         res = max_tilde(ArrowQuery.tilde(n - 1, c, use_symmetry=sym))
@@ -1379,12 +1392,12 @@ def _bounded_antichain(args):
     M.  The search for M reaches it, with symmetry on and off."""
     n, k = args
     st = search_mod._build_antichain_state(*args)
-    assert search_mod._AntichainState.sub_queries(*args) == ((n - 1, k), (n - 1, k)), args
+    assert search_mod._AntichainState.sub_query(*args) == (n - 1, k), args
     m = _brute_counted_max(search_mod._build_antichain_state(n - 1, k), 0, _antichain_addable)
     for sym in (True, False):
         res = max_antichain(ArrowQuery.antichain(n - 1, k, use_symmetry=sym))
         assert (res.optimum, res.proved_optimal) == (m, True), (args, sym)
-    st.start_averaging(m, m)
+    st.start_averaging(m)
     return st, m
 
 
@@ -1923,8 +1936,7 @@ def test_seed_applies_to_every_level(monkeypatch):
 
     monkeypatch.setattr(search_mod, "max_family_seed", counting)
     max_family(ArrowQuery.downset(6, 4, 13))
-    levels = search_mod._levels(search_mod._DownsetState.sub_queries, (6, 4, 13))
-    assert asked == list(levels)
+    assert asked == [(4, 4, 13), (5, 4, 13), (6, 4, 13)]
 
 
 def _counted_pattern_free(monkeypatch):
@@ -2081,7 +2093,7 @@ def test_branching_order_keeps_every_optimum_n7(monkeypatch, sym):
 
 def _check_tilde_bound_parity(monkeypatch, small, sym):
     # each tilde query runs with the vertex-deletion bound and with its
-    # sub-queries declared away, which leaves the bound off.  The bound is
+    # sub-query declared away, which leaves the bound off.  The bound is
     # sound, so where the search without it proves, the one with it
     # proves the same optimum, and where it stops, the incumbent with the
     # bound is no smaller
@@ -2091,7 +2103,7 @@ def _check_tilde_bound_parity(monkeypatch, small, sym):
             continue
         bounded = run(sym)
         with monkeypatch.context() as m:
-            m.setattr(search_mod._TildeState, "sub_queries", staticmethod(lambda *args: ()))
+            m.setattr(search_mod._TildeState, "sub_query", staticmethod(lambda *args: None))
             plain = run(sym)
         if plain.proved_optimal:
             assert (bounded.optimum, bounded.proved_optimal) == (plain.optimum, True), name
@@ -2112,7 +2124,7 @@ def test_tilde_bound_keeps_every_optimum_n7(monkeypatch, sym):
 
 def _check_antichain_bound_parity(monkeypatch, small, sym):
     # each antichain query, every k on n = 2..6 points when small, else
-    # on 7, runs with the vertex-deletion bound and with its sub-queries
+    # on 7, runs with the vertex-deletion bound and with its sub-query
     # declared away, at 20,000 nodes, as in the tilde sweep above: where
     # the search without the bound proves, the one with it proves the
     # same optimum, and where it stops, the incumbent with the bound is
@@ -2125,7 +2137,7 @@ def _check_antichain_bound_parity(monkeypatch, small, sym):
             query = ArrowQuery.antichain(n, k, use_symmetry=sym, budget_nodes=20_000)
             bounded = max_antichain(query)
             with monkeypatch.context() as m:
-                m.setattr(search_mod._AntichainState, "sub_queries", staticmethod(lambda *args: ()))
+                m.setattr(search_mod._AntichainState, "sub_query", staticmethod(lambda *args: None))
                 plain = max_antichain(query)
             if plain.proved_optimal:
                 assert (bounded.optimum, bounded.proved_optimal) == (plain.optimum, True), (n, k)
@@ -2148,7 +2160,7 @@ def test_least_degree_pins():
     # the paper's family is optimal at n = 9, and cancellative-3-10 proves
     # the balanced product
     res = max_family(ArrowQuery.downset(9, 4, 13))
-    assert (res.optimum, res.proved_optimal, res.nodes) == (64, True, 24_288)
+    assert (res.optimum, res.proved_optimal, res.nodes) == (64, True, 24_231)
     assert res.witness == partite_family(9, 3)
     res = max_cancellative(10, 3)
     assert (res.optimum, res.proved_optimal, res.nodes) == (36, True, 1_208)
