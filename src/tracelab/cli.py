@@ -209,7 +209,6 @@ _CONSTRUCT_FLAGS = {
     "turan": ("n", "r"),
     "special6": (),
     "downclosure": ("input",),
-    "downclosure-of-file": ("input",),
 }
 
 
@@ -225,7 +224,7 @@ def _cmd_construct(ns, argv) -> int:
     elif kind == "special6":
         fam, formula = special6(), 16
     else:
-        kind, fam = "downclosure", down_closure(_load_family(ns.input))
+        fam = down_closure(_load_family(ns.input))
     obj = {"kind": kind, "size": len(fam)}
     if formula is not None:
         obj["formula"] = formula

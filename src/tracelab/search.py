@@ -6,8 +6,8 @@ below, and the cancellative and ex3 searches of
 
 * ``full-downset``: largest down-set on [n] (members of size < a) such
   that no a-set carries a trace of size >= b.  One less than the least
-  size forcing such a trace.  One search over the sets of size 1..a-1;
-  the empty set is always in.
+  size forcing such a trace.  One search over the sets of size 0..a-1;
+  the empty set is chosen before it starts.
 * ``tilde-complete``: largest complete pair/triple family such that no
   4-set carries >= c members across the two levels.
 * ``antichain``: largest antichain with no (k+1)-set shattered
@@ -179,6 +179,12 @@ class ArrowQuery:
         else:
             if self.k is None or self.k < 0 or self.k + 1 > self.n:
                 raise FamilyError(f"antichain query needs 0 <= k <= n-1, got k={self.k}")
+        # a query that validates round-trips: the parser must accept its
+        # JSON form with the c or k its mode may not read, so a field the
+        # mode ignores or contradicts is refused in the parser's words
+        obj = self.to_json_obj()
+        obj.update((key, getattr(self, key)) for key in "ck" if getattr(self, key) is not None)
+        ArrowQuery.from_json_obj(obj)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -312,10 +318,9 @@ class _CountedState:
     Candidates are the indices ``0 .. len(masks)-1``, in the canonical
     member order (by size, then mask); ``masks[i]`` is the candidate's
     bitmask over ``nbits`` ground elements, ``cards[i]`` its size and
-    ``idx_of`` the inverse of ``masks``.  The empty selection is
-    feasible, so every state admits a family.  ``implied`` lists the
-    masks every family of the search has outside the candidates (the
-    down-set's empty set).
+    ``idx_of`` the inverse of ``masks``.  The state as built is
+    feasible, so every state admits a family; a state may choose
+    candidates while it is built (the down-set's empty set).
 
     One protocol serves every state: the whole state is a few ints.
     Two bitsets over the candidate indices are common to all of them
@@ -358,25 +363,24 @@ class _CountedState:
     avoiding v), a family of the same search on n-1 points, and the
     link F(v) = {S - v : v in S in F}: ex3, triangle-free, cancellative,
     tilde, antichains and down-sets.  Every family of the subtree lies
-    inside U = ``free | inbits``, the chosen and counted candidates,
-    plus I, the ``implied`` members.  Let ``d_v`` be the number of
-    members of U that contain v, M the optimum of the deletion sub-query
-    on n-1 points and L a cap on the link's size, which only the
-    antichain search has (there L = M; ``_AntichainState`` says why).
+    inside U = ``free | inbits``, the chosen and counted candidates.
+    Let ``d_v`` be the number of members of U that contain v, M the
+    optimum of the deletion sub-query on n-1 points and L a cap on the
+    link's size, which only the antichain search has (there L = M;
+    ``_AntichainState`` says why).
     Then |F(v)| <= d_v, and F(v)'s empty set is the member {v}, which
     ``d_v`` already counts, so for every v
 
-        |F| = |F - v| + |F(v)| <= min(M, |U| + |I| - d_v) + min(L, d_v),
+        |F| = |F - v| + |F(v)| <= min(M, |U| - d_v) + min(L, d_v),
 
     and, as each member avoids at least n - k vertices (k the largest
-    candidate size), (n - k)|F| <= sum_v min(M, |U| + |I| - d_v)
+    candidate size), (n - k)|F| <= sum_v min(M, |U| - d_v)
     (Katona, Nemetz, Simonovits, "On a graph problem of Turán", 1964).
     The antichain state's full candidate makes n - k = 0; there the
     average runs with 1 (``_AntichainState`` says why).
     ``reach()`` is the lesser of the least per-vertex bound and the
-    average, less |I|: it counts candidates, as the engine does.  It
-    also sets ``lean`` to the candidates at the first vertex of least
-    ``d_v``, where the link term is smallest.  A state class declares
+    average.  It also sets ``lean`` to the candidates at the first
+    vertex of least ``d_v``, where the link term is smallest.  A state class declares
     the sub-query that gives M as a pure function of its builder
     arguments: ``sub_query(*args)`` is its builder arguments, or None
     for a state without the bound.  ``start_averaging(M)`` turns the
@@ -386,7 +390,6 @@ class _CountedState:
     every relabeling of the ground set.
     """
 
-    implied: tuple[int, ...] = ()
     has_reach = False
     lean = -1
 
@@ -444,10 +447,9 @@ class _CountedState:
 
     def reach(self) -> int:
         """Most candidates, chosen ones included, that a family of this
-        subtree can hold: the bound above less the implied members."""
+        subtree can hold: the bound above."""
         u = self.free | self.inbits
-        implied = len(self.implied)
-        size = u.bit_count() + implied
+        size = u.bit_count()
         m, link = self.sub_optimum, self.link_cap
         total = 0
         best = size
@@ -466,7 +468,7 @@ class _CountedState:
         self.lean = lean
         # a sum of 0: no member of U avoids a vertex (U is {[n]} or
         # empty), and |U| bounds the family
-        return min(total // self.spare or size, best) - implied
+        return min(total // self.spare or size, best)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +488,9 @@ class _CapState(_CountedState):
     i adds the undecided members of ``below_bits[i]`` with it, so a chosen
     set's candidate subsets are always chosen; an excluded member makes
     the add fail.  With one size, as in the uniform states, ``below_bits``
-    is empty and the constraint is the window cap alone.
+    is empty and the constraint is the window cap alone.  With size 0
+    among ``cards``, the empty set is candidate 0 and lies in every
+    window; a subclass may choose it when it is built.
 
     The window counts live in one int, ``packed``: window w's count is
     the ``width``-bit field at bit w * ``width``, stored biased by
@@ -657,19 +661,19 @@ class _TildeState(_CapState):
 
 
 class _DownsetState(_CapState):
-    """Down-sets on [n] with members of size 1..a-1 and every a-window
+    """Down-sets on [n] with members of size 0..a-1 and every a-window
     trace below b, carrying the vertex-deletion bound.
 
-    The empty set is implied and sits in every a-window, so each window
-    holds at most b - 2 candidates.  F - v is such a down-set on n-1
-    points, so M is the optimum of the query (n-1, a, b); the link is
-    bounded by d_v alone.
+    A down-set's trace on a window is its members inside that window, so
+    each window holds at most b - 1 candidates.  Every nonempty down-set
+    holds the empty set, candidate 0, and the state chooses it when it
+    is built.  F - v is such a down-set on n-1 points, so M is the
+    optimum of the query (n-1, a, b); the link is bounded by d_v alone.
     """
 
-    implied = (0,)
-
     def __init__(self, n, a, b):
-        super().__init__(n, range(1, a), a, b - 2)
+        super().__init__(n, range(a), a, b - 1)
+        self.try_add_group(0)
 
     @staticmethod
     def sub_query(n, a, b):
@@ -799,8 +803,8 @@ def _candidate_masks(nbits: int, cards) -> list[int]:
 
 
 def _build_downset_state(n: int, a: int, b: int) -> _DownsetState:
-    """Down-sets on [n] with members of size 1..a-1 and no a-window trace
-    of size >= b; the empty set is implied."""
+    """Down-sets on [n] with members of size 0..a-1 and no a-window trace
+    of size >= b; the empty set is chosen."""
     return _DownsetState(n, a, b)
 
 
@@ -986,25 +990,24 @@ def _solve_state(
     ``budget_nodes`` (rounded down at each step) and run until
     ``_SUB_SHARE``**d of ``budget_secs`` has passed since the start, so
     the query's own search always has the rest.  When the level below
-    proved, its optimum turns the bound on.  Otherwise the candidates
-    it chose, a family of the same search on the first n-1 points, are
-    the first incumbent.
+    proved, its optimum turns the bound on, and the first incumbent is
+    what the state chose when it was built.  Otherwise the candidates
+    the level below chose, a family of the same search on the first n-1
+    points, are the first incumbent.
 
     ``seed(*level)`` gives the masks of a known construction on a
-    level's points, or None.  Every mask must be a candidate or an
-    ``implied`` member, and the seed must pass the same re-check as a
-    witness; otherwise this raises RuntimeError, because a seed that is
-    not feasible would let the bound prune the true optimum.  A level
-    starts from the seed when it has more members than the first
-    incumbent above (or there is none).  A seed only raises the
-    incumbent: ``proved_optimal`` still means that the search exhausted
-    its tree.
+    level's points, or None.  Every mask must be a candidate, and the
+    seed must pass the same re-check as a witness; otherwise this raises
+    RuntimeError, because a seed that is not feasible would let the
+    bound prune the true optimum.  A level starts from the seed when it
+    has more members than the first incumbent above.  A seed only raises
+    the incumbent: ``proved_optimal`` still means that the search
+    exhausted its tree.
 
-    A level's witness is ``witness(n, masks)``: ``masks`` are the
-    state's ``implied`` masks and the chosen ones, in the canonical
-    member order.  It is kept only if it has one member per mask and
-    ``recheck(witness, *level)``, with the level's own arguments,
-    accepts it; otherwise this raises RuntimeError.  A level that ends
+    A level's witness is ``witness(n, masks)``: ``masks`` are the chosen
+    ones, in the canonical member order.  It is kept only if it has one
+    member per mask and ``recheck(witness, *level)``, with the level's
+    own arguments, accepts it; otherwise this raises RuntimeError.  A level that ends
     on its seed's own members returns the seed's witness, so each
     returned family is re-checked once.
     """
@@ -1021,7 +1024,7 @@ def _solve_state(
             budget.limit = int(budget.limit * _SUB_SHARE)
         budget.deadline = t0 + budget_secs * _SUB_SHARE**depth
         state = build(*level)
-        start = 0
+        start = state.inbits
         if result is not None and result.proved_optimal:
             state.start_averaging(result.optimum)
         elif result is not None:
@@ -1047,14 +1050,13 @@ def _solve_state(
 
 
 def _bits_of(state: _CountedState, masks) -> int:
-    """The candidate bits of a family's masks; implied masks are skipped,
-    and any other mask that is not a candidate raises RuntimeError."""
+    """The candidate bits of a family's masks; a mask that is not a
+    candidate raises RuntimeError."""
     bits = 0
     for m in masks:
-        if m in state.idx_of:
-            bits |= state.bits[state.idx_of[m]]
-        elif m not in state.implied:
+        if m not in state.idx_of:
             raise RuntimeError(f"member {m:#b} is not a candidate of this search")
+        bits |= state.bits[state.idx_of[m]]
     return bits
 
 
@@ -1066,11 +1068,10 @@ def _masks_of(state: _CountedState, bits: int) -> list[int]:
 def _certify(
     state: _CountedState, chosen: list[int], witness, recheck, level: tuple, what="witness"
 ):
-    """The witness of the chosen candidate masks plus the implied
-    members, re-checked; RuntimeError if it fails."""
-    implied = state.implied
-    wit = witness(state.nbits, _canonicalize([*implied, *chosen]))
-    if len(wit) != len(implied) + len(chosen) or not recheck(wit, *level):
+    """The witness of the chosen candidate masks, re-checked;
+    RuntimeError if it fails."""
+    wit = witness(state.nbits, _canonicalize(chosen))
+    if len(wit) != len(chosen) or not recheck(wit, *level):
         raise RuntimeError(f"{what} failed independent re-verification")
     return wit
 
@@ -1100,10 +1101,10 @@ def max_family(q: ArrowQuery) -> SearchResult:
     The down-set restriction is lossless: compression turns any family
     avoiding the trace level into a down-set of the same size, and a
     member of size >= a would already fill a full a-window.  One search
-    over the sets of size 1..a-1 decides the singletons with the rest;
-    the empty set is added to its witness.  The deletion queries of its
-    bound, (n-1, a, b) down to a points, run first (``_DownsetState``),
-    and their nodes count in the result's.  Every level starts from
+    over the sets of size 0..a-1 decides the singletons with the rest;
+    the empty set is chosen before it starts.  The deletion queries of
+    its bound, (n-1, a, b) down to a points, run first
+    (``_DownsetState``), and their nodes count in the result's.  Every level starts from
     ``max_family_seed``, the partite family, where b > 3 * 2^(a-2).
     """
     q.validate()
@@ -1165,7 +1166,7 @@ def max_antichain(q: ArrowQuery) -> SearchResult:
         sub_query=_AntichainState.sub_query,
         **_limits(q),
         witness=SetFamily.from_masks,
-        recheck=lambda w, n, k: is_antichain(w) and not (len(w) and arrows(w, k + 1, 1 << (k + 1))),
+        recheck=lambda w, n, k: is_antichain(w) and not arrows(w, k + 1, 1 << (k + 1)),
         seed=antichain_seed,
     )
 

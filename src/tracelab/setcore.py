@@ -401,9 +401,6 @@ class PartitionStructure:
     def r(self) -> int:
         return len(self.classes)
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(z.bit_count() for z in self.classes)
-
 
 # ---------------------------------------------------------------------------
 # serialization

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 from copy import deepcopy
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import tracelab.cancellative_turan as canc_mod
 import tracelab.search as search_mod
@@ -32,6 +35,7 @@ from tracelab import (
     trace_size,
 )
 from tracelab.search import (
+    _MODES,
     MODE_ANTICHAIN,
     MODE_DOWNSET,
     MODE_TILDE,
@@ -405,6 +409,53 @@ class TestQueryJson:
     def test_antichain_json(self):
         q = ArrowQuery.from_json_obj({"n": 4, "k": 2, "mode": MODE_ANTICHAIN})
         assert run_query(q).optimum == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mode=hs.sampled_from(_MODES),
+        n=hs.integers(-1, 21),
+        x=hs.integers(-1, 9),
+        y=hs.integers(-1, 40),
+        over=hs.fixed_dictionaries(
+            {},
+            optional={"a": hs.integers(-1, 40)}
+            | {key: hs.none() | hs.integers(-1, 40) for key in ("b", "c", "k")},
+        ),
+        sym=hs.booleans(),
+    )
+    def test_valid_query_round_trips(self, mode, n, x, y, over, sym):
+        # a query that validate() accepts is one from_json_obj rebuilds from
+        # its to_json_obj(), all but use_symmetry, which the JSON form does
+        # not carry: a mode's own constructor, with any of a, b, c, k
+        # overridden and the budgets at their defaults
+        made = {
+            MODE_DOWNSET: lambda: ArrowQuery.downset(n, x, y),
+            MODE_TILDE: lambda: ArrowQuery.tilde(n, x),
+            MODE_ANTICHAIN: lambda: ArrowQuery.antichain(n, x),
+        }[mode]()
+        q = dataclasses.replace(made, **over, use_symmetry=sym)
+        try:
+            q.validate()
+        except FamilyError:
+            return
+        again = ArrowQuery.from_json_obj(q.to_json_obj())
+        assert dataclasses.replace(again, use_symmetry=sym) == q
+
+    def test_fields_the_mode_ignores_or_contradicts_are_refused(self):
+        # each of these validated, and either ran or lost a field in
+        # to_json_obj()
+        for q, said in (
+            (ArrowQuery(n=6, a=5, mode=MODE_TILDE, c=7),
+             "mode 'tilde-complete' sets 'a' to 4, got 5"),
+            (ArrowQuery(n=5, a=3, b=7, c=3),
+             "mode 'full-downset' does not read 'c'"),
+            (ArrowQuery(n=5, a=2, b=3, mode=MODE_ANTICHAIN, k=2),
+             "mode 'antichain' sets 'a' to 3, got 2"),
+        ):
+            with pytest.raises(FamilyError, match=said):
+                q.validate()
+            with pytest.raises(FamilyError, match=said):
+                run_query(q)
 
     def test_result_json_shape(self):
         res = max_tilde(ArrowQuery.tilde(5, 5))
@@ -1025,17 +1076,16 @@ def _brute_free_max(st, out, pairs):
     return best
 
 
-def _reach_ref(st, u, m, link, implied):
+def _reach_ref(st, u, m, link):
     """The vertex-deletion bound from its definition, on the bitset U = u:
-    for every vertex v, the members of U and the ``implied`` ones that
-    avoid v, at most m, plus those that contain v, at most ``link`` (None:
-    no cap); and the first term averaged over v, each member avoiding at
-    least n - k vertices, or at least one where k = n (an antichain:
-    only the full set avoids none, and a sum of 0 means U holds nothing
-    else, so the average reads |U|).  In candidates, so less
-    ``implied``."""
+    for every vertex v, the members of U that avoid v, at most m, plus
+    those that contain v, at most ``link`` (None: no cap); and the first
+    term averaged over v, each member avoiding at least n - k vertices,
+    or at least one where k = n (an antichain: only the full set avoids
+    none, and a sum of 0 means U holds nothing else, so the average
+    reads |U|)."""
     members = [mask for i, mask in enumerate(st.masks) if u >> i & 1]
-    size = len(members) + implied
+    size = len(members)
     per_vertex, total = [], 0
     for v in range(st.nbits):
         d = sum(1 for mask in members if mask >> v & 1)
@@ -1043,7 +1093,7 @@ def _reach_ref(st, u, m, link, implied):
         per_vertex.append(min(m, size - d) + (d if link is None else min(link, d)))
     spare = max(st.nbits - max(st.cards), 1)
     average = total // spare if total else size
-    return min(min(per_vertex), average) - implied
+    return min(min(per_vertex), average)
 
 
 def _averaged(build, args):
@@ -1075,7 +1125,7 @@ def _check_averaging(st, out, pairs, m, memo, where):
     if key not in memo:
         memo[key] = _brute_free_max(st, out, pairs)
     reach = st.reach()
-    assert reach == _reach_ref(st, u, m, None, 0), where
+    assert reach == _reach_ref(st, u, m, None), where
     counted = [i for i in range(len(st.masks)) if (u & ~st.inbits) >> i & 1]
     assert st.pick_first() == _pick_ref(st, counted, u), where
     assert reach >= memo[key], where
@@ -1175,7 +1225,7 @@ def _check_cap_u(st, out, bound, memo, where):
     if key not in memo:
         memo[key] = st.inbits.bit_count() + _brute_subtree_max(st, out)
     reach = st.reach()
-    assert reach == _reach_ref(st, u, *bound, len(st.implied)), where
+    assert reach == _reach_ref(st, u, *bound), where
     assert reach >= memo[key], where
     return reach == memo[key]
 
@@ -1254,12 +1304,15 @@ def test_all_in_matches_bruteforce_on_random_states():
     # Bound soundness of _CapState on small states, checked against brute
     # force along seeded random add/out/undo walks, where an undo restores
     # the snapshot taken before the move.  (The name is kept from the
-    # all-in shortcut this test used to check.)  After every move, failed
-    # adds included, U is exact on every state, and on down-sets and on
-    # tilde from n = 5 and c >= 3 the vertex-deletion bound, with M (and
-    # the down-set's L) by brute force, is its definition and covers the
-    # subtree optimum.  The branching pick is recomputed too: after
-    # reach(), at the first least-degree vertex of U; on the states
+    # all-in shortcut this test used to check.)  A down-set walk starts
+    # from the state as built, with the empty set (candidate 0) chosen and
+    # counted once in every window under the cap b - 1, and never decides
+    # it again.  After every move, failed adds included, U is exact on
+    # every state, and on down-sets and on tilde from n = 5 and c >= 3 the
+    # vertex-deletion bound, with M by brute force (the empty set among
+    # the down-set's members, as in the state), is its definition and
+    # covers the subtree optimum.  The branching pick is recomputed too:
+    # after reach(), at the first least-degree vertex of U; on the states
     # without the bound (tilde on 4 points or with c <= 2), the largest
     # counted candidate.  Undoing a whole walk leaves every attribute as
     # it was.  The uniform and antichain states follow, with their own
@@ -1416,7 +1469,7 @@ def _check_antichain_reach(st, out, m, memo, where):
     if key not in memo:
         memo[key] = st.inbits.bit_count() + _brute_counted_max(st, out, _antichain_addable)
     reach = st.reach()
-    assert reach == _reach_ref(st, u, m, m, 0), where
+    assert reach == _reach_ref(st, u, m, m), where
     assert st.pick_first() == _pick_ref(st, counted, u), where
     assert reach >= memo[key], where
     return reach == memo[key]
@@ -1447,7 +1500,10 @@ def test_cap_state_failed_add_changes_nothing():
     # exactly when its closure has an excluded or a blocked member (an
     # early fail, before the counters are read) or overflows a window;
     # both kinds occur, counted from _closure_ref.  A successful add
-    # chooses exactly the closure: the change in inbits.
+    # chooses exactly the closure: the change in inbits.  The down-set
+    # states start with the empty set chosen and under the cap b - 1, so
+    # the recounted window fills include it, and no closure holds it
+    # (it is chosen already).
     import random
 
     from tracelab.search import (
@@ -1528,9 +1584,12 @@ def test_cap_state_failed_add_changes_nothing():
 def test_cap_state_structure_matches_bruteforce():
     # _CapState derives its window bitsets, window increments, child and
     # below bitsets from (n, cards, win, cap); recount them by brute-force
-    # containment for every builder at n <= 6.  From the root, an add
-    # chooses exactly the candidate and the candidates inside it (the
-    # change in inbits), and restoring the root snapshot restores every
+    # containment for every builder at n <= 6.  The down-set state's
+    # candidates start with the empty set, which it chooses at build, so
+    # its root has that one candidate chosen, with cap b - 1; every other
+    # root has none.  From the root, an add of any undecided candidate
+    # chooses exactly the candidate and the candidates inside it (inbits
+    # afterwards), and restoring the root snapshot restores every
     # attribute.  The caps are loose enough that no root add overflows.
     from tracelab.search import (
         _build_downset_state,
@@ -1564,13 +1623,45 @@ def test_cap_state_structure_matches_bruteforce():
             sum(1 << j for j, mj in enumerate(masks) if mj & mi == mj and mj != mi) for mi in masks
         ], where
         _check_fields(st, where)
+        if build is _build_downset_state:
+            assert (masks[0], st.inbits, st.cap) == (0, 1, args[2] - 1), where
+        else:
+            assert st.inbits == 0, where
         start, root = _frozen(st), st.snapshot()
-        for i, mi in enumerate(masks):
+        for i in _undecided(st, 0):
+            mi = masks[i]
             assert st.try_add_group(i), where
             assert st.inbits == _bits(j for j, mj in enumerate(masks) if mj & mi == mj), where
             _check_fields(st, where)
             st.restore(root)
             assert _frozen(st) == start, where
+
+
+def test_downset_state_chooses_the_empty_set_at_build(monkeypatch):
+    # The empty set is an ordinary down-set candidate: on every (n, a, b)
+    # with n <= 6, candidate 0 is the empty set, the state as built has it
+    # in inbits and not in free, every a-window's decoded count is 1, and
+    # free is the brute-force counted set (empty for b = 2, where that one
+    # member fills each window).  A seed mask of size >= a is still no
+    # candidate, and the search refuses it.
+    for n in range(1, 7):
+        for a in range(1, n + 1):
+            for b in range(2, (1 << a) + 1):
+                st = search_mod._build_downset_state(n, a, b)
+                where = (n, a, b)
+                assert st.masks[0] == 0 and st.cap == b - 1, where
+                assert st.inbits & 1 and not st.free & 1, where
+                assert _decoded_fills(st) == [1] * len(st.windows), where
+                _check_fields(st, where)
+                assert st.free == _bits(_brute_counted(st, 0)), where
+    for extra in (0b111, 0b11111):
+        _mutated_seed(
+            monkeypatch, search_mod, "max_family_seed", (5, 3, 7),
+            lambda level, masks: masks + [extra],
+        )
+        with pytest.raises(RuntimeError, match="not a candidate"):
+            max_family(ArrowQuery.downset(5, 3, 7))
+        monkeypatch.undo()
 
 
 def test_cap_state_fields_hold_full_windows():
